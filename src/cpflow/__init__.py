@@ -12,8 +12,9 @@ from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError, ParseError, QuadratureError,
                      SizeError)
 from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
-from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit, calabi_rhs,
-                   curvature_rhs, fit_decay_rate, newton_solve, run)
+from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
+                   calabi_direction, curvature_rhs, fit_decay_rate,
+                   newton_solve, run)
 from .geometry import (EdgeSideGeometry, edge_side_geometry, k_to_r,
                        quad_angle, r_to_k, side_curvature)
 from .instancefile import (Instance, instance_digest, parse_instance,
@@ -30,7 +31,7 @@ __all__ = [
     "FlowConfig", "FlowSample", "FlowTrace", "InputError", "IntegrationError",
     "Instance", "NonConvergenceError", "ParseError", "Prescription",
     "QuadratureError", "RateFit", "SizeError", "SurfaceComplex",
-    "SyntheticInstance", "build_complex", "calabi_energy", "calabi_rhs",
+    "SyntheticInstance", "build_complex", "calabi_direction", "calabi_energy",
     "check_bruteforce", "check_mincut", "curvature_rhs", "degree",
     "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",
     "fd_jacobian", "fit_decay_rate", "k_to_r", "make_synthetic",

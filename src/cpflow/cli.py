@@ -9,7 +9,7 @@ Exit codes are a stable contract:
     1  invalid complex or infeasible prescription
     2  parse or usage error
     3  flow diverged (feasibility certificate printed)
-    4  budget exhausted
+    4  budget exhausted or numerical failure
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import evaluate
-from .errors import InputError, ParseError, SizeError
+from .errors import (InputError, IntegrationError, NonConvergenceError,
+                     ParseError, SizeError)
 from .feasibility import check_bruteforce, check_mincut
 from .flow import FlowConfig, run
 from .instancefile import Instance, parse_instance, write_solution, write_trace
@@ -36,6 +37,9 @@ EXIT_BUDGET = 4
 
 # Above this vertex count the feasibility check switches to min-cut.
 BRUTE_CUTOFF = 16
+
+# Failures of the numerics rather than of the input; reported per file.
+NUMERICAL_ERRORS = (IntegrationError, NonConvergenceError, np.linalg.LinAlgError)
 
 
 def _load(path: Path) -> Instance:
@@ -102,14 +106,17 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     else:
         k0 = np.zeros(n)
 
-    trace = run(inst.complex, inst.prescription, k0, config)
-
-    if trace_path is not None:
-        with open(trace_path, "w") as fh:
-            write_trace(fh, trace, inst.complex, inst.prescription, config)
-    if solution_path is not None:
-        with open(solution_path, "w") as fh:
-            write_solution(fh, trace, inst.complex, inst.prescription)
+    try:
+        trace = run(inst.complex, inst.prescription, k0, config)
+        if trace_path is not None:
+            with open(trace_path, "w") as fh:
+                write_trace(fh, trace, inst.complex, inst.prescription, config)
+        if solution_path is not None:
+            with open(solution_path, "w") as fh:
+                write_solution(fh, trace, inst.complex, inst.prescription)
+    except NUMERICAL_ERRORS as exc:
+        print(f"{path.name}: error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
 
     final = trace.final
     print(f"{path.name}: {trace.verdict} t={final.t:.6g} "

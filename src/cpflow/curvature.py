@@ -4,6 +4,8 @@ Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), cone angles at vertices and face centers,
 the symmetric Jacobian dL/dK, the Calabi energies, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
+Vertex quantities are assembled over the edge list in O(E); the dense
+Jacobian and its spectrum are computed only when a caller reads them.
 """
 
 from __future__ import annotations
@@ -27,10 +29,14 @@ class CurvatureState:
     """All curvature data of one coordinate vector K on a fixed complex.
 
     ``theta_v[e]`` / ``theta_w[e]`` are the quadrilateral center angles at
-    the first/second endpoint of edge ``e``; ``J[i, j] = dL_i/dK_j`` is
-    symmetric with negative off-diagonal entries exactly on adjacent
-    pairs.  ``clamped`` records whether any radius had to be pulled back
-    from the boundary of (0, pi/2) during reconstruction from K.
+    the first/second endpoint of edge ``e``.  The symmetric Jacobian
+    ``J[i, j] = dL_i/dK_j`` is kept in edge form: its diagonal ``diag`` and
+    the per-edge mixed partial ``d_cross[e]`` (always negative), which
+    sits at (v, w) and (w, v) for edge e = (v, w) and accumulates over
+    parallel edges.  ``jvp`` applies J in O(E); the dense ``J`` is
+    assembled only when read.  ``clamped`` records whether any radius had
+    to be pulled back from the boundary of (0, pi/2) during reconstruction
+    from K.
     """
 
     complex: SurfaceComplex
@@ -39,14 +45,33 @@ class CurvatureState:
     theta_v: np.ndarray
     theta_w: np.ndarray
     L: np.ndarray
-    J: np.ndarray
+    diag: np.ndarray
+    d_cross: np.ndarray
     clamped: bool
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        """The Jacobian dL/dK as a dense symmetric V x V matrix."""
+        n = self.complex.n_vertices
+        ev, ew = self.complex.endpoint_arrays
+        half = np.bincount(ev * n + ew, self.d_cross, n * n).reshape(n, n)
+        J = half + half.T
+        J.ravel()[:: n + 1] += self.diag
+        return J
+
+    def jvp(self, x: np.ndarray) -> np.ndarray:
+        """The product J @ x, without forming J."""
+        c = self.complex
+        return self.diag * x + np.bincount(
+            c.endpoint_arrays.ravel(),
+            (self.d_cross * x[c.opposite_endpoints]).ravel(), c.n_vertices)
 
     @cached_property
     def alpha_v(self) -> np.ndarray:
         """Cone angle at each vertex: sum of incident center angles."""
-        sv, sw = self.complex.incidence_matrices
-        return sv @ self.theta_v + sw @ self.theta_w
+        n = self.complex.n_vertices
+        ev, ew = self.complex.endpoint_arrays
+        return np.bincount(ev, self.theta_v, n) + np.bincount(ew, self.theta_w, n)
 
     @property
     def alpha_f(self) -> np.ndarray:
@@ -77,42 +102,39 @@ class CurvatureState:
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
-    """Evaluate curvatures, cone angles, and the Jacobian at coordinates K.
+    """Evaluate curvatures and the Jacobian in edge form at coordinates K.
 
-    The Jacobian is assembled edge by edge; each edge contributes a 2x2
-    block and parallel edges accumulate.
+    Every vertex quantity is a sum over the edge list, accumulated with
+    ``np.bincount`` in O(E); parallel edges accumulate.
     """
     if not complex.is_valid:
         raise InputError("invalid complex: " + "; ".join(complex.violations))
     K = np.asarray(K, dtype=float)
     if K.shape != (complex.n_vertices,):
         raise InputError(f"K must have length {complex.n_vertices}")
-    if not bool(np.all(np.isfinite(K))):
+    if not np.isfinite(K).all():
         raise InputError("K must be finite")
 
     # Stable inverse coordinate change, then pull radii off the interval
     # boundary (floats collapse onto it for |K| beyond ~27).
     small = np.arctan(np.exp(-np.abs(K)))
     r_raw = np.where(K >= 0.0, small, 0.5 * np.pi - small)
-    r = np.clip(r_raw, RADIUS_CLAMP, 0.5 * np.pi - RADIUS_CLAMP)
-    clamped = bool(np.any(r != r_raw))
+    r = np.minimum(np.maximum(r_raw, RADIUS_CLAMP), 0.5 * np.pi - RADIUS_CLAMP)
+    clamped = bool((r != r_raw).any())
 
-    ev, ew = complex.endpoint_arrays
+    ends = complex.endpoint_arrays
+    ev, ew = ends
     g = geometry._edge_kernel(r[ev], r[ew], complex.phi)
 
+    # Row s of a stacked per-side quantity belongs at the vertices ends[s].
     n = complex.n_vertices
-    sv, sw = complex.incidence_matrices
-    L = sv @ g.L_v_side + sw @ g.L_w_side
-
-    half = (sv * g.d_cross) @ sw.T
-    J = half + half.T
-    diag = sv @ (g.d_pair_v - g.d_cross) + sw @ (g.d_pair_w - g.d_cross)
-    J.ravel()[:: n + 1] += diag
+    L = np.bincount(ends.ravel(), g.L_side.ravel(), n)
+    diag = np.bincount(ends.ravel(), g.d_own.ravel(), n)
 
     return CurvatureState(
         complex=complex, K=K.copy(), r=r,
         theta_v=g.theta_v, theta_w=g.theta_w,
-        L=L, J=J, clamped=clamped,
+        L=L, diag=diag, d_cross=g.d_cross, clamped=clamped,
     )
 
 

@@ -3,8 +3,9 @@
 Two descent flows drive the curvature error L - Lhat to zero, written in
 the log-cotangent coordinates K where both are gradient flows:
 
-    calabi:     dK/dt = -J^T (L - Lhat)     (steepest descent of the energy
-                                             0.5 ||L - Lhat||^2)
+    calabi:     dK/dt = -J (L - Lhat)       (steepest descent of the energy
+                                             0.5 ||L - Lhat||^2; J = dL/dK
+                                             is symmetric)
     curvature:  dK/dt = -(L - Lhat)         (steepest descent of the convex
                                              potential; equivalently
                                              dr/dt = (L-Lhat)/2 sin 2r)
@@ -18,12 +19,13 @@ fixed-point equation is provided for fast polishing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import geometry
-from .curvature import CurvatureState, evaluate
+from .curvature import CurvatureState, evaluate, prescribed_calabi_energy
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError)
 from .feasibility import FeasibilityVerdict, check_mincut
@@ -60,25 +62,30 @@ class FlowConfig:
             raise InputError(f"unknown method {self.method!r}")
         if integrator not in INTEGRATORS:
             raise InputError(f"unknown integrator {self.integrator!r}")
-        for name in ("step", "tol_curvature", "tol_ode", "max_time"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive")
+        for name in ("step", "tol_curvature", "tol_ode", "max_time",
+                     "divergence_k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InputError(f"{name} must be finite and positive")
         if self.max_iters <= 0 or self.newton_max_iters <= 0:
             raise InputError("iteration budgets must be positive")
-        if self.divergence_k <= 0.0:
-            raise InputError("divergence_k must be positive")
 
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One accepted integration state."""
+    """One accepted integration state.
+
+    ``min_eig`` is set only when the run computed the spectrum of J at this
+    state anyway (the adaptive step cap); otherwise it is None and trace
+    writers compute it from K.
+    """
 
     t: float
     K: np.ndarray
     err_inf: float      # ||L - Lhat||_inf
     energy: float       # 0.5 ||L - Lhat||^2
     speed: float        # ||dK/dt||_2 (Newton: step norm)
-    min_eig: float      # smallest eigenvalue of J
+    min_eig: float | None   # smallest eigenvalue of J, if computed
     clamped: bool
 
 
@@ -119,14 +126,13 @@ class RateFit:
 # Right-hand sides
 # ----------------------------------------------------------------------
 
-def calabi_rhs(complex: SurfaceComplex, prescription: Prescription, K) -> np.ndarray:
-    """dK/dt = -J^T (L - Lhat), using the analytic Jacobian."""
-    state = evaluate(complex, K)
-    return _calabi_direction(state, prescription)
+def calabi_direction(state: CurvatureState, prescription: Prescription) -> np.ndarray:
+    """dK/dt = -J (L - Lhat) at ``state``, applied matrix-free.
 
-
-def _calabi_direction(state: CurvatureState, prescription: Prescription) -> np.ndarray:
-    return -state.J.T @ (state.L - prescription.lhat)
+    J is symmetric, so this is the gradient flow -J^T (L - Lhat) of the
+    energy 0.5 ||L - Lhat||^2.
+    """
+    return -state.jvp(state.L - prescription.lhat)
 
 
 def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.ndarray:
@@ -178,9 +184,9 @@ def _sample(t: float, state: CurvatureState, prescription: Prescription,
     return FlowSample(
         t=t, K=state.K.copy(),
         err_inf=float(np.max(np.abs(err))),
-        energy=0.5 * float(np.dot(err, err)),
+        energy=prescribed_calabi_energy(state.L, prescription),
         speed=speed,
-        min_eig=state.min_eigenvalue,
+        min_eig=None,
         clamped=state.clamped,
     )
 
@@ -227,7 +233,7 @@ def _run_ode(complex: SurfaceComplex, prescription: Prescription,
     lhat = prescription.lhat
     if config.method == "calabi":
         def direction(state: CurvatureState) -> np.ndarray:
-            return -state.J.T @ (state.L - lhat)
+            return calabi_direction(state, prescription)
     else:
         def direction(state: CurvatureState) -> np.ndarray:
             return lhat - state.L
@@ -264,6 +270,7 @@ def _run_ode(complex: SurfaceComplex, prescription: Prescription,
             # h below the explicit stability limit keeps the local error
             # shrinking with the residual instead of riding the boundary.
             lam = state.max_eigenvalue
+            trace.samples[-1] = replace(last, min_eig=state.min_eigenvalue)
             cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
             h = min(h, cap, config.max_time - t)
             K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
@@ -311,7 +318,7 @@ def _newton_step(complex: SurfaceComplex, prescription: Prescription,
     """One damped Newton update; returns (K_new, state_new, step_norm)."""
     residual = state.L - prescription.lhat
     try:
-        delta = np.linalg.solve(state.J.T, residual)
+        delta = np.linalg.solve(state.J, residual)
     except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"linear solve failed: {exc}") from exc
     merit = float(np.linalg.norm(residual))
@@ -329,7 +336,7 @@ def _newton_step(complex: SurfaceComplex, prescription: Prescription,
 
 def newton_solve(complex: SurfaceComplex, prescription: Prescription, K0,
                  tol: float = 1e-10, max_iters: int = 100) -> np.ndarray:
-    """Damped Newton iteration K <- K - s J^{-T} (L - Lhat).
+    """Damped Newton iteration K <- K - s J^{-1} (L - Lhat).
 
     Step lengths backtrack on the curvature-error norm.  Requires a
     feasible prescription; on infeasible input the iterates run away and

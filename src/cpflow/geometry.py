@@ -14,6 +14,7 @@ and work in radians.  Radii live in (0, pi/2), intersection angles in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,20 +93,49 @@ def side_curvature(theta, r):
 class EdgeSideGeometry:
     """Angles, arc curvatures, and K-derivatives for one edge quadrilateral.
 
+    Per-side quantities are stacked along a leading axis of length 2: row 0
+    is the side of the first endpoint v, row 1 the side of w; properties
+    such as ``theta_v`` or ``L_w_side`` name single rows.
     ``d_cross`` is the mixed partial dL_v/dK_w (equal to dL_w/dK_v and
-    always negative); ``d_pair_v`` is d(L_v + L_w)/dK_v (always positive),
-    likewise ``d_pair_w``.  The own-coordinate derivatives follow as
+    always negative); ``d_pair[0]`` is d(L_v + L_w)/dK_v (always positive),
+    likewise ``d_pair[1]``.  The own-coordinate derivatives follow as
     ``d_pair - d_cross``, which is what makes the per-edge 2x2 derivative
     block strictly diagonally dominant.
     """
 
-    theta_v: float | np.ndarray
-    theta_w: float | np.ndarray
-    L_v_side: float | np.ndarray
-    L_w_side: float | np.ndarray
+    theta: np.ndarray
+    L_side: np.ndarray
     d_cross: float | np.ndarray
-    d_pair_v: float | np.ndarray
-    d_pair_w: float | np.ndarray
+    d_pair: np.ndarray
+
+    @property
+    def theta_v(self):
+        return self.theta[0]
+
+    @property
+    def theta_w(self):
+        return self.theta[1]
+
+    @property
+    def L_v_side(self):
+        return self.L_side[0]
+
+    @property
+    def L_w_side(self):
+        return self.L_side[1]
+
+    @property
+    def d_pair_v(self):
+        return self.d_pair[0]
+
+    @property
+    def d_pair_w(self):
+        return self.d_pair[1]
+
+    @property
+    def d_own(self) -> np.ndarray:
+        """dL_v/dK_v and dL_w/dK_w, stacked."""
+        return self.d_pair - self.d_cross
 
     @property
     def d_own_v(self):
@@ -118,25 +148,45 @@ class EdgeSideGeometry:
         return self.d_pair_w - self.d_cross
 
 
+# Below _TMS_SERIES_BELOW, theta - sin(theta) is summed from its Taylor
+# series: the direct difference has an absolute error of about half an ulp
+# of theta, so its relative error grows like 1/theta^2 (the result is
+# exactly 0.0 once theta < ~1e-8).  Six terms keep the truncation error
+# under 1e-18 relative at the switch, where the two forms agree to within
+# that half ulp of theta; above it the direct form is good to ~1e-14.
+_TMS_SERIES_BELOW = 0.25
+_TMS_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(6))
+
+
+def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
+    """theta - sin(theta) for an array of angles, accurate at small theta."""
+    out = theta - np.sin(theta)
+    small = theta < _TMS_SERIES_BELOW
+    if small.any():
+        t = theta[small]
+        t2 = t * t
+        acc = 0.0
+        for c in reversed(_TMS_SERIES):
+            acc = c + t2 * acc
+        out[small] = t * t2 * acc
+    return out
+
+
 def _edge_kernel(r_v, r_w, phi) -> EdgeSideGeometry:
-    """Check-free kernel; callers must guarantee the domains."""
-    sin_rv, cos_rv = np.sin(r_v), np.cos(r_v)
-    sin_rw, cos_rw = np.sin(r_w), np.cos(r_w)
+    """Check-free kernel; callers must guarantee the domains and pass
+    ``r_v``, ``r_w`` of one shape, which ``phi`` broadcasts to."""
+    r = np.array((r_v, r_w))
+    sin_r, cos_r = np.sin(r), np.cos(r)
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
 
-    half_v = np.arctan2(sin_phi, cos_rw / sin_rw * sin_rv + cos_rv * cos_phi)
-    half_w = np.arctan2(sin_phi, cos_rv / sin_rv * sin_rw + cos_rw * cos_phi)
-    theta_v = 2.0 * half_v
-    theta_w = 2.0 * half_w
+    # Row 0 is cot r_w sin r_v + cos r_v cos phi, row 1 the mirror image.
+    half = np.arctan2(sin_phi, (cos_r / sin_r)[::-1] * sin_r + cos_r * cos_phi)
+    theta = 2.0 * half
+    sin_half = np.sin(half)
 
-    d_cross = -2.0 * cos_rv * cos_rw * np.sin(half_v) * np.sin(half_w) / sin_phi
-    d_pair_v = sin_rv * sin_rv * cos_rv * (theta_v - np.sin(theta_v))
-    d_pair_w = sin_rw * sin_rw * cos_rw * (theta_w - np.sin(theta_w))
-
-    return EdgeSideGeometry(
-        theta_v, theta_w, theta_v * cos_rv, theta_w * cos_rw,
-        d_cross, d_pair_v, d_pair_w,
-    )
+    d_cross = -2.0 * cos_r[0] * cos_r[1] * sin_half[0] * sin_half[1] / sin_phi
+    d_pair = sin_r * sin_r * cos_r * _theta_minus_sin(theta)
+    return EdgeSideGeometry(theta, theta * cos_r, d_cross, d_pair)
 
 
 def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
@@ -146,13 +196,10 @@ def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
 
         dL_v/dK_w          = -2 cos r_v cos r_w sin(theta_v/2) sin(theta_w/2) / sin phi
         d(L_v + L_w)/dK_v  = sin^2 r_v cos r_v (theta_v - sin theta_v)
+
+    with theta - sin theta summed from its Taylor series at small theta.
     """
     r_v = _check_radius(r_v, "r_v")
     r_w = _check_radius(r_w, "r_w")
     phi = _check_phi(phi)
-    g = _edge_kernel(r_v, r_w, phi)
-    if np.asarray(g.theta_v).ndim == 0:
-        return EdgeSideGeometry(*(float(np.asarray(x)) for x in (
-            g.theta_v, g.theta_w, g.L_v_side, g.L_w_side,
-            g.d_cross, g.d_pair_v, g.d_pair_w)))
-    return g
+    return _edge_kernel(*np.broadcast_arrays(r_v, r_w, phi))

@@ -35,7 +35,7 @@ from typing import IO
 import numpy as np
 
 from . import geometry
-from .curvature import evaluate
+from .curvature import evaluate, prescribed_calabi_energy
 from .errors import ParseError
 from .flow import FlowConfig, FlowTrace
 from .surface import Prescription, SurfaceComplex, build_complex
@@ -219,7 +219,11 @@ def instance_digest(complex: SurfaceComplex,
 
 def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
                 prescription: Prescription, config: FlowConfig) -> None:
-    """Tab-separated table, one row per accepted step, with a header block."""
+    """Tab-separated table, one row per accepted step, with a header block.
+
+    A sample whose run did not compute the spectrum of J gets its
+    ``min_eig`` column from a fresh evaluation at its K.
+    """
     digest = instance_digest(complex, prescription)
     out.write("# cpflow trace v1\n")
     out.write(f"# instance sha256:{digest}\n")
@@ -241,8 +245,11 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     cols += ["err_inf", "energy", "speed", "min_eig", "clamped"]
     out.write("# columns " + " ".join(cols) + "\n")
     for s in trace.samples:
+        min_eig = s.min_eig
+        if min_eig is None:
+            min_eig = evaluate(complex, s.K).min_eigenvalue
         row = [fmt(s.t)] + [fmt(k) for k in s.K]
-        row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed), fmt(s.min_eig),
+        row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed), fmt(min_eig),
                 "1" if s.clamped else "0"]
         out.write("\t".join(row) + "\n")
 
@@ -252,11 +259,10 @@ def write_solution(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     """Final pattern data: coordinates, radii, curvatures, cone angles."""
     state = evaluate(complex, trace.final_k())
     digest = instance_digest(complex, prescription)
-    err = state.L - prescription.lhat
     out.write("# cpflow solution v1\n")
     out.write(f"# instance sha256:{digest}\n")
     out.write(f"# verdict {trace.verdict}\n")
-    out.write(f"# final_energy {fmt(0.5 * float(np.dot(err, err)))}\n")
+    out.write(f"# final_energy {fmt(prescribed_calabi_energy(state.L, prescription))}\n")
     rate = "none" if trace.fitted_rate is None else fmt(trace.fitted_rate)
     out.write(f"# fitted_rate {rate}\n")
     out.write("\n[vertices]\n")

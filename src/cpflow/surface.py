@@ -82,13 +82,22 @@ class SurfaceComplex:
     # -- cached incidence structure ------------------------------------
 
     @cached_property
-    def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edge endpoints as two parallel int arrays (ev[e], ew[e])."""
-        ev = np.fromiter((v for v, _ in self.edges), dtype=np.intp, count=self.n_edges)
-        ew = np.fromiter((w for _, w in self.edges), dtype=np.intp, count=self.n_edges)
-        ev.flags.writeable = False
-        ew.flags.writeable = False
-        return ev, ew
+    def endpoint_arrays(self) -> np.ndarray:
+        """Edge endpoints as a (2, E) int array: row 0 holds the first
+        endpoints ev[e], row 1 the second endpoints ew[e], so
+        ``ev, ew = complex.endpoint_arrays`` unpacks them."""
+        ends = np.array([[v for v, _ in self.edges], [w for _, w in self.edges]],
+                        dtype=np.intp)
+        ends.flags.writeable = False
+        return ends
+
+    @cached_property
+    def opposite_endpoints(self) -> np.ndarray:
+        """``endpoint_arrays`` with its rows swapped: for each end of each
+        edge, the vertex at the other end."""
+        across = self.endpoint_arrays[::-1].copy()
+        across.flags.writeable = False
+        return across
 
     @cached_property
     def incident_edges(self) -> tuple[tuple[int, ...], ...]:
@@ -108,19 +117,6 @@ class SurfaceComplex:
                         count=self.n_vertices)
         d.flags.writeable = False
         return d
-
-    @cached_property
-    def incidence_matrices(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense 0/1 matrices S_v, S_w with S_v[v, e] = 1 iff v is the first
-        endpoint of e (S_w for second endpoints); used for fast assembly."""
-        ev, ew = self.endpoint_arrays
-        sv = np.zeros((self.n_vertices, self.n_edges))
-        sw = np.zeros((self.n_vertices, self.n_edges))
-        sv[ev, np.arange(self.n_edges)] = 1.0
-        sw[ew, np.arange(self.n_edges)] = 1.0
-        sv.flags.writeable = False
-        sw.flags.writeable = False
-        return sv, sw
 
     @cached_property
     def face_cone_angles(self) -> np.ndarray:

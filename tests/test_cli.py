@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from cpflow import Prescription, evaluate, fixtures, make_synthetic, serialize_instance
+import cpflow.cli
+from cpflow import (IntegrationError, NonConvergenceError, Prescription,
+                    evaluate, fixtures, make_synthetic, serialize_instance)
 from cpflow.cli import main
 from conftest import single_vertex_violator
 
@@ -152,6 +154,13 @@ class TestSolve:
         assert "cone_angle" in out
         assert "face" in out
 
+    @pytest.mark.parametrize("flag, value", [("--tol", "nan"),
+                                             ("--max-time", "nan"),
+                                             ("--step", "inf")])
+    def test_non_finite_flag_rejected(self, tetra_file, capsys, flag, value):
+        assert main(["solve", tetra_file, flag, value]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_usage_error(self):
         assert main(["solve"]) == 2
         assert main(["frobnicate", "x"]) == 2
@@ -183,3 +192,47 @@ def test_module_entry_point(tetra_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+class TestNumericalFailure:
+    """A solver failure is one file's outcome (exit 4), not a traceback."""
+
+    @pytest.fixture(params=[
+        IntegrationError("step size underflow at t=0.5 (local error 1e-3)"),
+        NonConvergenceError("linear solve failed"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ], ids=["integration", "non-convergence", "linalg"])
+    def failing_run(self, request, monkeypatch):
+        """Makes every run on a 4-vertex complex raise the error."""
+        real_run = cpflow.cli.run
+
+        def run(complex, *args, **kwargs):
+            if complex.n_vertices == 4:
+                raise request.param
+            return real_run(complex, *args, **kwargs)
+
+        monkeypatch.setattr(cpflow.cli, "run", run)
+        return request.param
+
+    def test_single_file(self, tetra_file, capsys, failing_run):
+        assert main(["solve", tetra_file]) == 4
+        err = capsys.readouterr().err
+        assert err == f"tetra.icp: error: numerical failure: {failing_run}\n"
+
+    def test_batch_continues_past_the_failure(self, tmp_path, capsys,
+                                              failing_run):
+        write_instance(tmp_path / "b.icp", fixtures.tetrahedron(),
+                       Prescription(np.full(4, L_REF)))
+        for stem, seed in (("a", 96), ("c", 97)):
+            inst = make_synthetic(fixtures.cube_graph(), seed=seed)
+            write_instance(tmp_path / f"{stem}.icp", inst.complex,
+                           inst.prescription)
+        solutions = tmp_path / "solutions"
+        code = main(["solve", str(tmp_path), "--solution", str(solutions)])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert err == f"b.icp: error: numerical failure: {failing_run}\n"
+        assert sorted(l.split()[:2] for l in out.splitlines()) == [
+            ["a.icp:", "converged"], ["c.icp:", "converged"]]
+        assert sorted(p.name for p in solutions.iterdir()) == [
+            "a.solution.txt", "c.solution.txt"]

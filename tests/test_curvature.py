@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from cpflow import (InputError, Prescription, QuadratureError, calabi_energy,
-                    evaluate, fixtures, make_synthetic, potential,
-                    prescribed_calabi_energy, velocity_bound)
+                    edge_side_geometry, evaluate, fixtures, k_to_r,
+                    make_synthetic, potential, prescribed_calabi_energy,
+                    velocity_bound)
+from cpflow.curvature import RADIUS_CLAMP
+from cpflow.geometry import _edge_kernel
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
 
@@ -102,6 +105,101 @@ class TestJacobianStructure:
         # curvature bounds
         assert np.all(st.L > 0.0)
         assert np.all(st.L <= 2.0 * c.degrees * np.pi)
+
+
+def dense_incidence_assembly(complex, K):
+    """Reference: (L, J, alpha_v) assembled from dense V x E incidence
+    matrices, the way evaluate() did before it summed over the edge list."""
+    r = np.clip(k_to_r(K), RADIUS_CLAMP, 0.5 * np.pi - RADIUS_CLAMP)
+    ev, ew = complex.endpoint_arrays
+    g = _edge_kernel(r[ev], r[ew], complex.phi)
+    n, m = complex.n_vertices, complex.n_edges
+    sv = np.zeros((n, m))
+    sw = np.zeros((n, m))
+    sv[ev, np.arange(m)] = 1.0
+    sw[ew, np.arange(m)] = 1.0
+    L = sv @ g.L_v_side + sw @ g.L_w_side
+    half = (sv * g.d_cross) @ sw.T
+    J = half + half.T
+    J.ravel()[:: n + 1] += sv @ (g.d_pair_v - g.d_cross) + sw @ (g.d_pair_w - g.d_cross)
+    alpha_v = sv @ g.theta_v + sw @ g.theta_w
+    return L, J, alpha_v
+
+
+def assert_matches(actual, expected, scale=1.0):
+    worst = float(np.max(np.abs(actual - expected)))
+    assert worst <= 1e-13 * max(1.0, scale, float(np.max(np.abs(expected))))
+
+
+EDGE_FORM_COMPLEXES = {
+    "tetrahedron": fixtures.tetrahedron,
+    "bigon": fixtures.bigon,          # parallel edges
+    "cube": fixtures.cube_graph,
+    "torus5x5": lambda: fixtures.torus_grid(5, 5, 1.3),
+}
+
+
+class TestEdgeFormAssembly:
+    @pytest.mark.parametrize("name", sorted(EDGE_FORM_COMPLEXES))
+    @pytest.mark.parametrize("k_max", (2.0, 50.0))
+    def test_matches_dense_incidence_assembly(self, name, k_max):
+        c = EDGE_FORM_COMPLEXES[name]()
+        rng = rng_for(int(k_max) * 1000 + len(name))
+        for _ in range(20):
+            K = rng.uniform(-k_max, k_max, c.n_vertices)
+            st = evaluate(c, K)
+            L, J, alpha_v = dense_incidence_assembly(c, K)
+            assert_matches(st.L, L)
+            assert_matches(st.J, J)
+            assert_matches(st.alpha_v, alpha_v)
+            x = rng.standard_normal(c.n_vertices)
+            assert_matches(st.jvp(x), st.J @ x,
+                           scale=float(np.max(np.abs(J)) * np.max(np.abs(x))))
+
+    def test_evaluate_memory_is_linear_in_edges(self):
+        import tracemalloc
+        c = fixtures.torus_grid(45, 45, 1.3)
+        K = rng_for(31).uniform(-1.0, 1.0, c.n_vertices)
+        tracemalloc.start()
+        try:
+            st = evaluate(c, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.L.shape == (c.n_vertices,)
+        # a dense 2025 x 2025 Jacobian alone would take 31 MiB
+        assert peak < 8 * 2 ** 20
+
+    def test_dense_jacobian_is_lazy_and_cached(self, tetra):
+        st = evaluate(tetra, np.zeros(4))
+        assert "J" not in st.__dict__ and "eigenvalues" not in st.__dict__
+        assert st.J is st.J
+
+    @pytest.mark.parametrize("make", [fixtures.tetrahedron, fixtures.bigon,
+                                      lambda: fixtures.torus_grid(3, 3, 1.3)])
+    def test_strict_dominance_over_runner_range(self, make):
+        # |K| <= 50 is everything the runner visits before divergence_k.
+        c = make()
+        n = c.n_vertices
+        ev, ew = c.endpoint_arrays
+        off = ~np.eye(n, dtype=bool)
+        rng = rng_for(32 + n)
+        for _ in range(200):
+            st = evaluate(c, rng.uniform(-50.0, 50.0, n))
+            g = edge_side_geometry(st.r[ev], st.r[ew], c.phi)
+            assert np.all(g.d_pair_v > 0.0) and np.all(g.d_pair_w > 0.0)
+            # Row i of J exceeds its off-diagonal mass by exactly the sum of
+            # d(L_v + L_w)/dK_v over the edge ends at i.
+            surplus = np.bincount(ev, g.d_pair_v, n) + np.bincount(ew, g.d_pair_w, n)
+            assert np.all(surplus > 0.0)
+            diag = np.diag(st.J)
+            dominance = diag - np.sum(np.abs(st.J * off), axis=1)
+            # Doubles hold that surplus only to the rounding of the diagonal
+            # (one rounding per summed term); where it exceeds that
+            # rounding, the stored rows must show it.
+            slack = (2 * c.degrees + 1) * np.spacing(diag)
+            assert np.all(np.abs(dominance - surplus) <= slack)
+            assert np.all(dominance[surplus > slack] > 0.0)
 
 
 class TestEnergies:
@@ -208,8 +306,9 @@ class TestVelocityBound:
     def test_bounds_flow_speed(self, tetra):
         inst = make_synthetic(tetra, seed=23)
         bound = velocity_bound(tetra, inst.prescription)
-        from cpflow import calabi_rhs
+        from cpflow import calabi_direction
         rng = rng_for(24)
         for _ in range(100):
             K = rng.uniform(-3.0, 3.0, 4)
-            assert np.linalg.norm(calabi_rhs(tetra, inst.prescription, K)) <= bound
+            rhs = calabi_direction(evaluate(tetra, K), inst.prescription)
+            assert np.linalg.norm(rhs) <= bound

@@ -1,13 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, FlowSample, FlowTrace, InputError,
-                    IntegrationError, NonConvergenceError, Prescription,
-                    calabi_rhs, curvature_rhs, evaluate, fit_decay_rate,
-                    fixtures, make_synthetic, newton_solve, potential, r_to_k,
-                    run, velocity_bound)
+from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
+                    InputError, IntegrationError, NonConvergenceError,
+                    Prescription, calabi_direction, curvature_rhs, evaluate,
+                    fit_decay_rate, fixtures, make_synthetic, newton_solve,
+                    potential, r_to_k, run, velocity_bound)
 from cpflow.oracle import rng_for
 from conftest import single_vertex_violator
 
@@ -25,12 +26,12 @@ def planted(tetra):
 
 class TestRightHandSides:
     def test_calabi_zero_at_fixed_point(self, tetra, planted):
-        rhs = calabi_rhs(tetra, planted, np.zeros(4))
+        rhs = calabi_direction(evaluate(tetra, np.zeros(4)), planted)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_calabi_zero_at_random_planted_point(self, tetra):
         inst = make_synthetic(tetra, seed=40)
-        rhs = calabi_rhs(tetra, inst.prescription, inst.kbar)
+        rhs = calabi_direction(evaluate(tetra, inst.kbar), inst.prescription)
         assert np.max(np.abs(rhs)) == 0.0
 
     def test_calabi_speed_bounded(self, tetra):
@@ -39,7 +40,8 @@ class TestRightHandSides:
         rng = rng_for(42)
         for _ in range(1000):
             K = rng.uniform(-4.0, 4.0, 4)
-            assert np.linalg.norm(calabi_rhs(tetra, inst.prescription, K)) <= bound
+            rhs = calabi_direction(evaluate(tetra, K), inst.prescription)
+            assert np.linalg.norm(rhs) <= bound
 
     def test_curvature_zero_at_fixed_point(self, tetra, planted):
         r = np.full(4, math.pi / 4)
@@ -182,6 +184,53 @@ class TestRun:
             FlowConfig(step=-1.0)
         with pytest.raises(InputError):
             FlowConfig(tol_curvature=0.0)
+
+    @pytest.mark.parametrize("name", ["step", "tol_curvature", "tol_ode",
+                                      "max_time", "divergence_k"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_config_rejected(self, name, value):
+        with pytest.raises(InputError, match=name):
+            FlowConfig(**{name: value})
+
+
+class TestSpectrumOnDemand:
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        """Counts the spectra computed while the test runs."""
+        calls = []
+        original = CurvatureState.eigenvalues
+
+        def counted(state):
+            calls.append(state)
+            return original.func(state)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(CurvatureState, "eigenvalues")
+        monkeypatch.setattr(CurvatureState, "eigenvalues", spy)
+        return calls
+
+    @pytest.mark.parametrize("config", [
+        FlowConfig(method="newton"),
+        FlowConfig(integrator="rk4", step=0.05),
+        FlowConfig(method="curvature", integrator="rk4", step=0.05),
+    ], ids=["newton", "calabi-rk4", "curvature-rk4"])
+    def test_untraced_runs_skip_the_spectrum(self, tetra, spectra, config):
+        inst = make_synthetic(tetra, seed=63)
+        k0 = inst.kbar + rng_for(64).uniform(-0.5, 0.5, 4)
+        trace = run(tetra, inst.prescription, k0, config)
+        assert trace.verdict == "converged"
+        assert spectra == []
+        assert all(s.min_eig is None for s in trace.samples)
+
+    def test_adaptive_run_records_the_spectrum_it_computed(self, tetra, spectra):
+        inst = make_synthetic(tetra, seed=65)
+        k0 = inst.kbar + rng_for(66).uniform(-0.5, 0.5, 4)
+        trace = run(tetra, inst.prescription, k0)
+        # one spectrum per accepted step, for the step cap
+        assert len(spectra) == len(trace.samples) - 1
+        for sample in trace.samples[:-1]:
+            assert sample.min_eig == evaluate(tetra, sample.K).min_eigenvalue
+        assert trace.final.min_eig is None
 
 
 class TestNewton:

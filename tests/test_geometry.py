@@ -201,3 +201,44 @@ class TestEdgeSideGeometry:
         scalar = edge_side_geometry(0.5, 0.4, 1.2)
         assert isinstance(scalar.theta_v, float)
         assert scalar.theta_v == pytest.approx(g.theta_v[1], abs=0)
+
+
+# Kernel outputs at r_v = k_to_r(K_v), r_w = k_to_r(K_w), evaluated once
+# with mpmath at 50 digits from the exact binary radii given here.  At both
+# points theta_v is so small that theta_v - sin(theta_v) cancels in doubles.
+SMALL_ANGLE_REFS = [
+    (1.5707963247337429, 2.061153622438558e-09, math.pi / 2, {  # K = (-20, 20)
+        "theta_v": 4.1223072448771157e-9,
+        "theta_w": 3.1415926535897931,
+        "L_v_side": 8.49670905044685e-18,
+        "L_w_side": 3.1415926535897931,
+        "d_cross": -8.49670905044685e-18,
+        "d_pair_v": 2.4064686700293622e-35,
+        "d_pair_w": 1.3346598518270992e-17,
+    }),
+    (1.5640584817604737, 0.006737845034422798, 0.05, {  # K = (-5, 5)
+        "theta_v": 6.7349871173802387e-4,
+        "theta_w": 9.9997728190921885e-2,
+        "L_v_side": 4.5378956147412843e-6,
+        "L_w_side": 9.9995458323292328e-2,
+        "d_cross": -4.5376895183504149e-6,
+        "d_pair_v": 3.4304971554619674e-13,
+        "d_pair_w": 7.5618423085316906e-9,
+    }),
+]
+
+
+class TestSmallAngles:
+    @pytest.mark.parametrize("rv, rw, phi, ref", SMALL_ANGLE_REFS)
+    def test_high_precision_reference(self, rv, rw, phi, ref):
+        g = edge_side_geometry(rv, rw, phi)
+        for name, value in ref.items():
+            assert getattr(g, name) == pytest.approx(value, rel=1e-13), name
+
+    def test_series_meets_direct_difference_at_switch(self):
+        from cpflow.geometry import _TMS_SERIES_BELOW, _theta_minus_sin
+        theta = np.linspace(0.999, 1.001, 201) * _TMS_SERIES_BELOW
+        gap = np.abs(_theta_minus_sin(theta) - (theta - np.sin(theta)))
+        # the direct form is off by its rounding of sin(theta), about
+        # half an ulp of theta; the series adds no more than that
+        assert np.all(gap <= np.spacing(theta))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, ParseError, Prescription, fixtures,
+from cpflow import (FlowConfig, ParseError, Prescription, evaluate, fixtures,
                     instance_digest, make_synthetic, parse_instance, run,
                     serialize_instance)
 from cpflow.instancefile import parse_angle, write_solution, write_trace
@@ -170,6 +170,26 @@ class TestReports:
         _, config2, trace2 = self._solved()
         write_trace(b, trace2, inst.complex, inst.prescription, config2)
         assert a.getvalue() == b.getvalue()
+
+    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
+    def test_min_eig_column_is_the_spectrum_at_each_row(self, integrator):
+        # rk4 samples leave min_eig to the writer; rkf45 samples carry the
+        # spectrum of their step cap, except the last one.
+        inst = parse_instance(TETRA_DOC)
+        config = FlowConfig(integrator=integrator, step=0.05, tol_curvature=1e-9)
+        trace = run(inst.complex, inst.prescription,
+                    np.array([0.4, -0.3, 0.2, 0.0]), config)
+        buf = io.StringIO()
+        write_trace(buf, trace, inst.complex, inst.prescription, config)
+        lines = buf.getvalue().splitlines()
+        columns = next(l for l in lines if l.startswith("# columns ")).split()[2:]
+        k_cols = [i for i, name in enumerate(columns) if name.startswith("K[")]
+        rows = [l.split("\t") for l in lines if not l.startswith("#")]
+        assert len(rows) == len(trace.samples) > 1
+        for row in rows:
+            K = np.array([float(row[i]) for i in k_cols])
+            expected = evaluate(inst.complex, K).min_eigenvalue
+            assert float(row[columns.index("min_eig")]) == expected
 
     def test_solution_file(self):
         inst, config, trace = self._solved()
