@@ -6,7 +6,7 @@ or by Newton iteration on the associated convex potential, with exact
 feasibility certification of the prescription.
 """
 
-from .curvature import (CurvatureState, calabi_energy, evaluate, potential,
+from .curvature import (CurvatureState, evaluate, potential,
                         prescribed_calabi_energy, velocity_bound)
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError, ParseError, QuadratureError,
@@ -31,7 +31,7 @@ __all__ = [
     "FlowConfig", "FlowSample", "FlowTrace", "InputError", "IntegrationError",
     "Instance", "NonConvergenceError", "ParseError", "Prescription",
     "QuadratureError", "RateFit", "SizeError", "SurfaceComplex",
-    "SyntheticInstance", "build_complex", "calabi_direction", "calabi_energy",
+    "SyntheticInstance", "build_complex", "calabi_direction",
     "check_bruteforce", "check_mincut", "curvature_rhs", "degree",
     "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",
     "fd_jacobian", "fit_decay_rate", "k_to_r", "make_synthetic",

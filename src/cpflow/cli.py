@@ -15,7 +15,6 @@ Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from pathlib import Path
 
@@ -25,7 +24,7 @@ from .curvature import evaluate
 from .errors import (InputError, IntegrationError, NonConvergenceError,
                      ParseError, SizeError)
 from .feasibility import check_bruteforce, check_mincut
-from .flow import FlowConfig, run
+from .flow import VERDICT_CONVERGED, VERDICT_DIVERGED, FlowConfig, run
 from .instancefile import Instance, parse_instance, write_solution, write_trace
 from .oracle import rng_for
 
@@ -108,6 +107,13 @@ def _solve_one(path: Path, args, trace_path: Path | None,
 
     try:
         trace = run(inst.complex, inst.prescription, k0, config)
+        cert = trace.certificate
+        if trace.verdict == VERDICT_DIVERGED and cert.feasible:
+            # Only infeasibility can make the exact flow diverge, so this is
+            # the integrator failing, not a certificate of infeasibility.
+            raise NonConvergenceError(
+                "flow diverged although the prescription is feasible "
+                f"(worst margin {cert.worst_margin:.12g})")
         if trace_path is not None:
             with open(trace_path, "w") as fh:
                 write_trace(fh, trace, inst.complex, inst.prescription, config)
@@ -128,19 +134,17 @@ def _solve_one(path: Path, args, trace_path: Path | None,
                   f"L={state.L[v]:.12g} cone_angle={state.alpha_v[v]:.12g}")
         for f, name in enumerate(inst.complex.face_names):
             print(f"  face {name}: cone_angle={state.alpha_f[f]:.12g}")
-    if trace.verdict == "converged":
+    if trace.verdict == VERDICT_CONVERGED:
         return EXIT_OK
-    if trace.verdict == "diverged":
-        if trace.certificate is not None:
-            subset = "{" + ",".join(trace.certificate.subset_names(inst.complex)) + "}"
-            print(f"  infeasible: subset={subset} "
-                  f"margin={trace.certificate.worst_margin:.12g}")
+    if trace.verdict == VERDICT_DIVERGED:
+        subset = "{" + ",".join(cert.subset_names(inst.complex)) + "}"
+        print(f"  infeasible: subset={subset} margin={cert.worst_margin:.12g}")
         return EXIT_DIVERGED
     return EXIT_BUDGET
 
 
-def _worker(job):
-    path, args, trace_path, solution_path = job
+def _worker(path: Path, args, trace_path: Path | None,
+            solution_path: Path | None) -> int:
     try:
         return _solve_one(path, args, trace_path, solution_path)
     except (ParseError, InputError, SizeError) as exc:
@@ -155,11 +159,12 @@ def cmd_solve(args) -> int:
         solution_path = Path(args.solution) if args.solution else None
         return _solve_one(target, args, trace_path, solution_path)
 
-    # Batch mode: every *.icp file in the directory, one worker each.
+    # Batch mode: every *.icp file in the directory, one after another in
+    # name order; a failing file does not stop the others.
     files = sorted(target.glob("*.icp"))
     if not files:
         raise ParseError(f"no *.icp instances in {target}")
-    jobs = []
+    codes = []
     for path in files:
         trace_path = solution_path = None
         if args.trace:
@@ -170,9 +175,7 @@ def cmd_solve(args) -> int:
             d = Path(args.solution)
             d.mkdir(parents=True, exist_ok=True)
             solution_path = d / (path.stem + ".solution.txt")
-        jobs.append((path, args, trace_path, solution_path))
-    with concurrent.futures.ThreadPoolExecutor() as pool:
-        codes = list(pool.map(_worker, jobs))
+        codes.append(_worker(path, args, trace_path, solution_path))
     return max(codes)
 
 

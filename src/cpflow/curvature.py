@@ -2,7 +2,7 @@
 
 Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), cone angles at vertices and face centers,
-the symmetric Jacobian dL/dK, the Calabi energies, the convex potential
+the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
 Vertex quantities are assembled over the edge list in O(E); the dense
 Jacobian and its spectrum are computed only when a caller reads them.
@@ -115,10 +115,9 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     if not np.isfinite(K).all():
         raise InputError("K must be finite")
 
-    # Stable inverse coordinate change, then pull radii off the interval
-    # boundary (floats collapse onto it for |K| beyond ~27).
-    small = np.arctan(np.exp(-np.abs(K)))
-    r_raw = np.where(K >= 0.0, small, 0.5 * np.pi - small)
+    # Pull radii off the interval boundary (floats collapse onto it for
+    # |K| beyond ~27).
+    r_raw = geometry._k_to_r(K)
     r = np.minimum(np.maximum(r_raw, RADIUS_CLAMP), 0.5 * np.pi - RADIUS_CLAMP)
     clamped = bool((r != r_raw).any())
 
@@ -136,12 +135,6 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
         theta_v=g.theta_v, theta_w=g.theta_w,
         L=L, diag=diag, d_cross=g.d_cross, clamped=clamped,
     )
-
-
-def calabi_energy(L) -> float:
-    """Half the squared 2-norm of the curvature vector."""
-    L = np.asarray(L, dtype=float)
-    return 0.5 * float(np.dot(L, L))
 
 
 def prescribed_calabi_energy(L, prescription: Prescription | np.ndarray) -> float:

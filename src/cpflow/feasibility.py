@@ -139,8 +139,7 @@ def check_mincut(complex: SurfaceComplex,
             net.add_arc(source, 1 + v, inf_cap if v == forced else float(lhat[v]))
         for e, (v, w) in enumerate(complex.edges):
             net.add_arc(1 + v, 1 + n + e, inf_cap)
-            if w != v:
-                net.add_arc(1 + w, 1 + n + e, inf_cap)
+            net.add_arc(1 + w, 1 + n + e, inf_cap)
             net.add_arc(1 + n + e, sink, 2.0 * float(complex.phi[e]))
         net.max_flow(source, sink)
         side = net.source_side(source)

@@ -14,11 +14,13 @@ Both converge to the same unique fixed point exactly when the
 prescription is feasible; infeasible prescriptions push some coordinate
 to infinity, which the runner reports as divergence together with a
 violating-subset certificate.  A damped Newton iteration on the same
-fixed-point equation is provided for fast polishing.
+fixed-point equation is provided for fast polishing.  Every method is a
+generator of states; ``run`` alone applies the stop rule and the verdict.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -53,7 +55,6 @@ class FlowConfig:
     max_iters: int = 500_000
     divergence_k: float = 50.0
     newton_max_iters: int = 100
-    attach_certificate: bool = True
 
     def __post_init__(self):
         integrator = _INTEGRATOR_ALIASES.get(self.integrator, self.integrator)
@@ -150,16 +151,20 @@ def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.
 
 def run(complex: SurfaceComplex, prescription: Prescription, K0,
         config: FlowConfig | None = None) -> FlowTrace:
-    """Integrate the configured flow from K0 until it converges, diverges,
+    """Run the configured method from K0 until it converges, diverges,
     or exhausts its budget.
 
-    The trace is sampled at every accepted step.  Convergence means
+    The trace is sampled at the start and at every accepted step (Newton:
+    every iteration, with t the iteration count).  Convergence means
     ||L - Lhat||_inf dropped below ``tol_curvature``; divergence means
     ||K||_inf crossed ``divergence_k`` (possible only for infeasible
     prescriptions, so the returned trace carries a violating-subset
-    certificate).  The curvature flow is integrated in K-space through
-    the identity dK/dt = -(L - Lhat), which avoids the radius-interval
-    boundary entirely.
+    certificate).  The budget is ``max_iters`` steps or ``max_time`` for
+    the flows and ``newton_max_iters`` iterations for Newton.  The
+    curvature flow is integrated in K-space through the identity
+    dK/dt = -(L - Lhat), which avoids the radius-interval boundary
+    entirely.  Raises IntegrationError on step-size underflow and
+    NonConvergenceError when Newton finds no descent.
     """
     if config is None:
         config = FlowConfig()
@@ -173,9 +178,24 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     if len(prescription) != complex.n_vertices:
         raise InputError("prescription length does not match complex")
 
+    trace = FlowTrace(method=config.method)
     if config.method == "newton":
-        return _run_newton(complex, prescription, K0, config)
-    return _run_ode(complex, prescription, K0, config)
+        states = _newton_states(complex, prescription, K0)
+        budget, max_time = config.newton_max_iters, math.inf
+    else:
+        states = _ode_states(complex, prescription, K0, config, trace)
+        budget, max_time = config.max_iters, config.max_time
+    for steps, (t, state, speed) in enumerate(states):
+        trace.samples.append(_sample(t, state, prescription, speed))
+        if trace.final.err_inf < config.tol_curvature:
+            verdict = VERDICT_CONVERGED
+        elif float(np.max(np.abs(state.K))) > config.divergence_k:
+            verdict = VERDICT_DIVERGED
+        elif steps >= budget or t >= max_time:
+            verdict = VERDICT_BUDGET
+        else:
+            continue
+        return _finish(trace, verdict, complex, prescription)
 
 
 def _sample(t: float, state: CurvatureState, prescription: Prescription,
@@ -192,7 +212,7 @@ def _sample(t: float, state: CurvatureState, prescription: Prescription,
 
 
 def _finish(trace: FlowTrace, verdict: str, complex: SurfaceComplex,
-            prescription: Prescription, config: FlowConfig) -> FlowTrace:
+            prescription: Prescription) -> FlowTrace:
     trace.verdict = verdict
     if verdict == VERDICT_CONVERGED:
         window = max(10, int(np.ceil(0.3 * len(trace.samples))))
@@ -200,7 +220,7 @@ def _finish(trace: FlowTrace, verdict: str, complex: SurfaceComplex,
             trace.fitted_rate = fit_decay_rate(trace, window).slope
         except InputError:
             trace.fitted_rate = None
-    elif config.attach_certificate:
+    else:
         # Infeasibility is the only cause of non-convergence, so explain a
         # divergence with the violated subset; a budget verdict gets the
         # certificate too when the prescription turns out infeasible.
@@ -228,8 +248,14 @@ _MIN_STEP = 1e-14
 _RKF_STAB = 3.2
 
 
-def _run_ode(complex: SurfaceComplex, prescription: Prescription,
-             K0: np.ndarray, config: FlowConfig) -> FlowTrace:
+def _ode_states(complex: SurfaceComplex, prescription: Prescription,
+                K0: np.ndarray, config: FlowConfig, trace: FlowTrace):
+    """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
+
+    The adaptive integrator stores the smallest eigenvalue it computes for
+    its step cap on the newest sample of ``trace``, which the caller has
+    appended by the time the generator resumes.
+    """
     lhat = prescription.lhat
     if config.method == "calabi":
         def direction(state: CurvatureState) -> np.ndarray:
@@ -238,23 +264,13 @@ def _run_ode(complex: SurfaceComplex, prescription: Prescription,
         def direction(state: CurvatureState) -> np.ndarray:
             return lhat - state.L
 
-    trace = FlowTrace(method=config.method)
     t = 0.0
     K = K0.copy()
-    state = evaluate(complex, K)
-    f0 = direction(state)
-    trace.samples.append(_sample(t, state, prescription, float(np.linalg.norm(f0))))
-
     h = config.step
-    steps = 0
     while True:
-        last = trace.samples[-1]
-        if last.err_inf < config.tol_curvature:
-            return _finish(trace, VERDICT_CONVERGED, complex, prescription, config)
-        if float(np.max(np.abs(K))) > config.divergence_k:
-            return _finish(trace, VERDICT_DIVERGED, complex, prescription, config)
-        if steps >= config.max_iters or t >= config.max_time:
-            return _finish(trace, VERDICT_BUDGET, complex, prescription, config)
+        state = evaluate(complex, K)
+        f0 = direction(state)
+        yield t, state, float(np.linalg.norm(f0))
 
         if config.integrator == "rk4":
             h_step = min(config.step, config.max_time - t)
@@ -270,16 +286,11 @@ def _run_ode(complex: SurfaceComplex, prescription: Prescription,
             # h below the explicit stability limit keeps the local error
             # shrinking with the residual instead of riding the boundary.
             lam = state.max_eigenvalue
-            trace.samples[-1] = replace(last, min_eig=state.min_eigenvalue)
+            trace.samples[-1] = replace(trace.final, min_eig=state.min_eigenvalue)
             cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
             h = min(h, cap, config.max_time - t)
             K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
                                   config.tol_ode, trace)
-        state = evaluate(complex, K)
-        f0 = direction(state)
-        trace.samples.append(_sample(t, state, prescription,
-                                     float(np.linalg.norm(f0))))
-        steps += 1
 
 
 def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
@@ -313,67 +324,53 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
 # Newton
 # ----------------------------------------------------------------------
 
-def _newton_step(complex: SurfaceComplex, prescription: Prescription,
-                 state: CurvatureState) -> tuple[np.ndarray, CurvatureState, float]:
-    """One damped Newton update; returns (K_new, state_new, step_norm)."""
-    residual = state.L - prescription.lhat
-    try:
-        delta = np.linalg.solve(state.J, residual)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergenceError(f"linear solve failed: {exc}") from exc
-    merit = float(np.linalg.norm(residual))
-    s = 1.0
-    while True:
-        K_new = state.K - s * delta
-        state_new = evaluate(complex, K_new)
-        if float(np.linalg.norm(state_new.L - prescription.lhat)) < merit:
-            return K_new, state_new, float(s * np.linalg.norm(delta))
-        s *= 0.5
-        if s < 1e-12:
-            raise NonConvergenceError(
-                "backtracking found no decrease; prescription likely infeasible")
+def _newton_states(complex: SurfaceComplex, prescription: Prescription,
+                   K0: np.ndarray):
+    """Damped Newton iteration K <- K - s J^{-1} (L - Lhat).
+
+    Yields (iteration count, state, step norm) at the start and after
+    every iteration.  Step lengths backtrack on the curvature-error norm;
+    raises NonConvergenceError when no step length decreases it.
+    """
+    lhat = prescription.lhat
+    state = evaluate(complex, K0)
+    yield 0.0, state, 0.0
+    for it in itertools.count(1):
+        residual = state.L - lhat
+        try:
+            delta = np.linalg.solve(state.J, residual)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergenceError(f"linear solve failed: {exc}") from exc
+        merit = float(np.linalg.norm(residual))
+        s = 1.0
+        while True:
+            state_new = evaluate(complex, state.K - s * delta)
+            if float(np.linalg.norm(state_new.L - lhat)) < merit:
+                break
+            s *= 0.5
+            if s < 1e-12:
+                raise NonConvergenceError(
+                    "backtracking found no decrease; prescription likely infeasible")
+        state = state_new
+        yield float(it), state, float(s * np.linalg.norm(delta))
 
 
 def newton_solve(complex: SurfaceComplex, prescription: Prescription, K0,
                  tol: float = 1e-10, max_iters: int = 100) -> np.ndarray:
-    """Damped Newton iteration K <- K - s J^{-1} (L - Lhat).
+    """Newton's method through ``run``, returning the converged K.
 
-    Step lengths backtrack on the curvature-error norm.  Requires a
-    feasible prescription; on infeasible input the iterates run away and
-    the iteration cap triggers a NonConvergenceError.
+    Requires a feasible prescription; raises NonConvergenceError when the
+    iteration diverges, runs out of its ``max_iters`` iterations, or
+    finds no descent.
     """
-    if tol <= 0.0:
-        raise InputError("tol must be positive")
-    if not complex.is_valid:
-        raise InputError("invalid complex: " + "; ".join(complex.violations))
-    K = np.asarray(K0, dtype=float).copy()
-    state = evaluate(complex, K)
-    for _ in range(max_iters):
-        if float(np.max(np.abs(state.L - prescription.lhat))) <= tol:
-            return K
-        K, state, _ = _newton_step(complex, prescription, state)
-    raise NonConvergenceError(f"no convergence within {max_iters} Newton iterations")
-
-
-def _run_newton(complex: SurfaceComplex, prescription: Prescription,
-                K0: np.ndarray, config: FlowConfig) -> FlowTrace:
-    trace = FlowTrace(method="newton")
-    state = evaluate(complex, K0)
-    trace.samples.append(_sample(0.0, state, prescription, 0.0))
-    it = 0
-    while True:
-        if trace.samples[-1].err_inf < config.tol_curvature:
-            return _finish(trace, VERDICT_CONVERGED, complex, prescription, config)
-        if float(np.max(np.abs(state.K))) > config.divergence_k:
-            return _finish(trace, VERDICT_DIVERGED, complex, prescription, config)
-        if it >= config.newton_max_iters:
-            return _finish(trace, VERDICT_BUDGET, complex, prescription, config)
-        try:
-            _, state, step_norm = _newton_step(complex, prescription, state)
-        except NonConvergenceError:
-            return _finish(trace, VERDICT_BUDGET, complex, prescription, config)
-        it += 1
-        trace.samples.append(_sample(float(it), state, prescription, step_norm))
+    config = FlowConfig(method="newton", tol_curvature=tol,
+                        newton_max_iters=max_iters)
+    trace = run(complex, prescription, K0, config)
+    if trace.verdict != VERDICT_CONVERGED:
+        raise NonConvergenceError(
+            f"Newton iteration {trace.verdict} after {trace.final.t:g} "
+            f"of {max_iters} iterations")
+    return trace.final_k()
 
 
 # ----------------------------------------------------------------------

@@ -55,8 +55,7 @@ def k_to_r(k):
     k = np.asarray(k, dtype=float)
     if np.any(~np.isfinite(k)):
         raise DomainError("K must be finite")
-    small = np.arctan(np.exp(-np.abs(k)))
-    out = np.where(k >= 0.0, small, HALF_PI - small)
+    out = _k_to_r(k)
     return float(out) if out.ndim == 0 else out
 
 
@@ -170,6 +169,12 @@ def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
             acc = c + t2 * acc
         out[small] = t * t2 * acc
     return out
+
+
+def _k_to_r(k: np.ndarray) -> np.ndarray:
+    """Check-free ``k_to_r`` for a finite float array."""
+    small = np.arctan(np.exp(-np.abs(k)))
+    return np.where(k >= 0.0, small, HALF_PI - small)
 
 
 def _edge_kernel(r_v, r_w, phi) -> EdgeSideGeometry:

@@ -100,21 +100,9 @@ class SurfaceComplex:
         return across
 
     @cached_property
-    def incident_edges(self) -> tuple[tuple[int, ...], ...]:
-        """For each vertex, the ids of its incident edges (parallel edges repeat)."""
-        inc: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for e, (v, w) in enumerate(self.edges):
-            inc[v].append(e)
-            if w != v:
-                inc[w].append(e)
-            else:
-                inc[v].append(e)  # loop counts twice toward the degree
-        return tuple(tuple(x) for x in inc)
-
-    @cached_property
     def degrees(self) -> np.ndarray:
-        d = np.fromiter((len(x) for x in self.incident_edges), dtype=np.intp,
-                        count=self.n_vertices)
+        """Edge-ends per vertex (parallel edges counted separately)."""
+        d = np.bincount(self.endpoint_arrays.ravel(), minlength=self.n_vertices)
         d.flags.writeable = False
         return d
 
@@ -226,9 +214,8 @@ def _connected(complex: SurfaceComplex) -> bool:
         return True
     adj: list[list[int]] = [[] for _ in range(n)]
     for v, w in complex.edges:
-        if v != w:
-            adj[v].append(w)
-            adj[w].append(v)
+        adj[v].append(w)
+        adj[w].append(v)
     seen = [False] * n
     stack = [0]
     seen[0] = True

@@ -177,6 +177,19 @@ class TestSolve:
         assert (out / "one.trace.tsv").exists()
         assert (out / "two.trace.tsv").exists()
 
+    def test_batch_runs_in_name_order(self, tmp_path, capsys):
+        # the first file takes longest, so completion order would differ
+        inst = make_synthetic(fixtures.cube_graph(), seed=98)
+        write_instance(tmp_path / "a.icp", inst.complex, inst.prescription)
+        for stem in ("c", "d", "b"):
+            write_instance(tmp_path / f"{stem}.icp", fixtures.tetrahedron(),
+                           Prescription(np.full(4, L_REF)),
+                           initial_k=np.zeros(4))
+        assert main(["solve", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert [l.split()[0] for l in out.splitlines()] == [
+            "a.icp:", "b.icp:", "c.icp:", "d.icp:"]
+
     def test_batch_exit_code_is_worst(self, tmp_path):
         tetra = fixtures.tetrahedron()
         write_instance(tmp_path / "good.icp", tetra,
@@ -232,7 +245,39 @@ class TestNumericalFailure:
         assert code == 4
         out, err = capsys.readouterr()
         assert err == f"b.icp: error: numerical failure: {failing_run}\n"
-        assert sorted(l.split()[:2] for l in out.splitlines()) == [
+        assert [l.split()[:2] for l in out.splitlines()] == [
             ["a.icp:", "converged"], ["c.icp:", "converged"]]
         assert sorted(p.name for p in solutions.iterdir()) == [
             "a.solution.txt", "c.solution.txt"]
+
+
+class TestHonestVerdicts:
+    """Exit 3 only where the certificate proves infeasibility."""
+
+    def tetra_with(self, tmp_path, lhat_d):
+        lhat = np.array([4.053, 4.053, 4.053, lhat_d])
+        return write_instance(tmp_path / "tetra.icp", fixtures.tetrahedron(),
+                              Prescription(lhat))
+
+    def test_divergence_of_a_feasible_prescription(self, tmp_path, capsys):
+        path = self.tetra_with(tmp_path, 3.9)
+        assert main(["check", path]) == 0
+        capsys.readouterr()
+        code = main(["solve", path, "--integrator", "rk4", "--step", "1e300",
+                     "--trace", str(tmp_path / "t.tsv")])
+        assert code == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tetra.icp: error: numerical failure: flow diverged "
+                       "although the prescription is feasible "
+                       "(worst margin -2.79055592154)\n")
+
+    def test_newton_without_descent(self, tmp_path, capsys):
+        path = self.tetra_with(tmp_path, 9.5)
+        assert main(["check", path]) == 1
+        capsys.readouterr()
+        assert main(["solve", path, "--method", "newton"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("tetra.icp: error: numerical failure: "
+                              "backtracking found no decrease")

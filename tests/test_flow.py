@@ -266,6 +266,21 @@ class TestNewton:
             newton_solve(tetra, inst.prescription, inst.kbar + 2.0,
                          tol=1e-10, max_iters=1)
 
+    def test_newton_solve_is_run(self, tetra):
+        inst = make_synthetic(tetra, seed=67)
+        k0 = inst.kbar + rng_for(68).uniform(-1, 1, 4)
+        for tol in (1e-8, 1e-12):
+            expected = run(tetra, inst.prescription, k0,
+                           FlowConfig(method="newton", tol_curvature=tol)).final_k()
+            out = newton_solve(tetra, inst.prescription, k0, tol)
+            assert out.tobytes() == expected.tobytes()
+
+    def test_failed_backtrack_raises(self, tetra):
+        # infeasible (margin +2.809): no step length reduces the error
+        bad = Prescription(np.array([4.053, 4.053, 4.053, 9.5]))
+        with pytest.raises(NonConvergenceError, match="backtracking"):
+            run(tetra, bad, np.zeros(4), FlowConfig(method="newton"))
+
 
 class TestDecayRate:
     def test_converged_trace_fit(self, tetra):
