@@ -23,19 +23,20 @@ import numpy as np
 from .curvature import evaluate
 from .errors import (InputError, IntegrationError, NonConvergenceError,
                      ParseError, SizeError)
-from .feasibility import check_bruteforce, check_mincut
+# check_bruteforce is not called here; it stays importable from this module
+# because the benchmark's tracer counts calls through this name.
+from .feasibility import (FeasibilityVerdict, check_bruteforce,  # noqa: F401
+                          check_mincut)
 from .flow import VERDICT_CONVERGED, VERDICT_DIVERGED, FlowConfig, run
 from .instancefile import Instance, parse_instance, write_solution, write_trace
 from .oracle import rng_for
+from .surface import SurfaceComplex
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DIVERGED = 3
 EXIT_BUDGET = 4
-
-# Above this vertex count the feasibility check switches to min-cut.
-BRUTE_CUTOFF = 16
 
 # Failures of the numerics rather than of the input; reported per file.
 NUMERICAL_ERRORS = (IntegrationError, NonConvergenceError, np.linalg.LinAlgError)
@@ -64,20 +65,20 @@ def cmd_validate(args) -> int:
     return EXIT_NEGATIVE
 
 
+def _subset_text(verdict: FeasibilityVerdict, complex: SurfaceComplex) -> str:
+    return "{" + ",".join(verdict.subset_names(complex)) + "}"
+
+
 def cmd_check(args) -> int:
     inst = _load(Path(args.instance))
     if not _report_violations(inst):
         return EXIT_NEGATIVE
     if inst.prescription is None:
         raise ParseError("instance has no [prescription] section")
-    if inst.complex.n_vertices <= BRUTE_CUTOFF:
-        verdict = check_bruteforce(inst.complex, inst.prescription)
-    else:
-        verdict = check_mincut(inst.complex, inst.prescription)
-    subset = "{" + ",".join(verdict.subset_names(inst.complex)) + "}"
+    verdict = check_mincut(inst.complex, inst.prescription)
     flag = " (boundary)" if verdict.boundary else ""
     word = "feasible" if verdict.feasible else "infeasible"
-    print(f"{word}{flag} worst_subset={subset} "
+    print(f"{word}{flag} worst_subset={_subset_text(verdict, inst.complex)} "
           f"worst_margin={verdict.worst_margin:.12g} method={verdict.method}")
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
@@ -105,6 +106,7 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     else:
         k0 = np.zeros(n)
 
+    cert = None
     try:
         trace = run(inst.complex, inst.prescription, k0, config)
         cert = trace.certificate
@@ -121,7 +123,16 @@ def _solve_one(path: Path, args, trace_path: Path | None,
             with open(solution_path, "w") as fh:
                 write_solution(fh, trace, inst.complex, inst.prescription)
     except NUMERICAL_ERRORS as exc:
-        print(f"{path.name}: error: numerical failure: {exc}", file=sys.stderr)
+        # A failure on an infeasible prescription says why: one max flow
+        # proves it and names the violated subset.
+        if cert is None:
+            cert = check_mincut(inst.complex, inst.prescription)
+        proof = ("" if cert.feasible else
+                 f"; prescription infeasible: subset="
+                 f"{_subset_text(cert, inst.complex)} "
+                 f"margin={cert.worst_margin:.12g}")
+        print(f"{path.name}: error: numerical failure: {exc}{proof}",
+              file=sys.stderr)
         return EXIT_BUDGET
 
     final = trace.final
@@ -137,8 +148,8 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     if trace.verdict == VERDICT_CONVERGED:
         return EXIT_OK
     if trace.verdict == VERDICT_DIVERGED:
-        subset = "{" + ",".join(cert.subset_names(inst.complex)) + "}"
-        print(f"  infeasible: subset={subset} margin={cert.worst_margin:.12g}")
+        print(f"  infeasible: subset={_subset_text(cert, inst.complex)} "
+              f"margin={cert.worst_margin:.12g}")
         return EXIT_DIVERGED
     return EXIT_BUDGET
 

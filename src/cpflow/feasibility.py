@@ -5,13 +5,39 @@ A prescription Lhat admits an ideal circle pattern exactly when
     sum_{v in W} Lhat_v  <  2 sum_{e in E(W)} phi(e)
 
 holds strictly for every nonempty vertex subset W, where E(W) is the set
-of edges with at least one endpoint in W.  Two deciders are provided: an
-exact enumeration over all subsets (exponential, guarded), and a min-cut
-reduction that scales polynomially and must agree with it.
+of edges with at least one endpoint in W.  Equivalently, the margin
+f(W) = sum_W Lhat - 2 sum_{E(W)} phi is negative on every nonempty W.
+``check_mincut`` is the decider; ``check_bruteforce`` enumerates all
+subsets (exponential, guarded) and serves as its test oracle.
+
+The min-cut decider works on the closure network of Picard (1976):
+source -> v with capacity Lhat_v, v -> e unbounded for both ends of each
+edge e, e -> sink with capacity 2 phi(e).  A cut whose source side holds
+the vertex set W costs sum Lhat - f(W), so a maximum flow maximizes f,
+and the vertices reachable from the source in its residual network form
+the inclusion-minimal maximizer W*.
+
+- Infeasible input.  Since f(empty) = 0, a nonempty W* has f(W*) >= 0 and
+  is the worst nonempty subset (the smallest one, should several tie).
+  One max flow settles the input.
+- Feasible input.  W* is empty and every source arc is saturated.  Each
+  vertex v gets a round that starts from a copy of that residual with
+  v's source arc made unbounded; the flow the round adds is
+  -max_{W containing v} f(W), and its residual gives the minimal such W.
+- Pruning.  A round adds at least LB_v, the residual capacity of v's
+  edges to the sink, since those direct paths stay open.  So the margin
+  of v is at most -LB_v: rounds run in ascending order of LB_v and stop
+  once -LB_v falls below the best margin, and a round is abandoned as
+  soon as the flow it added rules v out.  Both cuts are exact.
+- Tie-break.  Among vertices whose rounds reach the same margin, the
+  lowest-numbered one supplies the subset.
+
+Every reported margin is recomputed from its subset by ``_margin_of``.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -113,59 +139,75 @@ def check_bruteforce(complex: SurfaceComplex,
 
 def check_mincut(complex: SurfaceComplex,
                  prescription: Prescription) -> FeasibilityVerdict:
-    """Polynomial-time equivalent of the enumeration via project selection.
-
-    Network: source -> v with capacity Lhat_v, v -> edge node with
-    unbounded capacity, edge node -> sink with capacity 2 phi(e).  For
-    each cut, the source side restricted to V is a subset W whose margin
-    is (sum Lhat) - (cut value), so a max-flow computation maximizes the
-    margin.  Nonemptiness of W is enforced by an outer loop that pins one
-    vertex at unbounded source capacity.
-    """
+    """Exact maximization of the subset margin by max-flow (see the module
+    docstring): one max flow settles an infeasible prescription, and a
+    feasible one takes a pruned round per vertex from that flow."""
     _check_instance(complex, prescription)
+    net = _ClosureNetwork(complex, prescription.lhat)
+    net.max_flow()
+    closure = net.source_vertices()
+    if closure:
+        return _verdict(complex, prescription, closure, "min-cut")
+
     n = complex.n_vertices
-    m = complex.n_edges
-    lhat = prescription.lhat
-    total_lhat = float(np.sum(lhat))
-    inf_cap = total_lhat + 2.0 * float(np.sum(complex.phi)) + 1.0
-
-    # Node layout: 0 = source, 1..n = vertices, n+1..n+m = edge nodes, n+m+1 = sink.
-    source, sink = 0, n + m + 1
-
-    best: tuple[float, frozenset[int]] | None = None
-    for forced in range(n):
-        net = _FlowNetwork(n + m + 2)
-        for v in range(n):
-            net.add_arc(source, 1 + v, inf_cap if v == forced else float(lhat[v]))
-        for e, (v, w) in enumerate(complex.edges):
-            net.add_arc(1 + v, 1 + n + e, inf_cap)
-            net.add_arc(1 + w, 1 + n + e, inf_cap)
-            net.add_arc(1 + n + e, sink, 2.0 * float(complex.phi[e]))
-        net.max_flow(source, sink)
-        side = net.source_side(source)
-        subset = frozenset(v for v in range(n) if side[1 + v])
+    base = net.cap
+    # Per vertex, the residual capacity of its edges to the sink.
+    ev, ew = complex.endpoint_arrays
+    sink_residual = np.array(base[2 * n + 4::6])
+    bound = (np.bincount(ev, sink_residual, n)
+             + np.bincount(ew, sink_residual, n)).tolist()
+    best_margin, best_v, best_subset = -math.inf, -1, frozenset()
+    for v in sorted(range(n), key=lambda v: (bound[v], v)):
+        # v wins with a margin above the best, or equal to it if v is the
+        # lower-numbered vertex.  Its margin is minus the flow its round
+        # adds, and that flow is at least bound[v].
+        limit = -best_margin
+        if bound[v] > limit:
+            break
+        if v > best_v:
+            limit = math.nextafter(limit, -math.inf)
+            if bound[v] > limit:
+                continue
+        net.cap = base.copy()
+        net.cap[2 * v] = math.inf
+        if net.max_flow(limit) > limit:
+            continue
+        subset = net.source_vertices()
         margin = _margin_of(complex, prescription, subset)
-        if best is None or margin > best[0]:
-            best = (margin, subset)
-
-    assert best is not None
-    return _verdict(complex, prescription, best[1], "min-cut")
+        if margin > best_margin or (margin == best_margin and v < best_v):
+            best_margin, best_v, best_subset = margin, v, subset
+    return _verdict(complex, prescription, best_subset, "min-cut")
 
 
-class _FlowNetwork:
-    """Dinic max-flow on real capacities (arc arrays, paired reverse arcs)."""
+class _ClosureNetwork:
+    """Residual network source -> vertex -> edge node -> sink as flat arcs.
 
-    # Residuals below this threshold count as saturated so that floating
-    # point dust cannot stall the augmentation loop.
+    Node 0 is the source, 1..n the vertices, n+1..n+m the edge nodes and
+    n+m+1 the sink.  Arc a and its reverse a ^ 1 are stored side by side;
+    arc 2v is source -> v and arc 2n + 6e + 4 is edge e -> sink.
+    Augmentation is Dinic's, iterative, so path length is not limited by
+    the interpreter's recursion limit.
+    """
+
+    # Residuals at or below this count as saturated, so that floating-point
+    # dust cannot stall the augmentation.
     EPS = 1e-12
 
-    def __init__(self, n_nodes: int):
-        self.n = n_nodes
-        self.head: list[list[int]] = [[] for _ in range(n_nodes)]
+    def __init__(self, complex: SurfaceComplex, lhat: np.ndarray):
+        n, m = complex.n_vertices, complex.n_edges
+        self.n = n
+        self.sink = n + m + 1
+        self.head: list[list[int]] = [[] for _ in range(n + m + 2)]
         self.to: list[int] = []
         self.cap: list[float] = []
+        for v in range(n):
+            self._add_arc(0, 1 + v, float(lhat[v]))
+        for e, ((v, w), p) in enumerate(zip(complex.edges, complex.phi)):
+            self._add_arc(1 + v, 1 + n + e, math.inf)
+            self._add_arc(1 + w, 1 + n + e, math.inf)
+            self._add_arc(1 + n + e, self.sink, 2.0 * float(p))
 
-    def add_arc(self, u: int, v: int, capacity: float) -> None:
+    def _add_arc(self, u: int, v: int, capacity: float) -> None:
         self.head[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
@@ -173,57 +215,67 @@ class _FlowNetwork:
         self.to.append(u)
         self.cap.append(0.0)
 
-    def _levels(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.head[u]:
-                v = self.to[a]
-                if level[v] < 0 and self.cap[a] > self.EPS:
-                    level[v] = level[u] + 1
-                    q.append(v)
-        return level if level[t] >= 0 else None
+    def _levels(self) -> list[int]:
+        """BFS distances from the source over unsaturated arcs (-1 where
+        unreachable), stopping once the sink is found."""
+        head, to, cap, eps, t = self.head, self.to, self.cap, self.EPS, self.sink
+        level = [-1] * len(head)
+        level[0] = 0
+        queue = deque([0])
+        while queue:
+            u = queue.popleft()
+            lu = level[u] + 1
+            for a in head[u]:
+                w = to[a]
+                if level[w] < 0 and cap[a] > eps:
+                    level[w] = lu
+                    if w == t:
+                        return level
+                    queue.append(w)
+        return level
 
-    def _push(self, u: int, t: int, limit: float, level: list[int],
-              it: list[int]) -> float:
-        if u == t:
-            return limit
-        while it[u] < len(self.head[u]):
-            a = self.head[u][it[u]]
-            v = self.to[a]
-            if self.cap[a] > self.EPS and level[v] == level[u] + 1:
-                pushed = self._push(v, t, min(limit, self.cap[a]), level, it)
-                if pushed > 0.0:
-                    self.cap[a] -= pushed
-                    self.cap[a ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0.0
-
-    def max_flow(self, s: int, t: int) -> float:
-        flow = 0.0
-        while True:
-            level = self._levels(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
+    def max_flow(self, limit: float = math.inf) -> float:
+        """Augment the current residual to a maximum flow; returns the flow
+        added, stopping early once that exceeds ``limit``."""
+        head, to, cap, eps, t = self.head, self.to, self.cap, self.EPS, self.sink
+        total = 0.0
+        while (level := self._levels())[t] >= 0:
+            it = [0] * len(head)
+            path: list[int] = []
+            u = 0
             while True:
-                pushed = self._push(s, t, float("inf"), level, it)
-                if pushed <= 0.0:
+                if u == t:
+                    push = min(cap[a] for a in path)
+                    for a in path:
+                        cap[a] -= push
+                        cap[a ^ 1] += push
+                    total += push
+                    if total > limit:
+                        return total
+                    # Resume from the tail of the first saturated arc.
+                    k = 0
+                    while cap[path[k]] > eps:
+                        k += 1
+                    del path[k:]
+                    u = to[path[-1]] if path else 0
+                    continue
+                arcs, i, lu = head[u], it[u], level[u] + 1
+                while i < len(arcs) and not (cap[arcs[i]] > eps
+                                             and level[to[arcs[i]]] == lu):
+                    i += 1
+                it[u] = i
+                if i < len(arcs):
+                    path.append(arcs[i])
+                    u = to[arcs[i]]
+                elif path:
+                    u = to[path.pop() ^ 1]
+                    it[u] += 1
+                else:
                     break
-                flow += pushed
+        return total
 
-    def source_side(self, s: int) -> list[bool]:
-        seen = [False] * self.n
-        seen[s] = True
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            for a in self.head[u]:
-                v = self.to[a]
-                if not seen[v] and self.cap[a] > self.EPS:
-                    seen[v] = True
-                    q.append(v)
-        return seen
+    def source_vertices(self) -> frozenset[int]:
+        """The vertices reachable from the source in the residual network of
+        a maximum flow: the source side of the inclusion-minimal min cut."""
+        level = self._levels()
+        return frozenset(v for v in range(self.n) if level[1 + v] >= 0)

@@ -166,6 +166,20 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     entirely.  Raises IntegrationError on step-size underflow and
     NonConvergenceError when Newton finds no descent.
     """
+    trace = _run(complex, prescription, K0, config)
+    if trace.verdict != VERDICT_CONVERGED:
+        # Infeasibility is the only cause of non-convergence, so explain a
+        # divergence with the violated subset; a budget verdict gets the
+        # certificate too when the prescription turns out infeasible.
+        cert = check_mincut(complex, prescription)
+        if trace.verdict == VERDICT_DIVERGED or not cert.feasible:
+            trace.certificate = cert
+    return trace
+
+
+def _run(complex: SurfaceComplex, prescription: Prescription, K0,
+         config: FlowConfig | None) -> FlowTrace:
+    """``run`` without the certificate: the stop rule and the verdict."""
     if config is None:
         config = FlowConfig()
     if not complex.is_valid:
@@ -195,7 +209,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
             verdict = VERDICT_BUDGET
         else:
             continue
-        return _finish(trace, verdict, complex, prescription)
+        return _finish(trace, verdict)
 
 
 def _sample(t: float, state: CurvatureState, prescription: Prescription,
@@ -211,8 +225,7 @@ def _sample(t: float, state: CurvatureState, prescription: Prescription,
     )
 
 
-def _finish(trace: FlowTrace, verdict: str, complex: SurfaceComplex,
-            prescription: Prescription) -> FlowTrace:
+def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
     trace.verdict = verdict
     if verdict == VERDICT_CONVERGED:
         window = max(10, int(np.ceil(0.3 * len(trace.samples))))
@@ -220,13 +233,6 @@ def _finish(trace: FlowTrace, verdict: str, complex: SurfaceComplex,
             trace.fitted_rate = fit_decay_rate(trace, window).slope
         except InputError:
             trace.fitted_rate = None
-    else:
-        # Infeasibility is the only cause of non-convergence, so explain a
-        # divergence with the violated subset; a budget verdict gets the
-        # certificate too when the prescription turns out infeasible.
-        cert = check_mincut(complex, prescription)
-        if verdict == VERDICT_DIVERGED or not cert.feasible:
-            trace.certificate = cert
     return trace
 
 
@@ -350,7 +356,7 @@ def _newton_states(complex: SurfaceComplex, prescription: Prescription,
             s *= 0.5
             if s < 1e-12:
                 raise NonConvergenceError(
-                    "backtracking found no decrease; prescription likely infeasible")
+                    "backtracking found no decrease")
         state = state_new
         yield float(it), state, float(s * np.linalg.norm(delta))
 
@@ -365,7 +371,8 @@ def newton_solve(complex: SurfaceComplex, prescription: Prescription, K0,
     """
     config = FlowConfig(method="newton", tol_curvature=tol,
                         newton_max_iters=max_iters)
-    trace = run(complex, prescription, K0, config)
+    # The failure raised below carries no certificate, so none is computed.
+    trace = _run(complex, prescription, K0, config)
     if trace.verdict != VERDICT_CONVERGED:
         raise NonConvergenceError(
             f"Newton iteration {trace.verdict} after {trace.final.t:g} "

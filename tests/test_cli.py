@@ -63,11 +63,15 @@ f1 aa ab
 
 
 class TestCheck:
-    def test_feasible(self, tetra_file, capsys):
-        assert main(["check", tetra_file]) == 0
-        out = capsys.readouterr().out
-        assert out.startswith("feasible")
-        assert "method=brute-force" in out
+    def test_feasible(self, tetra_file, tmp_path, capsys):
+        # every instance, however small, goes through the min-cut decider
+        necklace = write_instance(tmp_path / "big.icp", fixtures.necklace(18),
+                                  Prescription(np.full(18, 0.2)))
+        for path in (tetra_file, necklace):
+            assert main(["check", path]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith("feasible")
+            assert "method=min-cut" in out
 
     def test_infeasible(self, infeasible_file, capsys):
         assert main(["check", infeasible_file]) == 1
@@ -82,13 +86,6 @@ class TestCheck:
         path = write_instance(tmp_path / "edge.icp", tetra, Prescription(lhat))
         assert main(["check", path]) == 1
         assert "(boundary)" in capsys.readouterr().out
-
-    def test_mincut_used_above_cutoff(self, tmp_path, capsys):
-        c = fixtures.necklace(18)
-        path = write_instance(tmp_path / "big.icp", c,
-                              Prescription(np.full(18, 0.2)))
-        assert main(["check", path]) == 0
-        assert "method=min-cut" in capsys.readouterr().out
 
     def test_missing_prescription(self, tmp_path):
         path = write_instance(tmp_path / "bare.icp", fixtures.tetrahedron())
@@ -281,3 +278,12 @@ class TestHonestVerdicts:
         assert out == ""
         assert err.startswith("tetra.icp: error: numerical failure: "
                               "backtracking found no decrease")
+
+    def test_newton_failure_names_the_violated_subset(self, tmp_path, capsys):
+        path = self.tetra_with(tmp_path, 9.5)
+        assert main(["solve", path, "--method", "newton"]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("tetra.icp: error: numerical failure: backtracking "
+                       "found no decrease; prescription infeasible: "
+                       "subset={v0,v1,v2,v3} margin=2.80944407846\n")

@@ -1,10 +1,14 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import cpflow.feasibility
 from cpflow import (Prescription, SizeError, check_bruteforce, check_mincut,
                     evaluate, fixtures, make_synthetic)
+from cpflow.oracle import rng_for
 from conftest import random_instance, random_prescription, with_phi
 
 L_REF = 4.05306515313624  # tetrahedron curvature at K = 0, phi = pi/2
@@ -111,6 +115,130 @@ class TestMinCut:
         for seed in (3, 17, 95):
             inst = make_synthetic(fixtures.cube_graph(), seed=seed)
             assert check_mincut(inst.complex, inst.prescription).feasible
+
+
+def margin(complex, prescription, subset):
+    touched = [e for e, (v, w) in enumerate(complex.edges)
+               if v in subset or w in subset]
+    return (float(np.sum(prescription.lhat[sorted(subset)]))
+            - 2.0 * float(np.sum(complex.phi[touched])))
+
+
+def star_caps(complex):
+    """Per vertex, twice the angle sum of its edges."""
+    ev, ew = complex.endpoint_arrays
+    return (np.bincount(ev, 2 * complex.phi, complex.n_vertices)
+            + np.bincount(ew, 2 * complex.phi, complex.n_vertices))
+
+
+# Complexes with 15 to 24 vertices, beyond criterion 8's 14.
+LARGER = (
+    ("necklace15", lambda: fixtures.necklace(15)),
+    ("torus4x4", lambda: fixtures.torus_grid(4, 4)),
+    ("bipyramid15", lambda: fixtures.bipyramid(15)),
+    ("prism9", lambda: fixtures.prism(9)),
+    ("torus3x6", lambda: fixtures.torus_grid(3, 6)),
+    ("torus4x5", lambda: fixtures.torus_grid(4, 5)),
+    ("bipyramid18", lambda: fixtures.bipyramid(18)),
+)
+
+
+class TestMinCutBeyondCriterion8:
+    """Min-cut against enumeration on 15 to 24 vertices."""
+
+    @pytest.mark.parametrize("name, make", LARGER, ids=[n for n, _ in LARGER])
+    @pytest.mark.parametrize("i", range(3))
+    def test_random_angles_and_targets(self, name, make, i):
+        base = make()
+        rng = rng_for(900_000 + 10 * i + len(name))
+        c = with_phi(base, rng.uniform(0.1, np.pi / 2, base.n_edges))
+        # scales 0.55, 0.8, 1.05 of the star caps: mostly feasible to
+        # mostly infeasible
+        p = Prescription(star_caps(c) * rng.uniform(0.15, 1.0, c.n_vertices)
+                         * (0.55 + 0.25 * i))
+        bf = check_bruteforce(c, p)
+        mc = check_mincut(c, p)
+        assert bf.feasible == mc.feasible
+        assert mc.worst_margin == pytest.approx(bf.worst_margin, abs=1e-9)
+        assert margin(c, p, mc.worst_subset) == pytest.approx(mc.worst_margin,
+                                                              abs=1e-12)
+
+    @pytest.mark.parametrize("name, make", LARGER + (
+        ("prism11", lambda: fixtures.prism(11)),
+        ("torus3x8", lambda: fixtures.torus_grid(3, 8)),
+    ), ids=[n for n, _ in LARGER] + ["prism11", "torus3x8"])
+    def test_uniform_targets_full_of_ties(self, name, make):
+        # one target for every vertex on uniform angles, around the value
+        # 2 sum(phi) / V at which the whole vertex set sits on the boundary:
+        # many subsets share the worst margin
+        c = make()
+        t0 = 2.0 * float(np.sum(c.phi)) / c.n_vertices
+        for scale in (0.99, 1.0, 1.01) if c.n_vertices <= 20 else (1.0,):
+            p = Prescription(np.full(c.n_vertices, scale * t0))
+            bf = check_bruteforce(c, p)
+            mc = check_mincut(c, p)
+            assert bf.feasible == mc.feasible
+            assert mc.boundary == bf.boundary
+            assert mc.worst_margin == pytest.approx(bf.worst_margin, abs=1e-9)
+
+
+class TestMinCutDecider:
+    def test_infeasible_costs_one_max_flow(self, monkeypatch):
+        solves = []
+        real = cpflow.feasibility._ClosureNetwork.max_flow
+
+        def counting(net, *args):
+            solves.append(args)
+            return real(net, *args)
+
+        monkeypatch.setattr(cpflow.feasibility._ClosureNetwork, "max_flow",
+                            counting)
+        c = fixtures.torus_grid(10, 10, phi=1.3)
+        lhat = make_synthetic(c, seed=4).prescription.lhat.copy()
+        lhat[7] = 1.1 * star_caps(c)[7]
+        assert not check_mincut(c, Prescription(lhat)).feasible
+        assert len(solves) == 1
+        solves.clear()
+        assert check_mincut(c, make_synthetic(c, seed=4).prescription).feasible
+        assert 1 < len(solves) <= 1 + c.n_vertices
+
+    @pytest.mark.parametrize("i", range(120))
+    def test_reported_subset_is_inclusion_minimal(self, i):
+        # whenever the margin is >= 0 no smaller nonempty subset of the
+        # witness is as bad
+        c = random_instance(i, max_vertices=14)
+        p = random_prescription(c, i)
+        if i % 3 == 0:
+            p = Prescription(np.full(c.n_vertices, float(np.median(p.lhat))))
+        mc = check_mincut(c, p)
+        if mc.worst_margin < 0.0:
+            return
+        assert mc.worst_margin == pytest.approx(
+            check_bruteforce(c, p).worst_margin, abs=1e-9)
+        witness = sorted(mc.worst_subset)
+        for k in range(1, len(witness)):
+            for smaller in itertools.combinations(witness, k):
+                assert margin(c, p, set(smaller)) < mc.worst_margin - 1e-9
+
+    @pytest.fixture
+    def shallow_stack(self):
+        """Caps the recursion depth at 100 frames below the caller."""
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        yield
+        sys.setrecursionlimit(old)
+
+    def test_long_augmenting_paths_need_no_recursion(self, shallow_stack):
+        # a barely feasible necklace: the flow travels around the whole ring
+        n = 300
+        v = check_mincut(fixtures.necklace(n, phi=1.0),
+                         Prescription(np.full(n, 4.0 * (1.0 - 1e-6))))
+        assert v.feasible and not v.boundary
+        assert v.worst_subset == frozenset(range(n))
+        assert v.worst_margin == pytest.approx(-4e-6 * n, rel=1e-6)
 
 
 class TestMonotonicity:

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import cpflow.flow
 from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
                     InputError, IntegrationError, NonConvergenceError,
                     Prescription, calabi_direction, curvature_rhs, evaluate,
@@ -274,6 +275,16 @@ class TestNewton:
                            FlowConfig(method="newton", tol_curvature=tol)).final_k()
             out = newton_solve(tetra, inst.prescription, k0, tol)
             assert out.tobytes() == expected.tobytes()
+
+    def test_failed_newton_solve_computes_no_certificate(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cpflow.flow, "check_mincut",
+                            lambda *args: calls.append(args))
+        c = fixtures.torus_grid(15, 15, phi=1.3)
+        inst = make_synthetic(c, seed=5)
+        with pytest.raises(NonConvergenceError, match="budget-exhausted"):
+            newton_solve(c, inst.prescription, inst.kbar + 1.0, max_iters=1)
+        assert calls == []
 
     def test_failed_backtrack_raises(self, tetra):
         # infeasible (margin +2.809): no step length reduces the error
