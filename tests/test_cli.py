@@ -63,15 +63,12 @@ f1 aa ab
 
 
 class TestCheck:
-    def test_feasible(self, tetra_file, tmp_path, capsys):
+    def test_feasible(self, tetra_file, capsys):
         # every instance, however small, goes through the min-cut decider
-        necklace = write_instance(tmp_path / "big.icp", fixtures.necklace(18),
-                                  Prescription(np.full(18, 0.2)))
-        for path in (tetra_file, necklace):
-            assert main(["check", path]) == 0
-            out = capsys.readouterr().out
-            assert out.startswith("feasible")
-            assert "method=min-cut" in out
+        assert main(["check", tetra_file]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("feasible")
+        assert "method=min-cut" in out
 
     def test_infeasible(self, infeasible_file, capsys):
         assert main(["check", infeasible_file]) == 1
@@ -86,6 +83,17 @@ class TestCheck:
         path = write_instance(tmp_path / "edge.icp", tetra, Prescription(lhat))
         assert main(["check", path]) == 1
         assert "(boundary)" in capsys.readouterr().out
+
+    def test_mincut_used_above_cutoff(self, tmp_path, capsys):
+        # there is no size cutoff any more; a large instance takes the same
+        # min-cut route as the tetrahedron above
+        c = fixtures.necklace(18)
+        path = write_instance(tmp_path / "big.icp", c,
+                              Prescription(np.full(18, 0.2)))
+        assert main(["check", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("feasible")
+        assert "method=min-cut" in out
 
     def test_missing_prescription(self, tmp_path):
         path = write_instance(tmp_path / "bare.icp", fixtures.tetrahedron())
