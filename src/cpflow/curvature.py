@@ -10,6 +10,7 @@ Jacobian and its spectrum are computed only when a caller reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,35 +20,54 @@ from . import geometry
 from .errors import InputError, QuadratureError
 from .surface import Prescription, SurfaceComplex
 
-# Radii reconstructed from K-space are clamped to this closed interval so
-# that diagnostics stay finite during divergent runs (K -> +-inf).
+# Radii are clamped to this closed interval so that diagnostics stay
+# finite during divergent runs (K -> +-inf); in K-space the clamp is
+# |K| <= K_CLAMP = ln cot RADIUS_CLAMP.
 RADIUS_CLAMP = 1e-12
+K_CLAMP = math.log(1.0 / math.tan(RADIUS_CLAMP))
 
 
 @dataclass(frozen=True)
 class CurvatureState:
     """All curvature data of one coordinate vector K on a fixed complex.
 
-    ``theta_v[e]`` / ``theta_w[e]`` are the quadrilateral center angles at
-    the first/second endpoint of edge ``e``.  The symmetric Jacobian
-    ``J[i, j] = dL_i/dK_j`` is kept in edge form: its diagonal ``diag`` and
-    the per-edge mixed partial ``d_cross[e]`` (always negative), which
-    sits at (v, w) and (w, v) for edge e = (v, w) and accumulates over
-    parallel edges.  ``jvp`` applies J in O(E); the dense ``J`` is
-    assembled only when read.  ``clamped`` records whether any radius had
-    to be pulled back from the boundary of (0, pi/2) during reconstruction
-    from K.
+    ``theta_sides`` stacks the quadrilateral center angles at the first
+    (row 0, ``theta_v``) and second (row 1, ``theta_w``) endpoint of each
+    edge.  The symmetric Jacobian ``J[i, j] = dL_i/dK_j`` is kept in edge
+    form: its diagonal ``diag`` and the per-edge mixed partial
+    ``d_cross[e]`` (always negative), which sits at (v, w) and (w, v) for
+    edge e = (v, w) and accumulates over parallel edges.  ``jvp`` applies
+    J in O(E); the dense ``J`` and the radii ``r`` are computed only when
+    read.  ``clamped`` records whether any radius had to be pulled back
+    from the boundary of (0, pi/2), that is, whether any |K_v| exceeds
+    K_CLAMP.
     """
 
     complex: SurfaceComplex
     K: np.ndarray
-    r: np.ndarray
-    theta_v: np.ndarray
-    theta_w: np.ndarray
+    theta_sides: np.ndarray
     L: np.ndarray
     diag: np.ndarray
     d_cross: np.ndarray
-    clamped: bool
+
+    @property
+    def theta_v(self) -> np.ndarray:
+        return self.theta_sides[0]
+
+    @property
+    def theta_w(self) -> np.ndarray:
+        return self.theta_sides[1]
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """Circle radii arccot(exp K), clamped to
+        [RADIUS_CLAMP, pi/2 - RADIUS_CLAMP]."""
+        return np.clip(geometry._k_to_r(self.K), RADIUS_CLAMP,
+                       0.5 * np.pi - RADIUS_CLAMP)
+
+    @property
+    def clamped(self) -> bool:
+        return bool(np.abs(self.K).max() > K_CLAMP)
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -63,15 +83,14 @@ class CurvatureState:
         """The product J @ x, without forming J."""
         c = self.complex
         return self.diag * x + np.bincount(
-            c.endpoint_arrays.ravel(),
-            (self.d_cross * x[c.opposite_endpoints]).ravel(), c.n_vertices)
+            c.flat_ends, (self.d_cross * x.take(c.opposite_endpoints)).ravel(),
+            c.n_vertices)
 
     @cached_property
     def alpha_v(self) -> np.ndarray:
         """Cone angle at each vertex: sum of incident center angles."""
-        n = self.complex.n_vertices
-        ev, ew = self.complex.endpoint_arrays
-        return np.bincount(ev, self.theta_v, n) + np.bincount(ew, self.theta_w, n)
+        c = self.complex
+        return np.bincount(c.flat_ends, self.theta_sides.ravel(), c.n_vertices)
 
     @property
     def alpha_f(self) -> np.ndarray:
@@ -109,32 +128,38 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     """
     if not complex.is_valid:
         raise InputError("invalid complex: " + "; ".join(complex.violations))
-    K = np.asarray(K, dtype=float)
-    if K.shape != (complex.n_vertices,):
-        raise InputError(f"K must have length {complex.n_vertices}")
+    K = np.array(K, dtype=float)
+    n = complex.n_vertices
+    if K.shape != (n,):
+        raise InputError(f"K must have length {n}")
     if not np.isfinite(K).all():
         raise InputError("K must be finite")
 
-    # Pull radii off the interval boundary (floats collapse onto it for
-    # |K| beyond ~27).
-    r_raw = geometry._k_to_r(K)
-    r = np.minimum(np.maximum(r_raw, RADIUS_CLAMP), 0.5 * np.pi - RADIUS_CLAMP)
-    clamped = bool((r != r_raw).any())
-
-    ends = complex.endpoint_arrays
-    ev, ew = ends
-    g = geometry._edge_kernel(r[ev], r[ew], complex.phi)
-
+    g = _edge_geometry(complex, K)
     # Row s of a stacked per-side quantity belongs at the vertices ends[s].
-    n = complex.n_vertices
-    L = np.bincount(ends.ravel(), g.L_side.ravel(), n)
-    diag = np.bincount(ends.ravel(), g.d_own.ravel(), n)
+    ends = complex.flat_ends
+    return CurvatureState(complex, K, g.theta,
+                          np.bincount(ends, g.L_side.ravel(), n),
+                          np.bincount(ends, g.d_own.ravel(), n), g.d_cross)
 
-    return CurvatureState(
-        complex=complex, K=K.copy(), r=r,
-        theta_v=g.theta_v, theta_w=g.theta_w,
-        L=L, diag=diag, d_cross=g.d_cross, clamped=clamped,
-    )
+
+def _edge_geometry(complex: SurfaceComplex, K: np.ndarray) -> geometry.EdgeSideGeometry:
+    """The edge kernel on every edge at finite coordinates K.
+
+    The trigonometry of the radii is taken at the vertices straight from
+    K, then gathered to the edge ends: with cot r = exp K (K clipped to
+    |K| <= K_CLAMP), sin r = 1 / hypot(1, cot r) and cos r = cot r sin r
+    keep full relative accuracy even within 1e-11 of either end of
+    (0, pi/2), where r itself cannot.
+    """
+    cot_r = np.exp(np.minimum(np.maximum(K, -K_CLAMP), K_CLAMP))
+    sin_r = np.hypot(1.0, cot_r)
+    np.reciprocal(sin_r, out=sin_r)
+    ends = complex.endpoint_arrays
+    return geometry._edge_kernel(complex.sin_phi, complex.cos_phi,
+                                 complex.cross_scale,
+                                 cot_r.take(complex.opposite_endpoints),
+                                 sin_r.take(ends), (cot_r * sin_r).take(ends))
 
 
 def prescribed_calabi_energy(L, prescription: Prescription | np.ndarray) -> float:
@@ -165,11 +190,9 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
         raise InputError("invalid complex: " + "; ".join(complex.violations))
     if len(prescription) != complex.n_vertices:
         raise InputError("prescription length does not match complex")
-    ev, ew = complex.endpoint_arrays
-    inv_sin = 1.0 / np.sin(complex.phi)
-    s = np.zeros(complex.n_vertices)
-    np.add.at(s, ev, inv_sin)
-    np.add.at(s, ew, inv_sin)
+    inv_sin = 1.0 / complex.sin_phi
+    s = np.bincount(complex.flat_ends, np.concatenate((inv_sin, inv_sin)),
+                    complex.n_vertices)
     d = complex.degrees
     return float(4.0 * np.sqrt(complex.n_vertices)
                  * np.max(d * np.pi + s)

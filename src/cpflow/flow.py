@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,30 +199,30 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
     else:
         states = _ode_states(complex, prescription, K0, config, trace)
         budget, max_time = config.max_iters, config.max_time
+    # The adaptive integrator reads the spectrum of J at every state it
+    # steps from, so the sample of such a state records its smallest
+    # eigenvalue; a final state gets none.
+    spectral = config.method != "newton" and config.integrator == "rkf45"
     for steps, (t, state, speed) in enumerate(states):
-        trace.samples.append(_sample(t, state, prescription, speed))
-        if trace.final.err_inf < config.tol_curvature:
+        err_inf = float(np.abs(state.L - prescription.lhat).max())
+        if err_inf < config.tol_curvature:
             verdict = VERDICT_CONVERGED
-        elif float(np.max(np.abs(state.K))) > config.divergence_k:
+        elif float(np.abs(state.K).max()) > config.divergence_k:
             verdict = VERDICT_DIVERGED
         elif steps >= budget or t >= max_time:
             verdict = VERDICT_BUDGET
         else:
-            continue
-        return _finish(trace, verdict)
-
-
-def _sample(t: float, state: CurvatureState, prescription: Prescription,
-            speed: float) -> FlowSample:
-    err = state.L - prescription.lhat
-    return FlowSample(
-        t=t, K=state.K.copy(),
-        err_inf=float(np.max(np.abs(err))),
-        energy=prescribed_calabi_energy(state.L, prescription),
-        speed=speed,
-        min_eig=None,
-        clamped=state.clamped,
-    )
+            verdict = None
+        trace.samples.append(FlowSample(
+            t=t, K=state.K.copy(), err_inf=err_inf,
+            energy=prescribed_calabi_energy(state.L, prescription),
+            speed=speed,
+            min_eig=(state.min_eigenvalue if spectral and verdict is None
+                     else None),
+            clamped=state.clamped,
+        ))
+        if verdict is not None:
+            return _finish(trace, verdict)
 
 
 def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
@@ -236,17 +236,19 @@ def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
     return trace
 
 
-# Fehlberg 4(5) tableau; the fifth-order solution is propagated.
-_RKF_A = (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
+# Fehlberg 4(5) tableau; the fifth-order solution is propagated.  Row i
+# of _RKF_A weighs the stages before stage i; _RKF_ERR = b5 - b4 weighs
+# the local error estimate.
+_RKF_A = np.array((
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (1 / 4, 0.0, 0.0, 0.0, 0.0),
+    (3 / 32, 9 / 32, 0.0, 0.0, 0.0),
+    (1932 / 2197, -7200 / 2197, 7296 / 2197, 0.0, 0.0),
+    (439 / 216, -8.0, 3680 / 513, -845 / 4104, 0.0),
     (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-)
-_RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
-_RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
+))
+_RKF_B5 = np.array((16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55))
+_RKF_ERR = _RKF_B5 - np.array((25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0))
 _MIN_STEP = 1e-14
 # Step ceiling h * |J_flow| for the adaptive integrator, safely inside the
 # real-axis stability extent (about 3.68) of the propagated fifth-order
@@ -258,9 +260,8 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
                 K0: np.ndarray, config: FlowConfig, trace: FlowTrace):
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
-    The adaptive integrator stores the smallest eigenvalue it computes for
-    its step cap on the newest sample of ``trace``, which the caller has
-    appended by the time the generator resumes.
+    The adaptive integrator reads the spectrum of J at each state it steps
+    from (cached on the state, so the caller's sample can record it).
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -276,7 +277,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     while True:
         state = evaluate(complex, K)
         f0 = direction(state)
-        yield t, state, float(np.linalg.norm(f0))
+        yield t, state, math.sqrt(f0 @ f0)
 
         if config.integrator == "rk4":
             h_step = min(config.step, config.max_time - t)
@@ -292,7 +293,6 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             # h below the explicit stability limit keeps the local error
             # shrinking with the residual instead of riding the boundary.
             lam = state.max_eigenvalue
-            trace.samples[-1] = replace(trace.final, min_eig=state.min_eigenvalue)
             cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
             h = min(h, cap, config.max_time - t)
             K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
@@ -300,24 +300,22 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
 
 
 def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
-    """Advance one accepted Fehlberg step, shrinking h as needed."""
-    k = [None] * 6
+    """Advance one accepted Fehlberg step, shrinking h as needed.
+
+    The six stage derivatives are the rows of one (6, V) array, so each
+    stage input, the propagated solution and the error estimate is one
+    product with a row of the tableau.
+    """
+    k = np.empty((6, len(K)))
     k[0] = f0
     while True:
+        a = h * _RKF_A
         for i in range(1, 6):
-            y = K.copy()
-            for j, a in enumerate(_RKF_A[i]):
-                y += (h * a) * k[j]
-            k[i] = direction(evaluate(complex, y))
-        y5 = K.copy()
-        y4 = K.copy()
-        for i in range(6):
-            y5 += (h * _RKF_B5[i]) * k[i]
-            y4 += (h * _RKF_B4[i]) * k[i]
-        err = float(np.max(np.abs(y5 - y4)))
+            k[i] = direction(evaluate(complex, K + np.dot(a[i, :i], k[:i])))
+        err = float(np.abs(np.dot(h * _RKF_ERR, k)).max())
         if err <= tol:
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-            return y5, t + h, h * factor
+            return K + np.dot(h * _RKF_B5, k), t + h, h * factor
         h *= max(0.1, 0.9 * (tol / err) ** 0.2)
         if h < _MIN_STEP:
             raise IntegrationError(

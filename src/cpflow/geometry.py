@@ -160,8 +160,9 @@ _TMS_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(6))
 def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
     """theta - sin(theta) for an array of angles, accurate at small theta."""
     out = theta - np.sin(theta)
-    small = theta < _TMS_SERIES_BELOW
-    if small.any():
+    # ``initial`` gives an edgeless complex (no angles) a minimum.
+    if theta.min(initial=np.inf) < _TMS_SERIES_BELOW:
+        small = theta < _TMS_SERIES_BELOW
         t = theta[small]
         t2 = t * t
         acc = 0.0
@@ -177,19 +178,21 @@ def _k_to_r(k: np.ndarray) -> np.ndarray:
     return np.where(k >= 0.0, small, HALF_PI - small)
 
 
-def _edge_kernel(r_v, r_w, phi) -> EdgeSideGeometry:
-    """Check-free kernel; callers must guarantee the domains and pass
-    ``r_v``, ``r_w`` of one shape, which ``phi`` broadcasts to."""
-    r = np.array((r_v, r_w))
-    sin_r, cos_r = np.sin(r), np.cos(r)
-    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
+def _edge_kernel(sin_phi, cos_phi, cross_scale, cot_across, sin_r, cos_r) -> EdgeSideGeometry:
+    """Check-free kernel on the trigonometry of the radii and the angle.
 
+    ``sin_r`` and ``cos_r`` stack the v side (row 0) over the w side (row
+    1); ``cot_across`` holds the cotangent of the radius at the other end
+    (row 0: cot r_w, row 1: cot r_v).  ``sin_phi``, ``cos_phi`` and
+    ``cross_scale`` = -2 / sin phi broadcast against one row.  Callers
+    must guarantee the domains.
+    """
     # Row 0 is cot r_w sin r_v + cos r_v cos phi, row 1 the mirror image.
-    half = np.arctan2(sin_phi, (cos_r / sin_r)[::-1] * sin_r + cos_r * cos_phi)
-    theta = 2.0 * half
-    sin_half = np.sin(half)
+    half = np.arctan2(sin_phi, cot_across * sin_r + cos_r * cos_phi)
+    theta = half + half
+    cos_sin_half = cos_r * np.sin(half)
 
-    d_cross = -2.0 * cos_r[0] * cos_r[1] * sin_half[0] * sin_half[1] / sin_phi
+    d_cross = cross_scale * cos_sin_half[0] * cos_sin_half[1]
     d_pair = sin_r * sin_r * cos_r * _theta_minus_sin(theta)
     return EdgeSideGeometry(theta, theta * cos_r, d_cross, d_pair)
 
@@ -203,8 +206,15 @@ def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
         d(L_v + L_w)/dK_v  = sin^2 r_v cos r_v (theta_v - sin theta_v)
 
     with theta - sin theta summed from its Taylor series at small theta.
+    The trigonometry of the radii is taken from ``r_v`` and ``r_w`` here;
+    ``curvature.evaluate`` feeds the same kernel from K directly.
     """
     r_v = _check_radius(r_v, "r_v")
     r_w = _check_radius(r_w, "r_w")
     phi = _check_phi(phi)
-    return _edge_kernel(*np.broadcast_arrays(r_v, r_w, phi))
+    r_v, r_w, phi = np.broadcast_arrays(r_v, r_w, phi)
+    r = np.array((r_v, r_w))
+    sin_r, cos_r = np.sin(r), np.cos(r)
+    sin_phi = np.sin(phi)
+    return _edge_kernel(sin_phi, np.cos(phi), -2.0 / sin_phi,
+                        (cos_r / sin_r)[::-1], sin_r, cos_r)

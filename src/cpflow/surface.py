@@ -19,6 +19,11 @@ from .errors import InputError
 HALF_PI = 0.5 * np.pi
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class SurfaceComplex:
     """A finite loopless multigraph with face boundary walks and edge angles.
@@ -86,32 +91,45 @@ class SurfaceComplex:
         """Edge endpoints as a (2, E) int array: row 0 holds the first
         endpoints ev[e], row 1 the second endpoints ew[e], so
         ``ev, ew = complex.endpoint_arrays`` unpacks them."""
-        ends = np.array([[v for v, _ in self.edges], [w for _, w in self.edges]],
-                        dtype=np.intp)
-        ends.flags.writeable = False
-        return ends
+        return _frozen(np.array([[v for v, _ in self.edges],
+                                 [w for _, w in self.edges]], dtype=np.intp))
+
+    @cached_property
+    def flat_ends(self) -> np.ndarray:
+        """``endpoint_arrays`` flattened: the vertex of every edge end,
+        first endpoints first, which is the index order in which stacked
+        per-side edge quantities are summed onto the vertices."""
+        return self.endpoint_arrays.ravel()
 
     @cached_property
     def opposite_endpoints(self) -> np.ndarray:
         """``endpoint_arrays`` with its rows swapped: for each end of each
         edge, the vertex at the other end."""
-        across = self.endpoint_arrays[::-1].copy()
-        across.flags.writeable = False
-        return across
+        return _frozen(self.endpoint_arrays[::-1].copy())
 
     @cached_property
     def degrees(self) -> np.ndarray:
         """Edge-ends per vertex (parallel edges counted separately)."""
-        d = np.bincount(self.endpoint_arrays.ravel(), minlength=self.n_vertices)
-        d.flags.writeable = False
-        return d
+        return _frozen(np.bincount(self.flat_ends, minlength=self.n_vertices))
+
+    @cached_property
+    def sin_phi(self) -> np.ndarray:
+        return _frozen(np.sin(self.phi))
+
+    @cached_property
+    def cos_phi(self) -> np.ndarray:
+        return _frozen(np.cos(self.phi))
+
+    @cached_property
+    def cross_scale(self) -> np.ndarray:
+        """-2 / sin phi per edge, the factor of the mixed partial dL_v/dK_w."""
+        return _frozen(-2.0 / self.sin_phi)
 
     @cached_property
     def face_cone_angles(self) -> np.ndarray:
         """Cone angle at each face center: sum of (pi - phi) over its walk."""
-        out = np.array([sum(np.pi - self.phi[e] for e in walk) for walk in self.faces])
-        out.flags.writeable = False
-        return out
+        return _frozen(np.array([sum(np.pi - self.phi[e] for e in walk)
+                                 for walk in self.faces]))
 
     @cached_property
     def violations(self) -> tuple[str, ...]:

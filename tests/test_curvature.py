@@ -7,8 +7,7 @@ from cpflow import (InputError, Prescription, QuadratureError,
                     edge_side_geometry, evaluate, fixtures, k_to_r,
                     make_synthetic, potential, prescribed_calabi_energy,
                     velocity_bound)
-from cpflow.curvature import RADIUS_CLAMP
-from cpflow.geometry import _edge_kernel
+from cpflow.curvature import K_CLAMP, RADIUS_CLAMP, _edge_geometry
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
 
@@ -66,6 +65,12 @@ class TestEvaluate:
         assert st.clamped
         assert np.all(np.isfinite(st.L)) and np.all(np.isfinite(st.J))
 
+    def test_edgeless_complex(self):
+        from cpflow.surface import SurfaceComplex
+        lone = SurfaceComplex(1, (), ((),), np.zeros(0))
+        st = evaluate(lone, np.zeros(1))
+        assert st.L.tolist() == [0.0] and st.diag.tolist() == [0.0]
+
     def test_input_errors(self, tetra):
         with pytest.raises(InputError):
             evaluate(tetra, np.zeros(3))
@@ -77,6 +82,59 @@ class TestEvaluate:
                                np.full(2, 1.0))
         with pytest.raises(InputError):
             evaluate(loopy, np.zeros(2))
+
+
+# L and diag(J) at points whose radii lie within 1e-12 of 0 or pi/2 at
+# some vertices, evaluated once with mpmath at 50 digits from the
+# closed-form kernel (the angle phi taken as the exact double) and rounded
+# to doubles.  Radii reconstructed as r = pi/2 - delta lose the digits of
+# cos r there: relative errors of 8.6e-6 (tetrahedron) and 7.4e-5 (torus).
+MPMATH_REFERENCE = {
+    "tetrahedron": (
+        fixtures.tetrahedron,
+        (-25.0, 1.0, -5.0, 0.5),
+        (6.837811176802768e-11, 7.869525037891181, 0.03326495809501982,
+         6.421350511186773),
+        (6.837811176802768e-11, 1.652700335240231, 0.03326391743238027,
+         2.3212836448092204),
+    ),
+    "torus3x3": (
+        lambda: fixtures.torus_grid(3, 3, 1.3),
+        (-15.0, -27.0, 3.0, 0.0, 27.0, -10.0, 0.5, -20.0, 8.0),
+        (1.7830825296959114e-06, 1.1989620780012555e-11, 7.805218637219673,
+         4.768780926953124, 10.399999999996378, 7.40104525425585e-05,
+         6.134312512966855, 8.656886674638945e-09, 10.385972537885664),
+        (1.7830824393778219e-06, 1.1989620780008627e-11, 0.028394123096647104,
+         2.357820067827141, 3.622235201063438e-12, 7.400989889517688e-05,
+         1.7958253075411053, 8.656886671679577e-09, 0.014004088994669437),
+    ),
+}
+
+
+class TestAccuracyNearTheClamp:
+    @pytest.mark.parametrize("name", sorted(MPMATH_REFERENCE))
+    def test_matches_mpmath(self, name):
+        make, K, L_ref, diag_ref = MPMATH_REFERENCE[name]
+        st = evaluate(make(), np.array(K))
+        assert np.max(np.abs(st.L / np.array(L_ref) - 1.0)) <= 1e-13
+        assert np.max(np.abs(st.diag / np.array(diag_ref) - 1.0)) <= 1e-13
+
+    def test_clamp_is_a_bound_on_K(self, tetra):
+        # Past |K| = ln cot RADIUS_CLAMP the state equals the clamped one.
+        edge = np.array([K_CLAMP, -K_CLAMP, 0.0, 1.0])
+        at_edge = evaluate(tetra, edge)
+        beyond = evaluate(tetra, edge * np.array([1.5, 40.0, 1.0, 1.0]))
+        assert not at_edge.clamped and beyond.clamped
+        assert np.array_equal(beyond.L, at_edge.L)
+        assert np.array_equal(beyond.diag, at_edge.diag)
+        assert np.allclose(beyond.r[:2], (RADIUS_CLAMP, 0.5 * np.pi - RADIUS_CLAMP),
+                           rtol=1e-12, atol=0.0)
+
+    def test_radii_are_lazy(self, tetra):
+        K = rng_for(33).uniform(-2.0, 2.0, 4)
+        st = evaluate(tetra, K)
+        assert "r" not in st.__dict__
+        assert np.array_equal(st.r, k_to_r(K))
 
 
 class TestJacobianStructure:
@@ -112,7 +170,7 @@ def dense_incidence_assembly(complex, K):
     matrices, the way evaluate() did before it summed over the edge list."""
     r = np.clip(k_to_r(K), RADIUS_CLAMP, 0.5 * np.pi - RADIUS_CLAMP)
     ev, ew = complex.endpoint_arrays
-    g = _edge_kernel(r[ev], r[ew], complex.phi)
+    g = edge_side_geometry(r[ev], r[ew], complex.phi)
     n, m = complex.n_vertices, complex.n_edges
     sv = np.zeros((n, m))
     sw = np.zeros((n, m))
@@ -186,7 +244,7 @@ class TestEdgeFormAssembly:
         rng = rng_for(32 + n)
         for _ in range(200):
             st = evaluate(c, rng.uniform(-50.0, 50.0, n))
-            g = edge_side_geometry(st.r[ev], st.r[ew], c.phi)
+            g = _edge_geometry(c, st.K)
             assert np.all(g.d_pair_v > 0.0) and np.all(g.d_pair_w > 0.0)
             # Row i of J exceeds its off-diagonal mass by exactly the sum of
             # d(L_v + L_w)/dK_v over the edge ends at i.

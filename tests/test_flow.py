@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -11,7 +12,7 @@ from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
                     fit_decay_rate, fixtures, make_synthetic, newton_solve,
                     potential, r_to_k, run, velocity_bound)
 from cpflow.oracle import rng_for
-from conftest import single_vertex_violator
+from conftest import ACCEPTANCE_CONFIG, single_vertex_violator
 
 
 @pytest.fixture
@@ -192,6 +193,37 @@ class TestRun:
     def test_non_finite_config_rejected(self, name, value):
         with pytest.raises(InputError, match=name):
             FlowConfig(**{name: value})
+
+
+# Accepted RKF45 steps of seeded planted runs under the criterion-4
+# configuration.  A faster evaluation or tableau may move the last bits of
+# each stage, but must not move the step sequence by more than 1%.
+PINNED_STEP_COUNTS = {
+    ("tetrahedron", "calabi"): 664,
+    ("tetrahedron", "curvature"): 75,
+    ("cube", "calabi"): 433,
+    ("cube", "curvature"): 63,
+    ("torus3x3", "calabi"): 246,
+    ("torus3x3", "curvature"): 49,
+}
+PINNED_COMPLEXES = {
+    "tetrahedron": lambda: fixtures.tetrahedron(1.3),
+    "cube": lambda: fixtures.cube_graph(1.3),
+    "torus3x3": lambda: fixtures.torus_grid(3, 3, 1.3),
+}
+
+
+class TestStepSequence:
+    @pytest.mark.parametrize("name, method", sorted(PINNED_STEP_COUNTS))
+    def test_accepted_steps_stay_pinned(self, name, method):
+        c = PINNED_COMPLEXES[name]()
+        inst = make_synthetic(c, seed=71)
+        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        config = dataclasses.replace(ACCEPTANCE_CONFIG, method=method)
+        trace = run(c, inst.prescription, k0, config)
+        assert trace.verdict == "converged"
+        pinned = PINNED_STEP_COUNTS[name, method]
+        assert abs((len(trace.samples) - 1) - pinned) <= 0.01 * pinned
 
 
 class TestSpectrumOnDemand:
