@@ -106,16 +106,8 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     else:
         k0 = np.zeros(n)
 
-    cert = None
     try:
         trace = run(inst.complex, inst.prescription, k0, config)
-        cert = trace.certificate
-        if trace.verdict == VERDICT_DIVERGED and cert.feasible:
-            # Only infeasibility can make the exact flow diverge, so this is
-            # the integrator failing, not a certificate of infeasibility.
-            raise NonConvergenceError(
-                "flow diverged although the prescription is feasible "
-                f"(worst margin {cert.worst_margin:.12g})")
         if trace_path is not None:
             with open(trace_path, "w") as fh:
                 write_trace(fh, trace, inst.complex, inst.prescription, config)
@@ -125,8 +117,7 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     except NUMERICAL_ERRORS as exc:
         # A failure on an infeasible prescription says why: one max flow
         # proves it and names the violated subset.
-        if cert is None:
-            cert = check_mincut(inst.complex, inst.prescription)
+        cert = check_mincut(inst.complex, inst.prescription)
         proof = ("" if cert.feasible else
                  f"; prescription infeasible: subset="
                  f"{_subset_text(cert, inst.complex)} "
@@ -148,6 +139,7 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     if trace.verdict == VERDICT_CONVERGED:
         return EXIT_OK
     if trace.verdict == VERDICT_DIVERGED:
+        cert = trace.certificate
         print(f"  infeasible: subset={_subset_text(cert, inst.complex)} "
               f"margin={cert.worst_margin:.12g}")
         return EXIT_DIVERGED

@@ -12,10 +12,11 @@ the log-cotangent coordinates K where both are gradient flows:
 
 Both converge to the same unique fixed point exactly when the
 prescription is feasible; infeasible prescriptions push some coordinate
-to infinity, which the runner reports as divergence together with a
-violating-subset certificate.  A damped Newton iteration on the same
-fixed-point equation is provided for fast polishing.  Every method is a
-generator of states; ``run`` alone applies the stop rule and the verdict.
+past the radius clamp, which the runner reports as divergence together
+with a violating-subset certificate.  A damped Newton iteration on the
+same fixed-point equation is provided for fast polishing.  Every method
+is a generator of states; ``run`` alone applies the stop rule and the
+verdict, and raises when a run diverges on a feasible prescription.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .curvature import CurvatureState, evaluate, prescribed_calabi_energy
+from .curvature import (K_CLAMP, CurvatureState, evaluate,
+                        prescribed_calabi_energy)
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError)
 from .feasibility import FeasibilityVerdict, check_mincut
@@ -35,7 +37,6 @@ from .surface import Prescription, SurfaceComplex
 
 METHODS = ("calabi", "curvature", "newton")
 INTEGRATORS = ("rk4", "rkf45")
-_INTEGRATOR_ALIASES = {"rk4-fixed": "rk4", "rkf45-adaptive": "rkf45"}
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -53,18 +54,14 @@ class FlowConfig:
     tol_ode: float = 1e-9
     max_time: float = 1e4
     max_iters: int = 500_000
-    divergence_k: float = 50.0
     newton_max_iters: int = 100
 
     def __post_init__(self):
-        integrator = _INTEGRATOR_ALIASES.get(self.integrator, self.integrator)
-        object.__setattr__(self, "integrator", integrator)
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}")
-        if integrator not in INTEGRATORS:
+        if self.integrator not in INTEGRATORS:
             raise InputError(f"unknown integrator {self.integrator!r}")
-        for name in ("step", "tol_curvature", "tol_ode", "max_time",
-                     "divergence_k"):
+        for name in ("step", "tol_curvature", "tol_ode", "max_time"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be finite and positive")
@@ -157,22 +154,27 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     The trace is sampled at the start and at every accepted step (Newton:
     every iteration, with t the iteration count).  Convergence means
     ||L - Lhat||_inf dropped below ``tol_curvature``; divergence means
-    ||K||_inf crossed ``divergence_k`` (possible only for infeasible
-    prescriptions, so the returned trace carries a violating-subset
-    certificate).  The budget is ``max_iters`` steps or ``max_time`` for
-    the flows and ``newton_max_iters`` iterations for Newton.  The
-    curvature flow is integrated in K-space through the identity
-    dK/dt = -(L - Lhat), which avoids the radius-interval boundary
-    entirely.  Raises IntegrationError on step-size underflow and
-    NonConvergenceError when Newton finds no descent.
+    some |K_v| crossed the radius clamp K_CLAMP.  The budget is
+    ``max_iters`` steps or ``max_time`` for the flows and
+    ``newton_max_iters`` iterations for Newton.  A run that does not
+    converge carries a violating-subset certificate exactly when the
+    prescription is infeasible.  The curvature flow is integrated in
+    K-space through the identity dK/dt = -(L - Lhat), which avoids the
+    radius-interval boundary entirely.  Raises InputError when K0 lies past
+    the clamp, IntegrationError on step-size underflow, and
+    NonConvergenceError when Newton finds no descent or a run diverges
+    although the prescription is feasible.
     """
     trace = _run(complex, prescription, K0, config)
     if trace.verdict != VERDICT_CONVERGED:
-        # Infeasibility is the only cause of non-convergence, so explain a
-        # divergence with the violated subset; a budget verdict gets the
-        # certificate too when the prescription turns out infeasible.
         cert = check_mincut(complex, prescription)
-        if trace.verdict == VERDICT_DIVERGED or not cert.feasible:
+        if trace.verdict == VERDICT_DIVERGED and cert.feasible:
+            # Only infeasibility can make the exact flow diverge, so this is
+            # the integrator failing, not a certificate of infeasibility.
+            raise NonConvergenceError(
+                "flow diverged although the prescription is feasible "
+                f"(worst margin {cert.worst_margin:.12g})")
+        if not cert.feasible:
             trace.certificate = cert
     return trace
 
@@ -189,6 +191,8 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
         raise InputError(f"K0 must have length {complex.n_vertices}")
     if not np.all(np.isfinite(K0)):
         raise InputError("K0 must be finite")
+    if np.any(np.abs(K0) > K_CLAMP):
+        raise InputError("K0 lies past the radius clamp")
     if len(prescription) != complex.n_vertices:
         raise InputError("prescription length does not match complex")
 
@@ -205,9 +209,10 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
     spectral = config.method != "newton" and config.integrator == "rkf45"
     for steps, (t, state, speed) in enumerate(states):
         err_inf = float(np.abs(state.L - prescription.lhat).max())
+        clamped = state.clamped
         if err_inf < config.tol_curvature:
             verdict = VERDICT_CONVERGED
-        elif float(np.abs(state.K).max()) > config.divergence_k:
+        elif clamped:
             verdict = VERDICT_DIVERGED
         elif steps >= budget or t >= max_time:
             verdict = VERDICT_BUDGET
@@ -219,7 +224,7 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
             speed=speed,
             min_eig=(state.min_eigenvalue if spectral and verdict is None
                      else None),
-            clamped=state.clamped,
+            clamped=clamped,
         ))
         if verdict is not None:
             return _finish(trace, verdict)

@@ -233,7 +233,6 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write(f"# tol_curvature {fmt(config.tol_curvature)}\n")
     out.write(f"# tol_ode {fmt(config.tol_ode)}\n")
     out.write(f"# max_time {fmt(config.max_time)}\n")
-    out.write(f"# divergence_k {fmt(config.divergence_k)}\n")
     out.write(f"# verdict {trace.verdict}\n")
     rate = "none" if trace.fitted_rate is None else fmt(trace.fitted_rate)
     out.write(f"# fitted_rate {rate}\n")

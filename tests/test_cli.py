@@ -153,6 +153,14 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "t=0 " in out  # converged immediately at the planted start
 
+    def test_initial_k_past_the_clamp_rejected(self, tmp_path, capsys):
+        tetra = fixtures.tetrahedron()
+        p = Prescription(np.full(4, L_REF))
+        path = write_instance(tmp_path / "far.icp", tetra, p,
+                              initial_k=np.array([30.0, 0.0, 0.0, 0.0]))
+        assert main(["solve", str(path)]) == 2
+        assert "K0 lies past the radius clamp" in capsys.readouterr().err
+
     def test_report_geometry(self, tetra_file, capsys):
         assert main(["solve", tetra_file, "--report-geometry"]) == 0
         out = capsys.readouterr().out

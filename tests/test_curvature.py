@@ -236,7 +236,8 @@ class TestEdgeFormAssembly:
     @pytest.mark.parametrize("make", [fixtures.tetrahedron, fixtures.bigon,
                                       lambda: fixtures.torus_grid(3, 3, 1.3)])
     def test_strict_dominance_over_runner_range(self, make):
-        # |K| <= 50 is everything the runner visits before divergence_k.
+        # |K| <= 50 covers, with room to spare, every K the runner visits:
+        # it stops at the first sample past K_CLAMP (about 27.63).
         c = make()
         n = c.n_vertices
         ev, ew = c.endpoint_arrays

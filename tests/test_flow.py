@@ -119,9 +119,22 @@ class TestRun:
         assert trace.certificate is not None
         assert not trace.certificate.feasible
         assert trace.certificate.worst_margin > 0
-        assert np.max(np.abs(trace.final_k())) > 50.0
-        # radii collapse past the clamp on the way out
-        assert trace.samples[-1].clamped
+        # the run stops at the first sample past the radius clamp
+        assert [s.clamped for s in trace.samples] == (
+            [False] * (len(trace.samples) - 1) + [True])
+
+    def test_divergence_of_a_feasible_prescription_raises(self, tetra):
+        feasible = Prescription(np.array([4.053, 4.053, 4.053, 3.9]))
+        with pytest.raises(NonConvergenceError) as exc_info:
+            run(tetra, feasible, np.zeros(4),
+                FlowConfig(integrator="rk4", step=1e300))
+        assert str(exc_info.value) == (
+            "flow diverged although the prescription is feasible "
+            "(worst margin -2.79055592154)")
+
+    def test_start_past_the_clamp_rejected(self, tetra, planted):
+        with pytest.raises(InputError, match="K0 lies past the radius clamp"):
+            run(tetra, planted, np.array([30.0, 0.0, 0.0, 0.0]))
 
     def test_calabi_budget_on_infeasible_attaches_certificate(self, tetra, planted):
         lhat = planted.lhat.copy()
@@ -131,12 +144,6 @@ class TestRun:
                     FlowConfig(tol_ode=1e-4, max_time=50.0))
         assert trace.verdict == "budget-exhausted"
         assert trace.certificate is not None and not trace.certificate.feasible
-
-    def test_integrator_alias(self, tetra, planted):
-        cfg = FlowConfig(integrator="rkf45-adaptive")
-        assert cfg.integrator == "rkf45"
-        cfg = FlowConfig(integrator="rk4-fixed")
-        assert cfg.integrator == "rk4"
 
     def test_rk4_step_halving_agrees(self, tetra):
         inst = make_synthetic(tetra, seed=51)
@@ -188,7 +195,7 @@ class TestRun:
             FlowConfig(tol_curvature=0.0)
 
     @pytest.mark.parametrize("name", ["step", "tol_curvature", "tol_ode",
-                                      "max_time", "divergence_k"])
+                                      "max_time"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_config_rejected(self, name, value):
         with pytest.raises(InputError, match=name):
