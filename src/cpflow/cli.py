@@ -116,8 +116,11 @@ def _solve_one(path: Path, args, trace_path: Path | None,
                 write_solution(fh, trace, inst.complex, inst.prescription)
     except NUMERICAL_ERRORS as exc:
         # A failure on an infeasible prescription says why: one max flow
-        # proves it and names the violated subset.
-        cert = check_mincut(inst.complex, inst.prescription)
+        # proves it and names the violated subset.  A run that diverged on a
+        # feasible prescription has computed it already.
+        cert = getattr(exc, "certificate", None)
+        if cert is None:
+            cert = check_mincut(inst.complex, inst.prescription)
         proof = ("" if cert.feasible else
                  f"; prescription infeasible: subset="
                  f"{_subset_text(cert, inst.complex)} "

@@ -36,7 +36,15 @@ class QuadratureError(ArithmeticError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver hit its iteration cap before reaching tolerance."""
+    """An iterative solver failed to reach its tolerance.
+
+    A run that diverged although the prescription is feasible carries the
+    feasibility certificate that proved it.
+    """
+
+    def __init__(self, message: str, certificate=None):
+        super().__init__(message)
+        self.certificate = certificate
 
 
 class IntegrationError(RuntimeError):

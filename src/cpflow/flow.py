@@ -13,8 +13,10 @@ the log-cotangent coordinates K where both are gradient flows:
 Both converge to the same unique fixed point exactly when the
 prescription is feasible; infeasible prescriptions push some coordinate
 past the radius clamp, which the runner reports as divergence together
-with a violating-subset certificate.  A damped Newton iteration on the
-same fixed-point equation is provided for fast polishing.  Every method
+with a violating-subset certificate.  A damped inexact Newton iteration
+on the same fixed-point equation is provided for fast polishing; it
+solves each linear system by Jacobi-preconditioned conjugate gradients on
+the matrix-free J and never builds the dense V x V Jacobian.  Every method
 is a generator of states; ``run`` alone applies the stop rule and the
 verdict, and raises when a run diverges on a feasible prescription.
 """
@@ -173,7 +175,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
             # the integrator failing, not a certificate of infeasibility.
             raise NonConvergenceError(
                 "flow diverged although the prescription is feasible "
-                f"(worst margin {cert.worst_margin:.12g})")
+                f"(worst margin {cert.worst_margin:.12g})", certificate=cert)
         if not cert.feasible:
             trace.certificate = cert
     return trace
@@ -335,22 +337,21 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
 
 def _newton_states(complex: SurfaceComplex, prescription: Prescription,
                    K0: np.ndarray):
-    """Damped Newton iteration K <- K - s J^{-1} (L - Lhat).
+    """Damped inexact Newton iteration K <- K - s delta, J delta ~ L - Lhat.
 
-    Yields (iteration count, state, step norm) at the start and after
-    every iteration.  Step lengths backtrack on the curvature-error norm;
-    raises NonConvergenceError when no step length decreases it.
+    The step ``delta`` comes from ``_newton_step``, conjugate gradients on
+    the matrix-free ``jvp``.  Yields (iteration count, state, step norm) at
+    the start and after every iteration.  Step lengths backtrack on the
+    curvature-error norm; raises NonConvergenceError when no step length
+    decreases it or the linear solve fails.
     """
     lhat = prescription.lhat
     state = evaluate(complex, K0)
     yield 0.0, state, 0.0
     for it in itertools.count(1):
         residual = state.L - lhat
-        try:
-            delta = np.linalg.solve(state.J, residual)
-        except np.linalg.LinAlgError as exc:
-            raise NonConvergenceError(f"linear solve failed: {exc}") from exc
         merit = float(np.linalg.norm(residual))
+        delta = _newton_step(state, residual, min(_ETA_MAX, merit))
         s = 1.0
         while True:
             state_new = evaluate(complex, state.K - s * delta)
@@ -362,6 +363,47 @@ def _newton_states(complex: SurfaceComplex, prescription: Prescription,
                     "backtracking found no decrease")
         state = state_new
         yield float(it), state, float(s * np.linalg.norm(delta))
+
+
+# Inexact Newton (Eisenstat & Walker 1996): the linear solve stops at
+# relative residual eta = min(_ETA_MAX, ||L - Lhat||_2), which keeps the
+# iteration quadratic near the solution.
+_ETA_MAX = 0.1
+
+
+def _newton_step(state: CurvatureState, b: np.ndarray, eta: float) -> np.ndarray:
+    """x with ||J x - b|| <= eta ||b||, by Jacobi-preconditioned conjugate
+    gradients (Hestenes & Stiefel 1952) on ``state.jvp``.
+
+    J is symmetric positive definite wherever the geometry is not frozen,
+    so exact CG ends within V iterations; the cap allows for rounding.
+    Raises NonConvergenceError on a direction of non-positive curvature
+    or when the cap is reached.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r / state.diag
+    rz = float(r @ p)
+    target = eta * float(np.linalg.norm(b))
+    max_iters = 2 * len(b) + 20
+    for _ in range(max_iters):
+        q = state.jvp(p)
+        curvature = float(p @ q)
+        if not curvature > 0.0:
+            raise NonConvergenceError(
+                f"linear solve failed: non-positive curvature {curvature:g}")
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * q
+        if float(np.linalg.norm(r)) <= target:
+            return x
+        z = r / state.diag
+        rz_next = float(r @ z)
+        p *= rz_next / rz
+        p += z
+        rz = rz_next
+    raise NonConvergenceError(
+        f"linear solve failed: no convergence in {max_iters} CG iterations")
 
 
 def newton_solve(complex: SurfaceComplex, prescription: Prescription, K0,

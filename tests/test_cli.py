@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cpflow.cli
+import cpflow.flow
 from cpflow import (IntegrationError, NonConvergenceError, Prescription,
                     evaluate, fixtures, make_synthetic, serialize_instance)
 from cpflow.cli import main
@@ -284,6 +285,18 @@ class TestHonestVerdicts:
         assert err == ("tetra.icp: error: numerical failure: flow diverged "
                        "although the prescription is feasible "
                        "(worst margin -2.79055592154)\n")
+
+    def test_failed_solve_computes_one_min_cut(self, tmp_path, monkeypatch):
+        calls = []
+        for module in (cpflow.flow, cpflow.cli):
+            def counted(*args, real=module.check_mincut):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(module, "check_mincut", counted)
+        path = self.tetra_with(tmp_path, 3.9)
+        assert main(["solve", path, "--integrator", "rk4",
+                     "--step", "1e300"]) == 4
+        assert len(calls) == 1
 
     def test_newton_without_descent(self, tmp_path, capsys):
         path = self.tetra_with(tmp_path, 9.5)

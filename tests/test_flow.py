@@ -332,6 +332,69 @@ class TestNewton:
             run(tetra, bad, np.zeros(4), FlowConfig(method="newton"))
 
 
+class TestMatrixFreeNewton:
+    """Newton solves its linear systems by conjugate gradients on ``jvp``."""
+
+    def test_newton_never_builds_the_dense_jacobian(self, monkeypatch):
+        reads = []
+        original = CurvatureState.J
+
+        def counted(state):
+            reads.append(state)
+            return original.func(state)
+
+        spy = functools.cached_property(counted)
+        spy.__set_name__(CurvatureState, "J")
+        monkeypatch.setattr(CurvatureState, "J", spy)
+        c = fixtures.torus_grid(6, 6, phi=1.3)
+        inst = make_synthetic(c, seed=73)
+        k0 = inst.kbar + rng_for(74).uniform(-0.5, 0.5, c.n_vertices)
+        trace = run(c, inst.prescription, k0, FlowConfig(method="newton"))
+        assert trace.verdict == "converged"
+        assert reads == []
+
+    def test_first_step_matches_the_dense_solve(self, monkeypatch):
+        c = fixtures.torus_grid(12, 12, phi=1.3)
+        inst = make_synthetic(c, seed=75)
+        k0 = inst.kbar + rng_for(76).uniform(-0.5, 0.5, c.n_vertices)
+        state0 = evaluate(c, k0)
+        residual = state0.L - inst.prescription.lhat
+        eta = min(cpflow.flow._ETA_MAX, float(np.linalg.norm(residual)))
+        steps = []
+        real_step = cpflow.flow._newton_step
+
+        def recorded(state, b, eta):
+            steps.append(real_step(state, b, eta))
+            return steps[-1]
+
+        monkeypatch.setattr(cpflow.flow, "_newton_step", recorded)
+        run(c, inst.prescription, k0, FlowConfig(method="newton"))
+        dense = np.linalg.solve(state0.J, residual)
+        # ||J (x - dense)|| <= eta ||residual||, and ||J^{-1}|| = 1/lambda_min
+        bound = eta * np.linalg.norm(residual) / state0.min_eigenvalue
+        assert np.linalg.norm(steps[0] - dense) <= bound
+        assert (np.linalg.norm(state0.jvp(steps[0]) - residual)
+                <= eta * np.linalg.norm(residual))
+
+    def test_singular_system_raises(self):
+        # both bigon radii near zero: J = c [[1, -1], [-1, 1]] exactly, and
+        # the right-hand side has a part along the null vector (1, 1)
+        state = evaluate(fixtures.bigon(), np.array([26.4, 21.6]))
+        with pytest.raises(NonConvergenceError,
+                           match="linear solve failed: non-positive curvature"):
+            cpflow.flow._newton_step(state, np.array([1.0, 0.0]), 0.1)
+
+    def test_converges_on_the_45x45_torus(self):
+        c = fixtures.torus_grid(45, 45, phi=1.3)
+        inst = make_synthetic(c, seed=77)
+        trace = run(c, inst.prescription, inst.kbar + 0.3,
+                    FlowConfig(method="newton"))
+        assert c.n_vertices == 2025
+        assert trace.verdict == "converged"
+        assert trace.final.err_inf <= 1e-10
+        assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
+
+
 class TestDecayRate:
     def test_converged_trace_fit(self, tetra):
         inst = make_synthetic(tetra, seed=61)
