@@ -106,26 +106,41 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     else:
         k0 = np.zeros(n)
 
+    failure = None
     try:
         trace = run(inst.complex, inst.prescription, k0, config)
-        if trace_path is not None:
+    except NUMERICAL_ERRORS as exc:
+        # A failed run carries its trace up to the failure, if it has one;
+        # its verdict reads numerical-failure.
+        failure, trace = exc, getattr(exc, "trace", None)
+    try:
+        if trace_path is not None and trace is not None:
+            target = trace_path
             with open(trace_path, "w") as fh:
                 write_trace(fh, trace, inst.complex, inst.prescription, config)
-        if solution_path is not None:
+        if solution_path is not None and failure is None:
+            target = solution_path
             with open(solution_path, "w") as fh:
                 write_solution(fh, trace, inst.complex, inst.prescription)
+    except OSError as exc:
+        print(f"{path.name}: error: cannot write {target}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        if failure is None:
+            return EXIT_PARSE
     except NUMERICAL_ERRORS as exc:
+        failure = exc
+    if failure is not None:
         # A failure on an infeasible prescription says why: one max flow
         # proves it and names the violated subset.  A run that diverged on a
         # feasible prescription has computed it already.
-        cert = getattr(exc, "certificate", None)
+        cert = getattr(failure, "certificate", None)
         if cert is None:
             cert = check_mincut(inst.complex, inst.prescription)
         proof = ("" if cert.feasible else
                  f"; prescription infeasible: subset="
                  f"{_subset_text(cert, inst.complex)} "
                  f"margin={cert.worst_margin:.12g}")
-        print(f"{path.name}: error: numerical failure: {exc}{proof}",
+        print(f"{path.name}: error: numerical failure: {failure}{proof}",
               file=sys.stderr)
         return EXIT_BUDGET
 
@@ -170,19 +185,35 @@ def cmd_solve(args) -> int:
     files = sorted(target.glob("*.icp"))
     if not files:
         raise ParseError(f"no *.icp instances in {target}")
+    trace_dir = Path(args.trace) if args.trace else None
+    solution_dir = Path(args.solution) if args.solution else None
+    for d in (trace_dir, solution_dir):
+        if d is not None:
+            try:
+                d.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ParseError(f"cannot write {d}: {exc.strerror or exc}") \
+                    from exc
     codes = []
     for path in files:
-        trace_path = solution_path = None
-        if args.trace:
-            d = Path(args.trace)
-            d.mkdir(parents=True, exist_ok=True)
-            trace_path = d / (path.stem + ".trace.tsv")
-        if args.solution:
-            d = Path(args.solution)
-            d.mkdir(parents=True, exist_ok=True)
-            solution_path = d / (path.stem + ".solution.txt")
+        trace_path = (None if trace_dir is None
+                      else trace_dir / (path.stem + ".trace.tsv"))
+        solution_path = (None if solution_dir is None
+                         else solution_dir / (path.stem + ".solution.txt"))
         codes.append(_worker(path, args, trace_path, solution_path))
     return max(codes)
+
+
+def _seed(text: str) -> int:
+    """A start-coordinate seed: an integer key of the Philox generator."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise argparse.ArgumentTypeError(
+            f"seed {text} lies outside [0, 2**64)")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solution", help="write the solution report here")
     p.add_argument("--report-geometry", action="store_true",
                    help="also print cone angles of the solved pattern")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_seed, default=None,
                    help="randomize the start coordinates (overrides [initial_k])")
     p.set_defaults(func=cmd_solve)
     return parser

@@ -26,6 +26,18 @@ from .surface import Prescription, SurfaceComplex
 RADIUS_CLAMP = 1e-12
 K_CLAMP = math.log(1.0 / math.tan(RADIUS_CLAMP))
 
+# The ceiling on the spectrum of J that bounds explicit flow steps is
+# exact (dense J and eigvalsh) up to LANCZOS_CUT vertices and a
+# LANCZOS_STEPS-step Lanczos bound on ``jvp`` above it.  On torus grids
+# (one BLAS thread) the dense J plus eigvalsh costs 29 us at V=9, 122 us at
+# V=36, 244 us at V=64 and 1.6 ms at V=144; a warm-started 6-step Lanczos
+# costs 150-170 us from V=36 to V=144.  The crossover lies between V=36
+# and V=64; the cut sits at its top, because below it a step saves at most
+# about 80 us, and an exact ceiling also gives a traced run its min_eig
+# column for free.
+LANCZOS_CUT = 64
+LANCZOS_STEPS = 6
+
 
 @dataclass(frozen=True)
 class CurvatureState:
@@ -118,6 +130,46 @@ class CurvatureState:
     @property
     def max_eigenvalue(self) -> float:
         return float(self.eigenvalues[-1])
+
+
+def max_eigenvalue_ceiling(state: CurvatureState,
+                           start: np.ndarray | None = None
+                           ) -> tuple[float, np.ndarray | None]:
+    """A ceiling on the largest eigenvalue of J, and a start vector for
+    the next call.
+
+    Up to LANCZOS_CUT vertices this is ``state.max_eigenvalue``, exact and
+    cached on the state, and the returned vector is None.  Above the cut
+    it is LANCZOS_STEPS steps of Lanczos on ``state.jvp`` with full
+    reorthogonalization, started from ``start`` (a fixed pseudo-random
+    vector when None): the top Ritz value theta plus the residual norm
+    |beta_k s_k| of its Ritz pair, which bounds the distance from theta to
+    the nearest eigenvalue.  The Ritz vector is returned as the start of
+    the next call, so along a flow each run refines the previous one.
+    Only ``jvp`` is used; the dense J is never built.
+    """
+    n = state.complex.n_vertices
+    if n <= LANCZOS_CUT:
+        return state.max_eigenvalue, None
+    if start is None:
+        start = np.random.Generator(np.random.Philox(key=0)).random(n) - 0.5
+    Q = np.empty((LANCZOS_STEPS, n))
+    T = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))
+    Q[0] = start / math.sqrt(start @ start)
+    for j in range(LANCZOS_STEPS):
+        w = state.jvp(Q[j])
+        h = Q[:j + 1] @ w
+        w -= h @ Q[:j + 1]
+        T[j, j] = h[j]
+        beta = math.sqrt(w @ w)
+        # An invariant subspace: its Ritz values are eigenvalues.
+        if j + 1 == LANCZOS_STEPS or beta <= 1e-12 * abs(h[j]):
+            break
+        T[j, j + 1] = T[j + 1, j] = beta
+        Q[j + 1] = w / beta
+    m = j + 1
+    theta, s = np.linalg.eigh(T[:m, :m])
+    return float(theta[-1] + abs(beta * s[-1, -1])), s[:, -1] @ Q[:m]
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:

@@ -38,13 +38,15 @@ class QuadratureError(ArithmeticError):
 class NonConvergenceError(RuntimeError):
     """An iterative solver failed to reach its tolerance.
 
-    A run that diverged although the prescription is feasible carries the
+    A failed flow run carries its trace up to the failure.  A run that
+    diverged although the prescription is feasible also carries the
     feasibility certificate that proved it.
     """
 
-    def __init__(self, message: str, certificate=None):
+    def __init__(self, message: str, certificate=None, trace=None):
         super().__init__(message)
         self.certificate = certificate
+        self.trace = trace
 
 
 class IntegrationError(RuntimeError):

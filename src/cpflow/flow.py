@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .curvature import (K_CLAMP, CurvatureState, evaluate,
-                        prescribed_calabi_energy)
+from .curvature import (K_CLAMP, LANCZOS_CUT, CurvatureState, evaluate,
+                        max_eigenvalue_ceiling, prescribed_calabi_energy)
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError)
 from .feasibility import FeasibilityVerdict, check_mincut
@@ -43,6 +43,8 @@ INTEGRATORS = ("rk4", "rkf45")
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_BUDGET = "budget-exhausted"
+# Only on the trace carried by an IntegrationError or NonConvergenceError.
+VERDICT_FAILED = "numerical-failure"
 
 
 @dataclass(frozen=True)
@@ -75,9 +77,11 @@ class FlowConfig:
 class FlowSample:
     """One accepted integration state.
 
-    ``min_eig`` is set only when the run computed the spectrum of J at this
-    state anyway (the adaptive step cap); otherwise it is None and trace
-    writers compute it from K.
+    ``min_eig`` is set only when the run computed the exact spectrum of J
+    at this state anyway: the adaptive step ceiling at up to LANCZOS_CUT
+    vertices.  Otherwise (rk4, Newton, a final state, or a larger complex,
+    whose ceiling comes from Lanczos) it is None and trace writers compute
+    it exactly from K.
     """
 
     t: float
@@ -165,7 +169,8 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     radius-interval boundary entirely.  Raises InputError when K0 lies past
     the clamp, IntegrationError on step-size underflow, and
     NonConvergenceError when Newton finds no descent or a run diverges
-    although the prescription is feasible.
+    although the prescription is feasible.  Either error carries the trace
+    up to the failure, with the verdict VERDICT_FAILED.
     """
     trace = _run(complex, prescription, K0, config)
     if trace.verdict != VERDICT_CONVERGED:
@@ -173,9 +178,11 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
         if trace.verdict == VERDICT_DIVERGED and cert.feasible:
             # Only infeasibility can make the exact flow diverge, so this is
             # the integrator failing, not a certificate of infeasibility.
+            trace.verdict = VERDICT_FAILED
             raise NonConvergenceError(
                 "flow diverged although the prescription is feasible "
-                f"(worst margin {cert.worst_margin:.12g})", certificate=cert)
+                f"(worst margin {cert.worst_margin:.12g})", certificate=cert,
+                trace=trace)
         if not cert.feasible:
             trace.certificate = cert
     return trace
@@ -203,33 +210,40 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
         states = _newton_states(complex, prescription, K0)
         budget, max_time = config.newton_max_iters, math.inf
     else:
-        states = _ode_states(complex, prescription, K0, config, trace)
+        states = _ode_states(complex, prescription, K0, config)
         budget, max_time = config.max_iters, config.max_time
-    # The adaptive integrator reads the spectrum of J at every state it
-    # steps from, so the sample of such a state records its smallest
-    # eigenvalue; a final state gets none.
-    spectral = config.method != "newton" and config.integrator == "rkf45"
-    for steps, (t, state, speed) in enumerate(states):
-        err_inf = float(np.abs(state.L - prescription.lhat).max())
-        clamped = state.clamped
-        if err_inf < config.tol_curvature:
-            verdict = VERDICT_CONVERGED
-        elif clamped:
-            verdict = VERDICT_DIVERGED
-        elif steps >= budget or t >= max_time:
-            verdict = VERDICT_BUDGET
-        else:
-            verdict = None
-        trace.samples.append(FlowSample(
-            t=t, K=state.K.copy(), err_inf=err_inf,
-            energy=prescribed_calabi_energy(state.L, prescription),
-            speed=speed,
-            min_eig=(state.min_eigenvalue if spectral and verdict is None
-                     else None),
-            clamped=clamped,
-        ))
-        if verdict is not None:
-            return _finish(trace, verdict)
+    # Up to LANCZOS_CUT vertices the adaptive integrator's step ceiling
+    # reads the exact spectrum of J at every state it steps from, so the
+    # sample of such a state records its smallest eigenvalue; a final state
+    # gets none.
+    spectral = (config.method != "newton" and config.integrator == "rkf45"
+                and complex.n_vertices <= LANCZOS_CUT)
+    try:
+        for steps, (t, state, speed) in enumerate(states):
+            err_inf = float(np.abs(state.L - prescription.lhat).max())
+            clamped = state.clamped
+            if err_inf < config.tol_curvature:
+                verdict = VERDICT_CONVERGED
+            elif clamped:
+                verdict = VERDICT_DIVERGED
+            elif steps >= budget or t >= max_time:
+                verdict = VERDICT_BUDGET
+            else:
+                verdict = None
+            trace.samples.append(FlowSample(
+                t=t, K=state.K.copy(), err_inf=err_inf,
+                energy=prescribed_calabi_energy(state.L, prescription),
+                speed=speed,
+                min_eig=(state.min_eigenvalue if spectral and verdict is None
+                         else None),
+                clamped=clamped,
+            ))
+            if verdict is not None:
+                return _finish(trace, verdict)
+    except (IntegrationError, NonConvergenceError) as exc:
+        trace.verdict = VERDICT_FAILED
+        exc.trace = trace
+        raise
 
 
 def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
@@ -264,11 +278,13 @@ _RKF_STAB = 3.2
 
 
 def _ode_states(complex: SurfaceComplex, prescription: Prescription,
-                K0: np.ndarray, config: FlowConfig, trace: FlowTrace):
+                K0: np.ndarray, config: FlowConfig):
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
-    The adaptive integrator reads the spectrum of J at each state it steps
-    from (cached on the state, so the caller's sample can record it).
+    The adaptive integrator bounds each step by ``max_eigenvalue_ceiling``
+    at the state it steps from; up to LANCZOS_CUT vertices that is the
+    exact spectrum, cached on the state, so the caller's sample can record
+    it.
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -281,6 +297,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     t = 0.0
     K = K0.copy()
     h = config.step
+    ritz = None
     while True:
         state = evaluate(complex, K)
         f0 = direction(state)
@@ -295,18 +312,19 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             K = K + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h_step
         else:
-            # Linear-stability ceiling from the current spectrum: the flow
-            # Jacobian is about -J^2 (calabi) or -J (curvature), so holding
-            # h below the explicit stability limit keeps the local error
-            # shrinking with the residual instead of riding the boundary.
-            lam = state.max_eigenvalue
+            # Linear-stability ceiling from the top of the spectrum: the
+            # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
+            # holding h below the explicit stability limit keeps the local
+            # error shrinking with the residual instead of riding the
+            # boundary.
+            lam, ritz = max_eigenvalue_ceiling(state, ritz)
             cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
             h = min(h, cap, config.max_time - t)
             K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
-                                  config.tol_ode, trace)
+                                  config.tol_ode)
 
 
-def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
+def _rkf45_step(complex, direction, K, f0, t, h, tol):
     """Advance one accepted Fehlberg step, shrinking h as needed.
 
     The six stage derivatives are the rows of one (6, V) array, so each
@@ -326,9 +344,7 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol, trace):
         h *= max(0.1, 0.9 * (tol / err) ** 0.2)
         if h < _MIN_STEP:
             raise IntegrationError(
-                f"step size underflow at t={t:g} (local error {err:g})",
-                trace=trace,
-            )
+                f"step size underflow at t={t:g} (local error {err:g})")
 
 
 # ----------------------------------------------------------------------

@@ -204,6 +204,51 @@ class TestSolve:
         assert [l.split()[0] for l in out.splitlines()] == [
             "a.icp:", "b.icp:", "c.icp:", "d.icp:"]
 
+    @pytest.mark.parametrize("seed", ["-1", "99999999999999999999999",
+                                      "18446744073709551616"])
+    def test_seed_out_of_range_rejected(self, tetra_file, capsys, seed):
+        assert main(["solve", tetra_file, f"--seed={seed}"]) == 2
+        assert "argument --seed: seed " + seed + " lies outside [0, 2**64)" \
+            in capsys.readouterr().err
+
+    def test_largest_seed_accepted(self, tetra_file):
+        assert main(["solve", tetra_file, "--seed", str(2 ** 64 - 1)]) == 0
+
+    @pytest.mark.parametrize("flag", ["--trace", "--solution"])
+    def test_unwritable_output_path(self, tetra_file, tmp_path, capsys, flag):
+        target = tmp_path / "missing" / "out.txt"
+        assert main(["solve", tetra_file, flag, str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"tetra.icp: error: cannot write {target}: "
+                       "No such file or directory\n")
+
+    def test_batch_continues_past_an_unwritable_output(self, tmp_path, capsys):
+        for stem in ("a", "b", "c"):
+            write_instance(tmp_path / f"{stem}.icp", fixtures.tetrahedron(),
+                           Prescription(np.full(4, L_REF)),
+                           initial_k=np.zeros(4))
+        traces = tmp_path / "traces"
+        (traces / "b.trace.tsv").mkdir(parents=True)
+        code = main(["solve", str(tmp_path), "--trace", str(traces)])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert err == (f"b.icp: error: cannot write {traces / 'b.trace.tsv'}: "
+                       "Is a directory\n")
+        assert [l.split()[:2] for l in out.splitlines()] == [
+            ["a.icp:", "converged"], ["c.icp:", "converged"]]
+        assert (traces / "a.trace.tsv").is_file()
+        assert (traces / "c.trace.tsv").is_file()
+
+    def test_batch_output_directory_unwritable(self, tmp_path, capsys):
+        write_instance(tmp_path / "a.icp", fixtures.tetrahedron(),
+                       Prescription(np.full(4, L_REF)), initial_k=np.zeros(4))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["solve", str(tmp_path), "--trace", str(blocker)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {blocker}: ")
+
     def test_batch_exit_code_is_worst(self, tmp_path):
         tetra = fixtures.tetrahedron()
         write_instance(tmp_path / "good.icp", tetra,
@@ -285,6 +330,21 @@ class TestHonestVerdicts:
         assert err == ("tetra.icp: error: numerical failure: flow diverged "
                        "although the prescription is feasible "
                        "(worst margin -2.79055592154)\n")
+
+    @pytest.mark.parametrize("lhat_d, flags, rows", [
+        (3.9, ["--integrator", "rk4", "--step", "1e300"], 2),
+        (9.5, ["--method", "newton"], None),
+    ], ids=["diverged-feasible", "newton-no-descent"])
+    def test_failed_solve_writes_its_partial_trace(self, tmp_path, capsys,
+                                                    lhat_d, flags, rows):
+        path = self.tetra_with(tmp_path, lhat_d)
+        trace = tmp_path / "t.tsv"
+        assert main(["solve", path, "--trace", str(trace)] + flags) == 4
+        assert "numerical failure" in capsys.readouterr().err
+        lines = trace.read_text().splitlines()
+        assert "# verdict numerical-failure" in lines
+        body = [l for l in lines if not l.startswith("#")]
+        assert len(body) >= 1 and (rows is None or len(body) == rows)
 
     def test_failed_solve_computes_one_min_cut(self, tmp_path, monkeypatch):
         calls = []

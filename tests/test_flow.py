@@ -11,6 +11,7 @@ from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
                     Prescription, calabi_direction, curvature_rhs, evaluate,
                     fit_decay_rate, fixtures, make_synthetic, newton_solve,
                     potential, r_to_k, run, velocity_bound)
+from cpflow.curvature import LANCZOS_CUT, max_eigenvalue_ceiling
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, single_vertex_violator
 
@@ -24,6 +25,30 @@ def tetra():
 def planted(tetra):
     """Target curvatures planted at the coordinate origin."""
     return Prescription(evaluate(tetra, np.zeros(4)).L.copy())
+
+
+def count_computed(monkeypatch, prop: str) -> list:
+    """Collects every state whose cached property ``prop`` is computed
+    while the test runs."""
+    calls = []
+    original = getattr(CurvatureState, prop)
+
+    def counted(state):
+        calls.append(state)
+        return original.func(state)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(CurvatureState, prop)
+    monkeypatch.setattr(CurvatureState, prop, spy)
+    return calls
+
+
+def torus_start(side: int, seed: int):
+    """A planted torus grid and a start within 0.3 of its solution."""
+    c = fixtures.torus_grid(side, side, phi=1.3)
+    inst = make_synthetic(c, seed=seed, k_range=(-1.0, 1.0))
+    k0 = inst.kbar + rng_for(seed + 1).uniform(-0.3, 0.3, c.n_vertices)
+    return c, inst.prescription, k0
 
 
 class TestRightHandSides:
@@ -131,6 +156,9 @@ class TestRun:
         assert str(exc_info.value) == (
             "flow diverged although the prescription is feasible "
             "(worst margin -2.79055592154)")
+        trace = exc_info.value.trace
+        assert trace.verdict == "numerical-failure"
+        assert [s.clamped for s in trace.samples] == [False, True]
 
     def test_start_past_the_clamp_rejected(self, tetra, planted):
         with pytest.raises(InputError, match="K0 lies past the radius clamp"):
@@ -176,6 +204,7 @@ class TestRun:
             run(tetra, planted, np.array([1.0, 0.0, 0.0, 0.0]), cfg)
         assert exc_info.value.trace is not None
         assert len(exc_info.value.trace.samples) >= 1
+        assert exc_info.value.trace.verdict == "numerical-failure"
 
     def test_budget_verdict(self, tetra, planted):
         cfg = FlowConfig(max_iters=3)
@@ -237,17 +266,7 @@ class TestSpectrumOnDemand:
     @pytest.fixture
     def spectra(self, monkeypatch):
         """Counts the spectra computed while the test runs."""
-        calls = []
-        original = CurvatureState.eigenvalues
-
-        def counted(state):
-            calls.append(state)
-            return original.func(state)
-
-        spy = functools.cached_property(counted)
-        spy.__set_name__(CurvatureState, "eigenvalues")
-        monkeypatch.setattr(CurvatureState, "eigenvalues", spy)
-        return calls
+        return count_computed(monkeypatch, "eigenvalues")
 
     @pytest.mark.parametrize("config", [
         FlowConfig(method="newton"),
@@ -271,6 +290,53 @@ class TestSpectrumOnDemand:
         for sample in trace.samples[:-1]:
             assert sample.min_eig == evaluate(tetra, sample.K).min_eigenvalue
         assert trace.final.min_eig is None
+
+    @pytest.mark.parametrize("method", ["calabi", "curvature"])
+    def test_adaptive_run_above_the_cut_builds_no_dense_jacobian(
+            self, spectra, monkeypatch, method):
+        dense = count_computed(monkeypatch, "J")
+        c, prescription, k0 = torus_start(10, seed=83)
+        assert c.n_vertices > LANCZOS_CUT
+        trace = run(c, prescription, k0, FlowConfig(method=method))
+        assert trace.verdict == "converged"
+        assert spectra == [] and dense == []
+        assert all(s.min_eig is None for s in trace.samples)
+
+
+class TestLanczosCeiling:
+    """Above LANCZOS_CUT vertices the RKF45 step ceiling is a Lanczos bound
+    on the largest eigenvalue of J."""
+
+    @pytest.mark.parametrize("side", [10, 12])
+    @pytest.mark.parametrize("method", ["calabi", "curvature"])
+    def test_tracks_the_exact_ceiling(self, monkeypatch, side, method):
+        c, prescription, k0 = torus_start(side, seed=85)
+        config = FlowConfig(method=method)
+        ceilings = []
+
+        def recorded(state, start):
+            lam, ritz = max_eigenvalue_ceiling(state, start)
+            ceilings.append((lam, state))
+            return lam, ritz
+
+        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling", recorded)
+        lanczos = run(c, prescription, k0, config)
+        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling",
+                            lambda state, start: (state.max_eigenvalue, None))
+        exact = run(c, prescription, k0, config)
+        assert lanczos.verdict == exact.verdict == "converged"
+        assert len(ceilings) == len(lanczos.samples) - 1
+        for lam, state in ceilings:
+            assert abs(lam / state.max_eigenvalue - 1.0) <= 0.05
+        steps = len(exact.samples) - 1
+        assert abs(len(lanczos.samples) - 1 - steps) <= 0.01 * steps
+
+    def test_exact_up_to_the_cut(self):
+        c, prescription, k0 = torus_start(8, seed=87)
+        state = evaluate(c, k0)
+        assert c.n_vertices == LANCZOS_CUT
+        assert max_eigenvalue_ceiling(state) == (
+            state.max_eigenvalue, None)
 
 
 class TestNewton:
@@ -328,24 +394,16 @@ class TestNewton:
     def test_failed_backtrack_raises(self, tetra):
         # infeasible (margin +2.809): no step length reduces the error
         bad = Prescription(np.array([4.053, 4.053, 4.053, 9.5]))
-        with pytest.raises(NonConvergenceError, match="backtracking"):
+        with pytest.raises(NonConvergenceError, match="backtracking") as exc_info:
             run(tetra, bad, np.zeros(4), FlowConfig(method="newton"))
+        assert exc_info.value.trace.verdict == "numerical-failure"
 
 
 class TestMatrixFreeNewton:
     """Newton solves its linear systems by conjugate gradients on ``jvp``."""
 
     def test_newton_never_builds_the_dense_jacobian(self, monkeypatch):
-        reads = []
-        original = CurvatureState.J
-
-        def counted(state):
-            reads.append(state)
-            return original.func(state)
-
-        spy = functools.cached_property(counted)
-        spy.__set_name__(CurvatureState, "J")
-        monkeypatch.setattr(CurvatureState, "J", spy)
+        reads = count_computed(monkeypatch, "J")
         c = fixtures.torus_grid(6, 6, phi=1.3)
         inst = make_synthetic(c, seed=73)
         k0 = inst.kbar + rng_for(74).uniform(-0.5, 0.5, c.n_vertices)

@@ -171,16 +171,30 @@ class TestReports:
         write_trace(b, trace2, inst.complex, inst.prescription, config2)
         assert a.getvalue() == b.getvalue()
 
-    @pytest.mark.parametrize("integrator", ["rk4", "rkf45"])
-    def test_min_eig_column_is_the_spectrum_at_each_row(self, integrator):
-        # rk4 samples leave min_eig to the writer; rkf45 samples carry the
-        # spectrum of their step cap, except the last one.
-        inst = parse_instance(TETRA_DOC)
-        config = FlowConfig(integrator=integrator, step=0.05, tol_curvature=1e-9)
-        trace = run(inst.complex, inst.prescription,
-                    np.array([0.4, -0.3, 0.2, 0.0]), config)
+    @pytest.mark.parametrize("integrator, side", [
+        ("rk4", None), ("rkf45", None), ("rkf45", 10),
+    ], ids=["rk4", "rkf45", "rkf45-torus10x10"])
+    def test_min_eig_column_is_the_spectrum_at_each_row(self, integrator, side):
+        # rk4 samples leave min_eig to the writer; rkf45 samples on the
+        # tetrahedron carry the exact spectrum of their step ceiling, except
+        # the last one; on the 10x10 torus the ceiling comes from Lanczos,
+        # so the writer fills every row.
+        if side is None:
+            inst = parse_instance(TETRA_DOC)
+            complex, prescription = inst.complex, inst.prescription
+            k0 = np.array([0.4, -0.3, 0.2, 0.0])
+            method = "calabi"
+        else:
+            complex = fixtures.torus_grid(side, side, phi=1.3)
+            planted = make_synthetic(complex, seed=81, k_range=(-1.0, 1.0))
+            prescription = planted.prescription
+            k0 = planted.kbar + 0.3
+            method = "curvature"
+        config = FlowConfig(method=method, integrator=integrator, step=0.05,
+                            tol_curvature=1e-9)
+        trace = run(complex, prescription, k0, config)
         buf = io.StringIO()
-        write_trace(buf, trace, inst.complex, inst.prescription, config)
+        write_trace(buf, trace, complex, prescription, config)
         lines = buf.getvalue().splitlines()
         columns = next(l for l in lines if l.startswith("# columns ")).split()[2:]
         k_cols = [i for i, name in enumerate(columns) if name.startswith("K[")]
@@ -188,7 +202,7 @@ class TestReports:
         assert len(rows) == len(trace.samples) > 1
         for row in rows:
             K = np.array([float(row[i]) for i in k_cols])
-            expected = evaluate(inst.complex, K).min_eigenvalue
+            expected = evaluate(complex, K).min_eigenvalue
             assert float(row[columns.index("min_eig")]) == expected
 
     def test_solution_file(self):
