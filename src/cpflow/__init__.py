@@ -13,8 +13,7 @@ from .errors import (DomainError, InputError, IntegrationError,
                      SizeError)
 from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
 from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
-                   calabi_direction, curvature_rhs, fit_decay_rate,
-                   newton_solve, run)
+                   calabi_direction, curvature_rhs, fit_decay_rate, run)
 from .geometry import (EdgeSideGeometry, edge_side_geometry, k_to_r,
                        quad_angle, r_to_k, side_curvature)
 from .instancefile import (Instance, instance_digest, parse_instance,
@@ -35,7 +34,7 @@ __all__ = [
     "check_bruteforce", "check_mincut", "curvature_rhs", "degree",
     "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",
     "fd_jacobian", "fit_decay_rate", "k_to_r", "make_synthetic",
-    "newton_solve", "potential", "prescribed_calabi_energy", "quad_angle",
+    "potential", "prescribed_calabi_energy", "quad_angle",
     "r_to_k", "relative_error", "rng_for", "run", "side_curvature",
     "validate", "velocity_bound", "instance_digest", "parse_instance",
     "serialize_instance",

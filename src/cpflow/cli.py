@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .curvature import evaluate
-from .errors import (InputError, IntegrationError, NonConvergenceError,
-                     ParseError, SizeError)
+from .errors import InputError, ParseError
 # check_bruteforce is not called here; it stays importable from this module
 # because the benchmark's tracer counts calls through this name.
 from .feasibility import (FeasibilityVerdict, check_bruteforce,  # noqa: F401
@@ -37,9 +36,6 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DIVERGED = 3
 EXIT_BUDGET = 4
-
-# Failures of the numerics rather than of the input; reported per file.
-NUMERICAL_ERRORS = (IntegrationError, NonConvergenceError, np.linalg.LinAlgError)
 
 
 def _load(path: Path) -> Instance:
@@ -106,15 +102,10 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     else:
         k0 = np.zeros(n)
 
-    failure = None
+    trace = run(inst.complex, inst.prescription, k0, config)
+    failure = trace.failure
     try:
-        trace = run(inst.complex, inst.prescription, k0, config)
-    except NUMERICAL_ERRORS as exc:
-        # A failed run carries its trace up to the failure, if it has one;
-        # its verdict reads numerical-failure.
-        failure, trace = exc, getattr(exc, "trace", None)
-    try:
-        if trace_path is not None and trace is not None:
+        if trace_path is not None:
             target = trace_path
             with open(trace_path, "w") as fh:
                 write_trace(fh, trace, inst.complex, inst.prescription, config)
@@ -127,16 +118,14 @@ def _solve_one(path: Path, args, trace_path: Path | None,
               f"{exc.strerror or exc}", file=sys.stderr)
         if failure is None:
             return EXIT_PARSE
-    except NUMERICAL_ERRORS as exc:
+    except np.linalg.LinAlgError as exc:
+        # The trace's min_eig column can need a spectrum the run never took.
         failure = exc
     if failure is not None:
-        # A failure on an infeasible prescription says why: one max flow
-        # proves it and names the violated subset.  A run that diverged on a
-        # feasible prescription has computed it already.
-        cert = getattr(failure, "certificate", None)
-        if cert is None:
-            cert = check_mincut(inst.complex, inst.prescription)
-        proof = ("" if cert.feasible else
+        # A failure on an infeasible prescription says why: the run's
+        # certificate names the violated subset.
+        cert = trace.certificate
+        proof = ("" if cert is None else
                  f"; prescription infeasible: subset="
                  f"{_subset_text(cert, inst.complex)} "
                  f"margin={cert.worst_margin:.12g}")
@@ -168,7 +157,7 @@ def _worker(path: Path, args, trace_path: Path | None,
             solution_path: Path | None) -> int:
     try:
         return _solve_one(path, args, trace_path, solution_path)
-    except (ParseError, InputError, SizeError) as exc:
+    except (ParseError, InputError) as exc:
         print(f"{path.name}: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -261,10 +250,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (InputError, SizeError) as exc:
+    except (ParseError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

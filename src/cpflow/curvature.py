@@ -18,7 +18,7 @@ import numpy as np
 
 from . import geometry
 from .errors import InputError, QuadratureError
-from .surface import Prescription, SurfaceComplex
+from .surface import Prescription, SurfaceComplex, check_instance
 
 # Radii are clamped to this closed interval so that diagnostics stay
 # finite during divergent runs (K -> +-inf); in K-space the clamp is
@@ -178,8 +178,7 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     Every vertex quantity is a sum over the edge list, accumulated with
     ``np.bincount`` in O(E); parallel edges accumulate.
     """
-    if not complex.is_valid:
-        raise InputError("invalid complex: " + "; ".join(complex.violations))
+    check_instance(complex)
     K = np.array(K, dtype=float)
     n = complex.n_vertices
     if K.shape != (n,):
@@ -238,10 +237,7 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
         4 sqrt(|V|) max_v(d_v pi + sum_{e at v} 1/sin phi_e)
                     max_v(2 d_v pi + Lhat_v)
     """
-    if not complex.is_valid:
-        raise InputError("invalid complex: " + "; ".join(complex.violations))
-    if len(prescription) != complex.n_vertices:
-        raise InputError("prescription length does not match complex")
+    check_instance(complex, prescription)
     inv_sin = 1.0 / complex.sin_phi
     s = np.bincount(complex.flat_ends, np.concatenate((inv_sin, inv_sin)),
                     complex.n_vertices)
@@ -296,8 +292,7 @@ def potential(complex: SurfaceComplex, prescription: Prescription, K,
     base = np.asarray(base, dtype=float)
     if K.shape != base.shape or K.shape != (complex.n_vertices,):
         raise InputError("K and base must be coordinate vectors on the complex")
-    if len(prescription) != complex.n_vertices:
-        raise InputError("prescription length does not match complex")
+    check_instance(complex, prescription)
     direction = K - base
     if not np.any(direction):
         return 0.0

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+``flow.run`` catches IntegrationError and NonConvergenceError and returns
+them as the verdict ``numerical-failure``.
+"""
 
 
 class DomainError(ValueError):
@@ -36,25 +40,8 @@ class QuadratureError(ArithmeticError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance.
-
-    A failed flow run carries its trace up to the failure.  A run that
-    diverged although the prescription is feasible also carries the
-    feasibility certificate that proved it.
-    """
-
-    def __init__(self, message: str, certificate=None, trace=None):
-        super().__init__(message)
-        self.certificate = certificate
-        self.trace = trace
+    """An iterative solver failed to reach its tolerance."""
 
 
 class IntegrationError(RuntimeError):
-    """The ODE integrator could not proceed (step-size underflow).
-
-    Carries the partial trace accumulated up to the failure point.
-    """
-
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """The ODE integrator could not proceed (step-size underflow)."""

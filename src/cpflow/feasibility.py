@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, SizeError
-from .surface import Prescription, SurfaceComplex
+from .errors import SizeError
+from .surface import Prescription, SurfaceComplex, check_instance
 
 BRUTEFORCE_LIMIT = 24
 # Margins this close to zero sit on the boundary where the strict
@@ -70,13 +70,6 @@ class FeasibilityVerdict:
 
     def subset_names(self, complex: SurfaceComplex) -> tuple[str, ...]:
         return tuple(complex.vertex_names[v] for v in sorted(self.worst_subset))
-
-
-def _check_instance(complex: SurfaceComplex, prescription: Prescription) -> None:
-    if not complex.is_valid:
-        raise InputError("invalid complex: " + "; ".join(complex.violations))
-    if len(prescription) != complex.n_vertices:
-        raise InputError("prescription length does not match complex")
 
 
 def _margin_of(complex: SurfaceComplex, prescription: Prescription,
@@ -105,7 +98,7 @@ def _verdict(complex: SurfaceComplex, prescription: Prescription,
 def check_bruteforce(complex: SurfaceComplex,
                      prescription: Prescription) -> FeasibilityVerdict:
     """Exact maximization of the subset margin over all 2^n - 1 subsets."""
-    _check_instance(complex, prescription)
+    check_instance(complex, prescription)
     n = complex.n_vertices
     if n > BRUTEFORCE_LIMIT:
         raise SizeError(f"{n} vertices exceeds the enumeration guard of "
@@ -142,7 +135,7 @@ def check_mincut(complex: SurfaceComplex,
     """Exact maximization of the subset margin by max-flow (see the module
     docstring): one max flow settles an infeasible prescription, and a
     feasible one takes a pruned round per vertex from that flow."""
-    _check_instance(complex, prescription)
+    check_instance(complex, prescription)
     net = _ClosureNetwork(complex, prescription.lhat)
     net.max_flow()
     closure = net.source_vertices()

@@ -17,8 +17,9 @@ with a violating-subset certificate.  A damped inexact Newton iteration
 on the same fixed-point equation is provided for fast polishing; it
 solves each linear system by Jacobi-preconditioned conjugate gradients on
 the matrix-free J and never builds the dense V x V Jacobian.  Every method
-is a generator of states; ``run`` alone applies the stop rule and the
-verdict, and raises when a run diverges on a feasible prescription.
+is a generator of states; ``run`` alone applies the stop rule and sets
+every verdict.  A numerical failure is one more verdict: ``run`` catches
+the generators' errors and returns the message on the trace.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .curvature import (K_CLAMP, LANCZOS_CUT, CurvatureState, evaluate,
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError)
 from .feasibility import FeasibilityVerdict, check_mincut
-from .surface import Prescription, SurfaceComplex
+from .surface import Prescription, SurfaceComplex, check_instance
 
 METHODS = ("calabi", "curvature", "newton")
 INTEGRATORS = ("rk4", "rkf45")
@@ -43,7 +44,6 @@ INTEGRATORS = ("rk4", "rkf45")
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_BUDGET = "budget-exhausted"
-# Only on the trace carried by an IntegrationError or NonConvergenceError.
 VERDICT_FAILED = "numerical-failure"
 
 
@@ -102,6 +102,7 @@ class FlowTrace:
     verdict: str = VERDICT_BUDGET
     fitted_rate: float | None = None
     certificate: FeasibilityVerdict | None = None
+    failure: str | None = None      # the message of a VERDICT_FAILED run
 
     @property
     def final(self) -> FlowSample:
@@ -155,46 +156,28 @@ def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.
 def run(complex: SurfaceComplex, prescription: Prescription, K0,
         config: FlowConfig | None = None) -> FlowTrace:
     """Run the configured method from K0 until it converges, diverges,
-    or exhausts its budget.
+    exhausts its budget, or fails numerically.
 
     The trace is sampled at the start and at every accepted step (Newton:
     every iteration, with t the iteration count).  Convergence means
     ||L - Lhat||_inf dropped below ``tol_curvature``; divergence means
     some |K_v| crossed the radius clamp K_CLAMP.  The budget is
     ``max_iters`` steps or ``max_time`` for the flows and
-    ``newton_max_iters`` iterations for Newton.  A run that does not
-    converge carries a violating-subset certificate exactly when the
-    prescription is infeasible.  The curvature flow is integrated in
-    K-space through the identity dK/dt = -(L - Lhat), which avoids the
-    radius-interval boundary entirely.  Raises InputError when K0 lies past
-    the clamp, IntegrationError on step-size underflow, and
-    NonConvergenceError when Newton finds no descent or a run diverges
-    although the prescription is feasible.  Either error carries the trace
-    up to the failure, with the verdict VERDICT_FAILED.
+    ``newton_max_iters`` iterations for Newton.  The curvature flow is
+    integrated in K-space through the identity dK/dt = -(L - Lhat), which
+    avoids the radius-interval boundary entirely.
+
+    A step-size underflow, a Newton iteration with no descent, a failed
+    linear solve or a failed LAPACK call ends the run with the verdict
+    VERDICT_FAILED and the message in ``failure``; so does a divergence on
+    a feasible prescription.  A run that does not converge carries a
+    violating-subset certificate exactly when the prescription is
+    infeasible.  Raises only InputError, on bad input or a K0 past the
+    clamp.
     """
-    trace = _run(complex, prescription, K0, config)
-    if trace.verdict != VERDICT_CONVERGED:
-        cert = check_mincut(complex, prescription)
-        if trace.verdict == VERDICT_DIVERGED and cert.feasible:
-            # Only infeasibility can make the exact flow diverge, so this is
-            # the integrator failing, not a certificate of infeasibility.
-            trace.verdict = VERDICT_FAILED
-            raise NonConvergenceError(
-                "flow diverged although the prescription is feasible "
-                f"(worst margin {cert.worst_margin:.12g})", certificate=cert,
-                trace=trace)
-        if not cert.feasible:
-            trace.certificate = cert
-    return trace
-
-
-def _run(complex: SurfaceComplex, prescription: Prescription, K0,
-         config: FlowConfig | None) -> FlowTrace:
-    """``run`` without the certificate: the stop rule and the verdict."""
     if config is None:
         config = FlowConfig()
-    if not complex.is_valid:
-        raise InputError("invalid complex: " + "; ".join(complex.violations))
+    check_instance(complex)
     K0 = np.asarray(K0, dtype=float)
     if K0.shape != (complex.n_vertices,):
         raise InputError(f"K0 must have length {complex.n_vertices}")
@@ -202,8 +185,7 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
         raise InputError("K0 must be finite")
     if np.any(np.abs(K0) > K_CLAMP):
         raise InputError("K0 lies past the radius clamp")
-    if len(prescription) != complex.n_vertices:
-        raise InputError("prescription length does not match complex")
+    check_instance(complex, prescription)
 
     trace = FlowTrace(method=config.method)
     if config.method == "newton":
@@ -239,14 +221,10 @@ def _run(complex: SurfaceComplex, prescription: Prescription, K0,
                 clamped=clamped,
             ))
             if verdict is not None:
-                return _finish(trace, verdict)
-    except (IntegrationError, NonConvergenceError) as exc:
-        trace.verdict = VERDICT_FAILED
-        exc.trace = trace
-        raise
-
-
-def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
+                break
+    except (IntegrationError, NonConvergenceError,
+            np.linalg.LinAlgError) as exc:
+        verdict, trace.failure = VERDICT_FAILED, str(exc)
     trace.verdict = verdict
     if verdict == VERDICT_CONVERGED:
         window = max(10, int(np.ceil(0.3 * len(trace.samples))))
@@ -254,6 +232,16 @@ def _finish(trace: FlowTrace, verdict: str) -> FlowTrace:
             trace.fitted_rate = fit_decay_rate(trace, window).slope
         except InputError:
             trace.fitted_rate = None
+        return trace
+    cert = check_mincut(complex, prescription)
+    if not cert.feasible:
+        trace.certificate = cert
+    elif verdict == VERDICT_DIVERGED:
+        # Only infeasibility can make the exact flow diverge, so this is the
+        # integrator failing, not a certificate of infeasibility.
+        trace.verdict = VERDICT_FAILED
+        trace.failure = ("flow diverged although the prescription is "
+                         f"feasible (worst margin {cert.worst_margin:.12g})")
     return trace
 
 
@@ -420,25 +408,6 @@ def _newton_step(state: CurvatureState, b: np.ndarray, eta: float) -> np.ndarray
         rz = rz_next
     raise NonConvergenceError(
         f"linear solve failed: no convergence in {max_iters} CG iterations")
-
-
-def newton_solve(complex: SurfaceComplex, prescription: Prescription, K0,
-                 tol: float = 1e-10, max_iters: int = 100) -> np.ndarray:
-    """Newton's method through ``run``, returning the converged K.
-
-    Requires a feasible prescription; raises NonConvergenceError when the
-    iteration diverges, runs out of its ``max_iters`` iterations, or
-    finds no descent.
-    """
-    config = FlowConfig(method="newton", tol_curvature=tol,
-                        newton_max_iters=max_iters)
-    # The failure raised below carries no certificate, so none is computed.
-    trace = _run(complex, prescription, K0, config)
-    if trace.verdict != VERDICT_CONVERGED:
-        raise NonConvergenceError(
-            f"Newton iteration {trace.verdict} after {trace.final.t:g} "
-            f"of {max_iters} iterations")
-    return trace.final_k()
 
 
 # ----------------------------------------------------------------------

@@ -234,6 +234,8 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write(f"# tol_ode {fmt(config.tol_ode)}\n")
     out.write(f"# max_time {fmt(config.max_time)}\n")
     out.write(f"# verdict {trace.verdict}\n")
+    if trace.failure is not None:
+        out.write(f"# failure {trace.failure}\n")
     rate = "none" if trace.fitted_rate is None else fmt(trace.fitted_rate)
     out.write(f"# fitted_rate {rate}\n")
     if trace.certificate is not None:

@@ -187,6 +187,16 @@ class Prescription:
         return self.lhat.shape == other.lhat.shape and bool(np.all(self.lhat == other.lhat))
 
 
+def check_instance(complex: SurfaceComplex,
+                   prescription: Prescription | None = None) -> None:
+    """Raise InputError unless ``complex`` is valid and ``prescription``,
+    when given, has one target per vertex."""
+    if not complex.is_valid:
+        raise InputError("invalid complex: " + "; ".join(complex.violations))
+    if prescription is not None and len(prescription) != complex.n_vertices:
+        raise InputError("prescription length does not match complex")
+
+
 def validate(complex: SurfaceComplex) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 

@@ -12,9 +12,8 @@ import numpy as np
 import pytest
 
 from cpflow import (FlowConfig, Prescription, check_bruteforce, check_mincut,
-                    evaluate, fit_decay_rate, fixtures, k_to_r, newton_solve,
-                    parse_instance, potential, r_to_k, run, serialize_instance,
-                    velocity_bound)
+                    evaluate, fit_decay_rate, fixtures, k_to_r, parse_instance,
+                    potential, r_to_k, run, serialize_instance, velocity_bound)
 from cpflow.cli import main
 from cpflow.geometry import edge_side_geometry
 from cpflow.oracle import fd_jacobian, rng_for
@@ -164,8 +163,10 @@ def test_criterion_05_method_equivalence(planted_runs):
                                    tol_curvature=3e-11, max_time=4e4))
         assert curvature.verdict == "converged", name
         finals.append(curvature.final_k())
-        finals.append(newton_solve(inst.complex, inst.prescription, k0,
-                                   tol=3e-12))
+        newton = run(inst.complex, inst.prescription, k0,
+                     FlowConfig(method="newton", tol_curvature=3e-12))
+        assert newton.verdict == "converged", name
+        finals.append(newton.final_k())
         for a in finals:
             for b in finals:
                 worst = max(worst, float(np.max(np.abs(a - b))))

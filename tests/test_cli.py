@@ -275,21 +275,32 @@ class TestNumericalFailure:
         np.linalg.LinAlgError("Singular matrix"),
     ], ids=["integration", "non-convergence", "linalg"])
     def failing_run(self, request, monkeypatch):
-        """Makes every run on a 4-vertex complex raise the error."""
-        real_run = cpflow.cli.run
+        """Makes the step ceiling of every run on a 4-vertex complex raise
+        the error, after the run's start sample."""
+        real_ceiling = cpflow.flow.max_eigenvalue_ceiling
 
-        def run(complex, *args, **kwargs):
-            if complex.n_vertices == 4:
+        def ceiling(state, *args):
+            if state.complex.n_vertices == 4:
                 raise request.param
-            return real_run(complex, *args, **kwargs)
+            return real_ceiling(state, *args)
 
-        monkeypatch.setattr(cpflow.cli, "run", run)
+        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling", ceiling)
         return request.param
 
-    def test_single_file(self, tetra_file, capsys, failing_run):
-        assert main(["solve", tetra_file]) == 4
+    def assert_failed_trace(self, path, failure):
+        lines = path.read_text().splitlines()
+        at = lines.index("# verdict numerical-failure")
+        assert lines[at + 1] == f"# failure {failure}"
+        assert len([l for l in lines if not l.startswith("#")]) == 1
+
+    def test_single_file(self, tetra_file, tmp_path, capsys, failing_run):
+        # The tetrahedron's own start is its solution; a seeded start is not.
+        trace = tmp_path / "t.tsv"
+        assert main(["solve", tetra_file, "--seed", "1",
+                     "--trace", str(trace)]) == 4
         err = capsys.readouterr().err
         assert err == f"tetra.icp: error: numerical failure: {failing_run}\n"
+        self.assert_failed_trace(trace, failing_run)
 
     def test_batch_continues_past_the_failure(self, tmp_path, capsys,
                                               failing_run):
@@ -299,8 +310,9 @@ class TestNumericalFailure:
             inst = make_synthetic(fixtures.cube_graph(), seed=seed)
             write_instance(tmp_path / f"{stem}.icp", inst.complex,
                            inst.prescription)
-        solutions = tmp_path / "solutions"
-        code = main(["solve", str(tmp_path), "--solution", str(solutions)])
+        solutions, traces = tmp_path / "solutions", tmp_path / "traces"
+        code = main(["solve", str(tmp_path), "--seed", "1",
+                     "--solution", str(solutions), "--trace", str(traces)])
         assert code == 4
         out, err = capsys.readouterr()
         assert err == f"b.icp: error: numerical failure: {failing_run}\n"
@@ -308,6 +320,7 @@ class TestNumericalFailure:
             ["a.icp:", "converged"], ["c.icp:", "converged"]]
         assert sorted(p.name for p in solutions.iterdir()) == [
             "a.solution.txt", "c.solution.txt"]
+        self.assert_failed_trace(traces / "b.trace.tsv", failing_run)
 
 
 class TestHonestVerdicts:
@@ -331,31 +344,39 @@ class TestHonestVerdicts:
                        "although the prescription is feasible "
                        "(worst margin -2.79055592154)\n")
 
-    @pytest.mark.parametrize("lhat_d, flags, rows", [
-        (3.9, ["--integrator", "rk4", "--step", "1e300"], 2),
-        (9.5, ["--method", "newton"], None),
+    @pytest.mark.parametrize("lhat_d, flags, rows, failure", [
+        (3.9, ["--integrator", "rk4", "--step", "1e300"], 2,
+         "flow diverged although the prescription is feasible "
+         "(worst margin -2.79055592154)"),
+        (9.5, ["--method", "newton"], None, "backtracking found no decrease"),
     ], ids=["diverged-feasible", "newton-no-descent"])
     def test_failed_solve_writes_its_partial_trace(self, tmp_path, capsys,
-                                                    lhat_d, flags, rows):
+                                                    lhat_d, flags, rows,
+                                                    failure):
         path = self.tetra_with(tmp_path, lhat_d)
         trace = tmp_path / "t.tsv"
         assert main(["solve", path, "--trace", str(trace)] + flags) == 4
         assert "numerical failure" in capsys.readouterr().err
         lines = trace.read_text().splitlines()
-        assert "# verdict numerical-failure" in lines
+        at = lines.index("# verdict numerical-failure")
+        assert lines[at + 1] == f"# failure {failure}"
         body = [l for l in lines if not l.startswith("#")]
         assert len(body) >= 1 and (rows is None or len(body) == rows)
 
-    def test_failed_solve_computes_one_min_cut(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("lhat_d, flags", [
+        (3.9, ["--integrator", "rk4", "--step", "1e300"]),
+        (9.5, ["--method", "newton"]),
+    ], ids=["rk4-divergence", "newton-no-descent"])
+    def test_failed_solve_computes_one_min_cut(self, tmp_path, monkeypatch,
+                                               lhat_d, flags):
         calls = []
         for module in (cpflow.flow, cpflow.cli):
             def counted(*args, real=module.check_mincut):
                 calls.append(args)
                 return real(*args)
             monkeypatch.setattr(module, "check_mincut", counted)
-        path = self.tetra_with(tmp_path, 3.9)
-        assert main(["solve", path, "--integrator", "rk4",
-                     "--step", "1e300"]) == 4
+        path = self.tetra_with(tmp_path, lhat_d)
+        assert main(["solve", path] + flags) == 4
         assert len(calls) == 1
 
     def test_newton_without_descent(self, tmp_path, capsys):

@@ -7,10 +7,10 @@ import pytest
 
 import cpflow.flow
 from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
-                    InputError, IntegrationError, NonConvergenceError,
-                    Prescription, calabi_direction, curvature_rhs, evaluate,
-                    fit_decay_rate, fixtures, make_synthetic, newton_solve,
-                    potential, r_to_k, run, velocity_bound)
+                    InputError, NonConvergenceError, Prescription,
+                    calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
+                    fixtures, make_synthetic, potential, r_to_k, run,
+                    velocity_bound)
 from cpflow.curvature import LANCZOS_CUT, max_eigenvalue_ceiling
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, single_vertex_violator
@@ -149,16 +149,17 @@ class TestRun:
             [False] * (len(trace.samples) - 1) + [True])
 
     def test_divergence_of_a_feasible_prescription_raises(self, tetra):
+        # The verdict is a numerical failure on the returned trace, not a
+        # certificate of infeasibility.
         feasible = Prescription(np.array([4.053, 4.053, 4.053, 3.9]))
-        with pytest.raises(NonConvergenceError) as exc_info:
-            run(tetra, feasible, np.zeros(4),
-                FlowConfig(integrator="rk4", step=1e300))
-        assert str(exc_info.value) == (
+        trace = run(tetra, feasible, np.zeros(4),
+                    FlowConfig(integrator="rk4", step=1e300))
+        assert trace.verdict == "numerical-failure"
+        assert trace.failure == (
             "flow diverged although the prescription is feasible "
             "(worst margin -2.79055592154)")
-        trace = exc_info.value.trace
-        assert trace.verdict == "numerical-failure"
         assert [s.clamped for s in trace.samples] == [False, True]
+        assert trace.certificate is None
 
     def test_start_past_the_clamp_rejected(self, tetra, planted):
         with pytest.raises(InputError, match="K0 lies past the radius clamp"):
@@ -199,12 +200,14 @@ class TestRun:
                 assert np.max(np.abs(a - b)) <= 1e-8
 
     def test_step_underflow_raises_with_partial_trace(self, tetra, planted):
+        # The underflow is returned as a verdict with the samples before it.
         cfg = FlowConfig(tol_ode=1e-300)
-        with pytest.raises(IntegrationError) as exc_info:
-            run(tetra, planted, np.array([1.0, 0.0, 0.0, 0.0]), cfg)
-        assert exc_info.value.trace is not None
-        assert len(exc_info.value.trace.samples) >= 1
-        assert exc_info.value.trace.verdict == "numerical-failure"
+        trace = run(tetra, planted, np.array([1.0, 0.0, 0.0, 0.0]), cfg)
+        assert trace.verdict == "numerical-failure"
+        assert trace.failure == (
+            "step size underflow at t=0 (local error 2.36658e-30)")
+        assert len(trace.samples) >= 1
+        assert trace.certificate is None
 
     def test_budget_verdict(self, tetra, planted):
         cfg = FlowConfig(max_iters=3)
@@ -345,13 +348,17 @@ class TestNewton:
         k0 = inst.kbar + rng_for(56).uniform(-1, 1, 4)
         k_flow = run(tetra, inst.prescription, k0,
                      FlowConfig(tol_curvature=1e-12)).final_k()
-        k_newton = newton_solve(tetra, inst.prescription, k0, tol=1e-12)
-        assert np.max(np.abs(k_flow - k_newton)) <= 1e-10
+        newton = run(tetra, inst.prescription, k0,
+                     FlowConfig(method="newton", tol_curvature=1e-12))
+        assert newton.verdict == "converged"
+        assert np.max(np.abs(k_flow - newton.final_k())) <= 1e-10
 
     def test_zero_iterations_at_solution(self, tetra):
         inst = make_synthetic(tetra, seed=57)
-        out = newton_solve(tetra, inst.prescription, inst.kbar)
-        assert np.all(out == inst.kbar)
+        trace = run(tetra, inst.prescription, inst.kbar,
+                    FlowConfig(method="newton", tol_curvature=1e-10))
+        assert trace.verdict == "converged"
+        assert np.all(trace.final_k() == inst.kbar)
 
     def test_quadratic_tail(self, tetra):
         inst = make_synthetic(tetra, seed=58)
@@ -368,35 +375,24 @@ class TestNewton:
 
     def test_iteration_cap(self, tetra):
         inst = make_synthetic(tetra, seed=60)
-        with pytest.raises(NonConvergenceError):
-            newton_solve(tetra, inst.prescription, inst.kbar + 2.0,
-                         tol=1e-10, max_iters=1)
-
-    def test_newton_solve_is_run(self, tetra):
-        inst = make_synthetic(tetra, seed=67)
-        k0 = inst.kbar + rng_for(68).uniform(-1, 1, 4)
-        for tol in (1e-8, 1e-12):
-            expected = run(tetra, inst.prescription, k0,
-                           FlowConfig(method="newton", tol_curvature=tol)).final_k()
-            out = newton_solve(tetra, inst.prescription, k0, tol)
-            assert out.tobytes() == expected.tobytes()
-
-    def test_failed_newton_solve_computes_no_certificate(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cpflow.flow, "check_mincut",
-                            lambda *args: calls.append(args))
-        c = fixtures.torus_grid(15, 15, phi=1.3)
-        inst = make_synthetic(c, seed=5)
-        with pytest.raises(NonConvergenceError, match="budget-exhausted"):
-            newton_solve(c, inst.prescription, inst.kbar + 1.0, max_iters=1)
-        assert calls == []
+        trace = run(tetra, inst.prescription, inst.kbar + 2.0,
+                    FlowConfig(method="newton", tol_curvature=1e-10,
+                               newton_max_iters=1))
+        assert trace.verdict == "budget-exhausted"
+        assert trace.failure is None
+        assert len(trace.samples) == 2
+        assert trace.certificate is None
 
     def test_failed_backtrack_raises(self, tetra):
-        # infeasible (margin +2.809): no step length reduces the error
+        # infeasible (margin +2.809): no step length reduces the error, and
+        # the failed run carries the certificate
         bad = Prescription(np.array([4.053, 4.053, 4.053, 9.5]))
-        with pytest.raises(NonConvergenceError, match="backtracking") as exc_info:
-            run(tetra, bad, np.zeros(4), FlowConfig(method="newton"))
-        assert exc_info.value.trace.verdict == "numerical-failure"
+        trace = run(tetra, bad, np.zeros(4), FlowConfig(method="newton"))
+        assert trace.verdict == "numerical-failure"
+        assert trace.failure == "backtracking found no decrease"
+        assert len(trace.samples) >= 1
+        assert trace.certificate is not None
+        assert trace.certificate.worst_margin == pytest.approx(2.80944407846)
 
 
 class TestMatrixFreeNewton:

@@ -156,6 +156,7 @@ class TestReports:
         lines = text.splitlines()
         assert lines[0] == "# cpflow trace v1"
         assert any(l.startswith("# verdict converged") for l in lines)
+        assert not any(l.startswith("# failure") for l in lines)
         digest = instance_digest(inst.complex, inst.prescription)
         assert f"# instance sha256:{digest}" in lines
         rows = [l for l in lines if not l.startswith("#")]
@@ -235,5 +236,6 @@ class TestReports:
         write_trace(buf, trace, complex, bad, config)
         text = buf.getvalue()
         assert "# verdict diverged" in text
+        assert "# failure" not in text
         assert "# certificate_subset" in text
         assert "# certificate_margin" in text

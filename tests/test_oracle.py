@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cpflow import (DomainError, Prescription, check_bruteforce, evaluate,
-                    fixtures, make_synthetic, newton_solve, potential,
+from cpflow import (DomainError, FlowConfig, check_bruteforce, evaluate,
+                    fixtures, make_synthetic, potential,
                     prescribed_calabi_energy, run)
 from cpflow.oracle import (fd_gradient, fd_jacobian, relative_error, rng_for)
 
@@ -91,8 +91,10 @@ class TestMakeSynthetic:
             n = inst.complex.n_vertices
             for s in range(5):
                 k0 = inst.kbar + rng_for(80 + s).uniform(-1.5, 1.5, n)
-                out = newton_solve(inst.complex, inst.prescription, k0, tol=1e-12)
-                assert np.max(np.abs(out - inst.kbar)) <= 1e-8
+                trace = run(inst.complex, inst.prescription, k0,
+                            FlowConfig(method="newton", tol_curvature=1e-12))
+                assert trace.verdict == "converged"
+                assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
 
     def test_bad_range(self):
         with pytest.raises(DomainError):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cpflow import (InputError, Prescription, SurfaceComplex, build_complex,
-                    degree, edge_neighborhood, fixtures, validate)
+                    degree, edge_neighborhood, fixtures, potential, validate)
+from cpflow.surface import check_instance
 
 
 @pytest.fixture
@@ -74,6 +75,27 @@ class TestValidate:
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
         assert tetra.is_valid
+
+
+class TestCheckInstance:
+    """The one input check of every entry point that takes an instance."""
+
+    loopy = SurfaceComplex(2, ((0, 0), (0, 1)), ((0, 1), (0, 1)),
+                           np.full(2, 1.0))
+
+    def test_messages(self, tetra):
+        with pytest.raises(InputError, match="^invalid complex: "
+                           "edge e0 is a loop at vertex v0$"):
+            check_instance(self.loopy)
+        with pytest.raises(InputError,
+                           match="^prescription length does not match complex$"):
+            check_instance(tetra, Prescription(np.ones(3)))
+        check_instance(tetra, Prescription(np.ones(4)))
+
+    def test_potential_rejects_an_invalid_complex(self):
+        # even where the integration path is empty
+        with pytest.raises(InputError, match="^invalid complex"):
+            potential(self.loopy, Prescription(np.ones(2)), np.zeros(2))
 
 
 class TestQueries:
