@@ -8,7 +8,7 @@ Exit codes are a stable contract:
     0  valid / feasible / converged
     1  invalid complex or infeasible prescription
     2  parse or usage error
-    3  flow diverged (feasibility certificate printed)
+    3  flow diverged (infeasibility certificate printed)
     4  budget exhausted or numerical failure
 """
 
@@ -40,8 +40,8 @@ EXIT_BUDGET = 4
 
 def _load(path: Path) -> Instance:
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
 
@@ -103,25 +103,21 @@ def _solve_one(path: Path, args, trace_path: Path | None,
         k0 = np.zeros(n)
 
     trace = run(inst.complex, inst.prescription, k0, config)
-    failure = trace.failure
     try:
         if trace_path is not None:
             target = trace_path
             with open(trace_path, "w") as fh:
                 write_trace(fh, trace, inst.complex, inst.prescription, config)
-        if solution_path is not None and failure is None:
+        if solution_path is not None and trace.failure is None:
             target = solution_path
             with open(solution_path, "w") as fh:
                 write_solution(fh, trace, inst.complex, inst.prescription)
     except OSError as exc:
         print(f"{path.name}: error: cannot write {target}: "
               f"{exc.strerror or exc}", file=sys.stderr)
-        if failure is None:
+        if trace.failure is None:
             return EXIT_PARSE
-    except np.linalg.LinAlgError as exc:
-        # The trace's min_eig column can need a spectrum the run never took.
-        failure = exc
-    if failure is not None:
+    if trace.failure is not None:
         # A failure on an infeasible prescription says why: the run's
         # certificate names the violated subset.
         cert = trace.certificate
@@ -129,7 +125,7 @@ def _solve_one(path: Path, args, trace_path: Path | None,
                  f"; prescription infeasible: subset="
                  f"{_subset_text(cert, inst.complex)} "
                  f"margin={cert.worst_margin:.12g}")
-        print(f"{path.name}: error: numerical failure: {failure}{proof}",
+        print(f"{path.name}: error: numerical failure: {trace.failure}{proof}",
               file=sys.stderr)
         return EXIT_BUDGET
 

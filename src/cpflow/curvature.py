@@ -33,8 +33,7 @@ K_CLAMP = math.log(1.0 / math.tan(RADIUS_CLAMP))
 # V=36, 244 us at V=64 and 1.6 ms at V=144; a warm-started 6-step Lanczos
 # costs 150-170 us from V=36 to V=144.  The crossover lies between V=36
 # and V=64; the cut sits at its top, because below it a step saves at most
-# about 80 us, and an exact ceiling also gives a traced run its min_eig
-# column for free.
+# about 80 us.
 LANCZOS_CUT = 64
 LANCZOS_STEPS = 6
 
@@ -132,44 +131,60 @@ class CurvatureState:
         return float(self.eigenvalues[-1])
 
 
-def max_eigenvalue_ceiling(state: CurvatureState,
-                           start: np.ndarray | None = None
-                           ) -> tuple[float, np.ndarray | None]:
-    """A ceiling on the largest eigenvalue of J, and a start vector for
-    the next call.
+def extreme_eigenvalue(state: CurvatureState, end: str,
+                       tol: float | None = None,
+                       start: np.ndarray | None = None
+                       ) -> tuple[float, np.ndarray | None]:
+    """The smallest (``end="min"``) or largest (``end="max"``) eigenvalue
+    of J, and a start vector for the next call.
 
-    Up to LANCZOS_CUT vertices this is ``state.max_eigenvalue``, exact and
-    cached on the state, and the returned vector is None.  Above the cut
-    it is LANCZOS_STEPS steps of Lanczos on ``state.jvp`` with full
-    reorthogonalization, started from ``start`` (a fixed pseudo-random
-    vector when None): the top Ritz value theta plus the residual norm
-    |beta_k s_k| of its Ritz pair, which bounds the distance from theta to
-    the nearest eigenvalue.  The Ritz vector is returned as the start of
-    the next call, so along a flow each run refines the previous one.
-    Only ``jvp`` is used; the dense J is never built.
+    Up to LANCZOS_CUT vertices it is exact, from the spectrum cached on
+    the state, and the vector is None.  Above the cut it is Lanczos on
+    ``state.jvp`` with full reorthogonalization, started from ``start`` (a
+    fixed pseudo-random vector when None), and the vector is the Ritz
+    vector.  With ``tol`` None it takes LANCZOS_STEPS steps and returns a
+    loose bound: the extreme Ritz value theta moved outward by the
+    residual norm |beta_k s_k| of its Ritz pair, which bounds the distance
+    from theta to the nearest eigenvalue.  Otherwise it reorthogonalizes
+    twice and returns theta once the error bound |beta_k s_k|^2 / gap
+    (Parlett 1980; gap to the next Ritz value), checked every
+    LANCZOS_STEPS steps, is at most ``tol`` |theta|.
     """
     n = state.complex.n_vertices
     if n <= LANCZOS_CUT:
-        return state.max_eigenvalue, None
+        return (state.max_eigenvalue if end == "max"
+                else state.min_eigenvalue), None
     if start is None:
         start = np.random.Generator(np.random.Philox(key=0)).random(n) - 0.5
+    sign, pick = (1, -1) if end == "max" else (-1, 0)
+    steps = LANCZOS_STEPS if tol is None else n
     Q = np.empty((LANCZOS_STEPS, n))
-    T = np.zeros((LANCZOS_STEPS, LANCZOS_STEPS))
     Q[0] = start / math.sqrt(start @ start)
-    for j in range(LANCZOS_STEPS):
+    alpha, beta = [], []
+    for j in range(steps):
         w = state.jvp(Q[j])
         h = Q[:j + 1] @ w
         w -= h @ Q[:j + 1]
-        T[j, j] = h[j]
-        beta = math.sqrt(w @ w)
+        if tol is not None:
+            # Twice is enough; one pass drifts after a few dozen steps.
+            w -= (Q[:j + 1] @ w) @ Q[:j + 1]
+        alpha.append(h[j])
+        b = math.sqrt(w @ w)
         # An invariant subspace: its Ritz values are eigenvalues.
-        if j + 1 == LANCZOS_STEPS or beta <= 1e-12 * abs(h[j]):
-            break
-        T[j, j + 1] = T[j + 1, j] = beta
-        Q[j + 1] = w / beta
-    m = j + 1
-    theta, s = np.linalg.eigh(T[:m, :m])
-    return float(theta[-1] + abs(beta * s[-1, -1])), s[:, -1] @ Q[:m]
+        done = j + 1 == steps or b <= 1e-12 * abs(alpha[j])
+        if done or tol is not None and (j + 1) % LANCZOS_STEPS == 0:
+            # eigh reads the lower triangle only.
+            theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
+            rho = abs(b * s[-1, pick])
+            if done or rho * rho <= tol * abs(
+                    theta[pick] * (theta[pick] - theta[pick - sign])):
+                break
+        if j + 1 == len(Q):
+            Q = np.concatenate((Q, np.empty_like(Q)))
+        beta.append(b)
+        Q[j + 1] = w / b
+    value = theta[pick] + (sign * rho if tol is None else 0.0)
+    return float(value), s[:, pick] @ Q[:j + 1]
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .curvature import (K_CLAMP, LANCZOS_CUT, CurvatureState, evaluate,
-                        max_eigenvalue_ceiling, prescribed_calabi_energy)
+from .curvature import (K_CLAMP, CurvatureState, evaluate,
+                        extreme_eigenvalue, prescribed_calabi_energy)
 from .errors import (DomainError, InputError, IntegrationError,
                      NonConvergenceError)
 from .feasibility import FeasibilityVerdict, check_mincut
@@ -75,32 +75,33 @@ class FlowConfig:
 
 @dataclass(frozen=True)
 class FlowSample:
-    """One accepted integration state.
-
-    ``min_eig`` is set only when the run computed the exact spectrum of J
-    at this state anyway: the adaptive step ceiling at up to LANCZOS_CUT
-    vertices.  Otherwise (rk4, Newton, a final state, or a larger complex,
-    whose ceiling comes from Lanczos) it is None and trace writers compute
-    it exactly from K.
-    """
+    """One accepted integration state."""
 
     t: float
     K: np.ndarray
     err_inf: float      # ||L - Lhat||_inf
     energy: float       # 0.5 ||L - Lhat||^2
     speed: float        # ||dK/dt||_2 (Newton: step norm)
-    min_eig: float | None   # smallest eigenvalue of J, if computed
     clamped: bool
 
 
 @dataclass
 class FlowTrace:
-    """Time series of a flow run plus its termination verdict."""
+    """Time series of a flow run plus its termination verdict.
+
+    A converged flow run also records the smallest eigenvalue ``min_eig``
+    of J at its final K, and the energy decay rate it predicts there:
+    ``predicted_rate`` = -2 min_eig^2 (calabi) or -2 min_eig (curvature),
+    the linearization of the flow at the solution.  Newton, whose tail is
+    quadratic, and every run that does not converge leave both None.
+    """
 
     method: str
     samples: list[FlowSample] = field(default_factory=list)
     verdict: str = VERDICT_BUDGET
     fitted_rate: float | None = None
+    min_eig: float | None = None
+    predicted_rate: float | None = None
     certificate: FeasibilityVerdict | None = None
     failure: str | None = None      # the message of a VERDICT_FAILED run
 
@@ -194,12 +195,6 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     else:
         states = _ode_states(complex, prescription, K0, config)
         budget, max_time = config.max_iters, config.max_time
-    # Up to LANCZOS_CUT vertices the adaptive integrator's step ceiling
-    # reads the exact spectrum of J at every state it steps from, so the
-    # sample of such a state records its smallest eigenvalue; a final state
-    # gets none.
-    spectral = (config.method != "newton" and config.integrator == "rkf45"
-                and complex.n_vertices <= LANCZOS_CUT)
     try:
         for steps, (t, state, speed) in enumerate(states):
             err_inf = float(np.abs(state.L - prescription.lhat).max())
@@ -215,13 +210,15 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
             trace.samples.append(FlowSample(
                 t=t, K=state.K.copy(), err_inf=err_inf,
                 energy=prescribed_calabi_energy(state.L, prescription),
-                speed=speed,
-                min_eig=(state.min_eigenvalue if spectral and verdict is None
-                         else None),
-                clamped=clamped,
+                speed=speed, clamped=clamped,
             ))
             if verdict is not None:
                 break
+        if verdict == VERDICT_CONVERGED and config.method != "newton":
+            # Exact up to LANCZOS_CUT vertices, to a relative 1e-14 above.
+            lam = trace.min_eig = extreme_eigenvalue(state, "min", 1e-14)[0]
+            trace.predicted_rate = -2.0 * (
+                lam * lam if config.method == "calabi" else lam)
     except (IntegrationError, NonConvergenceError,
             np.linalg.LinAlgError) as exc:
         verdict, trace.failure = VERDICT_FAILED, str(exc)
@@ -269,10 +266,8 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
                 K0: np.ndarray, config: FlowConfig):
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
-    The adaptive integrator bounds each step by ``max_eigenvalue_ceiling``
-    at the state it steps from; up to LANCZOS_CUT vertices that is the
-    exact spectrum, cached on the state, so the caller's sample can record
-    it.
+    The adaptive integrator bounds each step by a loose
+    ``extreme_eigenvalue`` ceiling at the state it steps from.
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -305,7 +300,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             # holding h below the explicit stability limit keeps the local
             # error shrinking with the residual instead of riding the
             # boundary.
-            lam, ritz = max_eigenvalue_ceiling(state, ritz)
+            lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
             cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
             h = min(h, cap, config.max_time - t)
             K, t, h = _rkf45_step(complex, direction, K, f0, t, h,

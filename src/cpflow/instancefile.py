@@ -219,13 +219,9 @@ def instance_digest(complex: SurfaceComplex,
 
 def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
                 prescription: Prescription, config: FlowConfig) -> None:
-    """Tab-separated table, one row per accepted step, with a header block.
-
-    A sample whose run did not compute the spectrum of J gets its
-    ``min_eig`` column from a fresh evaluation at its K.
-    """
+    """Tab-separated table, one row per accepted step, with a header block."""
     digest = instance_digest(complex, prescription)
-    out.write("# cpflow trace v1\n")
+    out.write("# cpflow trace v2\n")
     out.write(f"# instance sha256:{digest}\n")
     out.write(f"# method {config.method}\n")
     out.write(f"# integrator {config.integrator}\n")
@@ -236,21 +232,19 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write(f"# verdict {trace.verdict}\n")
     if trace.failure is not None:
         out.write(f"# failure {trace.failure}\n")
-    rate = "none" if trace.fitted_rate is None else fmt(trace.fitted_rate)
-    out.write(f"# fitted_rate {rate}\n")
+    for name in ("fitted_rate", "min_eig", "predicted_rate"):
+        value = getattr(trace, name)
+        out.write(f"# {name} {'none' if value is None else fmt(value)}\n")
     if trace.certificate is not None:
         subset = ",".join(trace.certificate.subset_names(complex))
         out.write(f"# certificate_subset {subset}\n")
         out.write(f"# certificate_margin {fmt(trace.certificate.worst_margin)}\n")
     cols = ["t"] + [f"K[{name}]" for name in complex.vertex_names]
-    cols += ["err_inf", "energy", "speed", "min_eig", "clamped"]
+    cols += ["err_inf", "energy", "speed", "clamped"]
     out.write("# columns " + " ".join(cols) + "\n")
     for s in trace.samples:
-        min_eig = s.min_eig
-        if min_eig is None:
-            min_eig = evaluate(complex, s.K).min_eigenvalue
         row = [fmt(s.t)] + [fmt(k) for k in s.K]
-        row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed), fmt(min_eig),
+        row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
                 "1" if s.clamped else "0"]
         out.write("\t".join(row) + "\n")
 

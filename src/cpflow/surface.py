@@ -224,7 +224,7 @@ def validate(complex: SurfaceComplex) -> list[str]:
         p = complex.phi[e]
         if not (0.0 < p <= HALF_PI) or not np.isfinite(p):
             problems.append(f"edge {complex.edge_names[e]} has intersection angle "
-                            f"{p!r} outside (0, pi/2]")
+                            f"{float(p)!r} outside (0, pi/2]")
 
     if not _connected(complex):
         problems.append("underlying graph is not connected")

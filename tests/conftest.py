@@ -4,11 +4,13 @@ Everything random is driven by the package's counter-based generator so
 the whole suite is bit-reproducible.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, Prescription, evaluate, fixtures,
-                    make_synthetic, run)
+from cpflow import (CurvatureState, FlowConfig, Prescription, evaluate,
+                    fixtures, make_synthetic, run)
 from cpflow.oracle import rng_for
 from cpflow.surface import SurfaceComplex, edge_neighborhood
 
@@ -96,6 +98,22 @@ def single_vertex_violator(j: int):
     lhat = inst.prescription.lhat.copy()
     lhat[v] = cap * 1.05 + 0.3
     return name, complex, Prescription(lhat), v
+
+
+def count_computed(monkeypatch, prop: str) -> list:
+    """Collects every state whose cached property ``prop`` is computed
+    while the test runs."""
+    calls = []
+    original = getattr(CurvatureState, prop)
+
+    def counted(state):
+        calls.append(state)
+        return original.func(state)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(CurvatureState, prop)
+    monkeypatch.setattr(CurvatureState, prop, spy)
+    return calls
 
 
 ACCEPTANCE_CONFIG = FlowConfig(tol_ode=1e-4, tol_curvature=3e-11, max_time=4e4)

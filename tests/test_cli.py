@@ -9,7 +9,8 @@ import cpflow.flow
 from cpflow import (IntegrationError, NonConvergenceError, Prescription,
                     evaluate, fixtures, make_synthetic, serialize_instance)
 from cpflow.cli import main
-from conftest import single_vertex_violator
+from cpflow.surface import edge_neighborhood
+from conftest import count_computed, single_vertex_violator
 
 L_REF = 4.05306515313624
 
@@ -62,6 +63,15 @@ f1 aa ab
     def test_missing_file(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.icp")]) == 2
 
+    def test_angle_violations_print_plain_numbers(self, tmp_path, capsys):
+        path = tmp_path / "angles.icp"
+        path.write_text("[vertices]\na b\n[edges]\nab a b nan\nba a b 0pi\n"
+                        "[faces]\nf0 ab ba\nf1 ab ba\n")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "violation: edge ab has intersection angle nan outside (0, pi/2]\n"
+            "violation: edge ba has intersection angle 0.0 outside (0, pi/2]\n")
+
 
 class TestCheck:
     def test_feasible(self, tetra_file, capsys):
@@ -95,6 +105,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert out.startswith("feasible")
         assert "method=min-cut" in out
+
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.icp"
+        path.write_bytes(b"\xff\xfe[vertices]\n")
+        assert main(["check", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: cannot read {path}: 'utf-8' codec can't "
+                       "decode byte 0xff in position 0: invalid start byte\n")
 
     def test_missing_prescription(self, tmp_path):
         path = write_instance(tmp_path / "bare.icp", fixtures.tetrahedron())
@@ -240,6 +259,35 @@ class TestSolve:
         assert (traces / "a.trace.tsv").is_file()
         assert (traces / "c.trace.tsv").is_file()
 
+    def test_batch_continues_past_a_non_utf8_file(self, tmp_path, capsys):
+        for stem in ("a", "c"):
+            write_instance(tmp_path / f"{stem}.icp", fixtures.tetrahedron(),
+                           Prescription(np.full(4, L_REF)),
+                           initial_k=np.zeros(4))
+        (tmp_path / "b.icp").write_bytes(b"\xff\xfe[vertices]\n")
+        assert main(["solve", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith(f"b.icp: error: cannot read {tmp_path / 'b.icp'}: ")
+        assert [l.split()[:2] for l in out.splitlines()] == [
+            ["a.icp:", "converged"], ["c.icp:", "converged"]]
+
+    def test_traced_divergence_above_the_cut_takes_no_spectrum(
+            self, tmp_path, monkeypatch, capsys):
+        # A diverging run records no smallest eigenvalue, and the trace
+        # writer computes none.
+        c = fixtures.torus_grid(10, 10, phi=1.3)
+        inst = make_synthetic(c, seed=93, k_range=(-1.0, 1.0))
+        lhat = inst.prescription.lhat.copy()
+        lhat[0] = 2.1 * sum(c.phi[e] for e in edge_neighborhood(c, [0])) + 0.3
+        path = write_instance(tmp_path / "bad.icp", c, Prescription(lhat))
+        spectra = count_computed(monkeypatch, "eigenvalues")
+        dense = count_computed(monkeypatch, "J")
+        trace = tmp_path / "t.tsv"
+        assert main(["solve", path, "--method", "curvature", "--trace",
+                     str(trace), "--solution", str(tmp_path / "s.txt")]) == 3
+        assert spectra == [] and dense == []
+        assert "# verdict diverged" in trace.read_text()
+
     def test_batch_output_directory_unwritable(self, tmp_path, capsys):
         write_instance(tmp_path / "a.icp", fixtures.tetrahedron(),
                        Prescription(np.full(4, L_REF)), initial_k=np.zeros(4))
@@ -277,14 +325,14 @@ class TestNumericalFailure:
     def failing_run(self, request, monkeypatch):
         """Makes the step ceiling of every run on a 4-vertex complex raise
         the error, after the run's start sample."""
-        real_ceiling = cpflow.flow.max_eigenvalue_ceiling
+        real_eigenvalue = cpflow.flow.extreme_eigenvalue
 
-        def ceiling(state, *args):
+        def eigenvalue(state, *args):
             if state.complex.n_vertices == 4:
                 raise request.param
-            return real_ceiling(state, *args)
+            return real_eigenvalue(state, *args)
 
-        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling", ceiling)
+        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", eigenvalue)
         return request.param
 
     def assert_failed_trace(self, path, failure):

@@ -7,7 +7,8 @@ from cpflow import (InputError, Prescription, QuadratureError,
                     edge_side_geometry, evaluate, fixtures, k_to_r,
                     make_synthetic, potential, prescribed_calabi_energy,
                     velocity_bound)
-from cpflow.curvature import K_CLAMP, RADIUS_CLAMP, _edge_geometry
+from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
+                               _edge_geometry, extreme_eigenvalue)
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
 
@@ -259,6 +260,25 @@ class TestEdgeFormAssembly:
             slack = (2 * c.degrees + 1) * np.spacing(diag)
             assert np.all(np.abs(dominance - surplus) <= slack)
             assert np.all(dominance[surplus > slack] > 0.0)
+
+
+class TestExtremeEigenvalue:
+    def test_exact_up_to_the_cut(self):
+        c = fixtures.torus_grid(8, 8, phi=1.3)
+        state = evaluate(c, make_synthetic(c, seed=87, k_range=(-1.0, 1.0)).kbar)
+        assert c.n_vertices == LANCZOS_CUT
+        assert extreme_eigenvalue(state, "min", 1e-14) == (
+            state.min_eigenvalue, None)
+
+    @pytest.mark.parametrize("end", ["min", "max"])
+    def test_lanczos_matches_the_dense_spectrum(self, end):
+        c = fixtures.torus_grid(20, 20, phi=1.3)
+        state = evaluate(c, make_synthetic(c, seed=89, k_range=(-1.0, 1.0)).kbar)
+        lam, ritz = extreme_eigenvalue(state, end, 1e-14)
+        exact = np.linalg.eigvalsh(state.J)[-1 if end == "max" else 0]
+        assert abs(lam / exact - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(ritz) - 1.0) <= 1e-12
+        assert np.linalg.norm(state.jvp(ritz) - lam * ritz) <= 1e-6
 
 
 def plain_energy(L):

@@ -1,19 +1,18 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
 import pytest
 
 import cpflow.flow
-from cpflow import (CurvatureState, FlowConfig, FlowSample, FlowTrace,
+from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     InputError, NonConvergenceError, Prescription,
                     calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run,
                     velocity_bound)
-from cpflow.curvature import LANCZOS_CUT, max_eigenvalue_ceiling
+from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue
 from cpflow.oracle import rng_for
-from conftest import ACCEPTANCE_CONFIG, single_vertex_violator
+from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
 
 
 @pytest.fixture
@@ -25,22 +24,6 @@ def tetra():
 def planted(tetra):
     """Target curvatures planted at the coordinate origin."""
     return Prescription(evaluate(tetra, np.zeros(4)).L.copy())
-
-
-def count_computed(monkeypatch, prop: str) -> list:
-    """Collects every state whose cached property ``prop`` is computed
-    while the test runs."""
-    calls = []
-    original = getattr(CurvatureState, prop)
-
-    def counted(state):
-        calls.append(state)
-        return original.func(state)
-
-    spy = functools.cached_property(counted)
-    spy.__set_name__(CurvatureState, prop)
-    monkeypatch.setattr(CurvatureState, prop, spy)
-    return calls
 
 
 def torus_start(side: int, seed: int):
@@ -277,22 +260,29 @@ class TestSpectrumOnDemand:
         FlowConfig(method="curvature", integrator="rk4", step=0.05),
     ], ids=["newton", "calabi-rk4", "curvature-rk4"])
     def test_untraced_runs_skip_the_spectrum(self, tetra, spectra, config):
+        # No state a run steps from gets a spectrum; a converged flow run
+        # takes one at its solution, Newton none.
         inst = make_synthetic(tetra, seed=63)
         k0 = inst.kbar + rng_for(64).uniform(-0.5, 0.5, 4)
         trace = run(tetra, inst.prescription, k0, config)
         assert trace.verdict == "converged"
-        assert spectra == []
-        assert all(s.min_eig is None for s in trace.samples)
+        if config.method == "newton":
+            assert spectra == []
+            assert trace.min_eig is None and trace.predicted_rate is None
+        else:
+            assert [s.K.tolist() for s in spectra] == [trace.final.K.tolist()]
+            assert trace.min_eig == spectra[0].min_eigenvalue
 
     def test_adaptive_run_records_the_spectrum_it_computed(self, tetra, spectra):
         inst = make_synthetic(tetra, seed=65)
         k0 = inst.kbar + rng_for(66).uniform(-0.5, 0.5, 4)
         trace = run(tetra, inst.prescription, k0)
-        # one spectrum per accepted step, for the step cap
-        assert len(spectra) == len(trace.samples) - 1
-        for sample in trace.samples[:-1]:
-            assert sample.min_eig == evaluate(tetra, sample.K).min_eigenvalue
-        assert trace.final.min_eig is None
+        # one spectrum per accepted step, for the step cap, and one at the
+        # solution
+        assert len(spectra) == len(trace.samples)
+        lam = evaluate(tetra, trace.final.K).min_eigenvalue
+        assert trace.min_eig == lam
+        assert trace.predicted_rate == -2.0 * lam * lam
 
     @pytest.mark.parametrize("method", ["calabi", "curvature"])
     def test_adaptive_run_above_the_cut_builds_no_dense_jacobian(
@@ -303,7 +293,7 @@ class TestSpectrumOnDemand:
         trace = run(c, prescription, k0, FlowConfig(method=method))
         assert trace.verdict == "converged"
         assert spectra == [] and dense == []
-        assert all(s.min_eig is None for s in trace.samples)
+        assert trace.min_eig > 0.0
 
 
 class TestLanczosCeiling:
@@ -317,15 +307,19 @@ class TestLanczosCeiling:
         config = FlowConfig(method=method)
         ceilings = []
 
-        def recorded(state, start):
-            lam, ritz = max_eigenvalue_ceiling(state, start)
-            ceilings.append((lam, state))
+        def recorded(state, end, tol=None, start=None):
+            lam, ritz = extreme_eigenvalue(state, end, tol, start)
+            if tol is None:
+                ceilings.append((lam, state))
             return lam, ritz
 
-        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling", recorded)
+        def dense(state, end, tol=None, start=None):
+            return (state.max_eigenvalue if end == "max"
+                    else state.min_eigenvalue), None
+
+        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", recorded)
         lanczos = run(c, prescription, k0, config)
-        monkeypatch.setattr(cpflow.flow, "max_eigenvalue_ceiling",
-                            lambda state, start: (state.max_eigenvalue, None))
+        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", dense)
         exact = run(c, prescription, k0, config)
         assert lanczos.verdict == exact.verdict == "converged"
         assert len(ceilings) == len(lanczos.samples) - 1
@@ -338,8 +332,7 @@ class TestLanczosCeiling:
         c, prescription, k0 = torus_start(8, seed=87)
         state = evaluate(c, k0)
         assert c.n_vertices == LANCZOS_CUT
-        assert max_eigenvalue_ceiling(state) == (
-            state.max_eigenvalue, None)
+        assert extreme_eigenvalue(state, "max") == (state.max_eigenvalue, None)
 
 
 class TestNewton:
@@ -461,7 +454,7 @@ class TestDecayRate:
 
     def test_constant_energy_flagged(self):
         samples = [FlowSample(t=float(i), K=np.zeros(2), err_inf=1.0,
-                              energy=0.5, speed=0.0, min_eig=1.0, clamped=False)
+                              energy=0.5, speed=0.0, clamped=False)
                    for i in range(15)]
         trace = FlowTrace(method="calabi", samples=samples, verdict="converged")
         fit = fit_decay_rate(trace, 15)
@@ -474,7 +467,7 @@ class TestDecayRate:
             fit_decay_rate(trace, 10)
         short = FlowTrace(method="calabi", verdict="converged", samples=[
             FlowSample(t=float(i), K=np.zeros(1), err_inf=0.1, energy=0.1,
-                       speed=0.0, min_eig=1.0, clamped=False) for i in range(5)])
+                       speed=0.0, clamped=False) for i in range(5)])
         with pytest.raises(InputError):
             fit_decay_rate(short, 10)
         with pytest.raises(InputError):

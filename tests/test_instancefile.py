@@ -154,7 +154,7 @@ class TestReports:
         write_trace(buf, trace, inst.complex, inst.prescription, config)
         text = buf.getvalue()
         lines = text.splitlines()
-        assert lines[0] == "# cpflow trace v1"
+        assert lines[0] == "# cpflow trace v2"
         assert any(l.startswith("# verdict converged") for l in lines)
         assert not any(l.startswith("# failure") for l in lines)
         digest = instance_digest(inst.complex, inst.prescription)
@@ -175,11 +175,9 @@ class TestReports:
     @pytest.mark.parametrize("integrator, side", [
         ("rk4", None), ("rkf45", None), ("rkf45", 10),
     ], ids=["rk4", "rkf45", "rkf45-torus10x10"])
-    def test_min_eig_column_is_the_spectrum_at_each_row(self, integrator, side):
-        # rk4 samples leave min_eig to the writer; rkf45 samples on the
-        # tetrahedron carry the exact spectrum of their step ceiling, except
-        # the last one; on the 10x10 torus the ceiling comes from Lanczos,
-        # so the writer fills every row.
+    def test_min_eig_header_is_the_solution_spectrum(self, integrator, side):
+        # On the tetrahedron the run reads the cached dense spectrum; on the
+        # 10x10 torus it runs Lanczos to a relative error bound of 1e-14.
         if side is None:
             inst = parse_instance(TETRA_DOC)
             complex, prescription = inst.complex, inst.prescription
@@ -197,14 +195,20 @@ class TestReports:
         buf = io.StringIO()
         write_trace(buf, trace, complex, prescription, config)
         lines = buf.getvalue().splitlines()
-        columns = next(l for l in lines if l.startswith("# columns ")).split()[2:]
-        k_cols = [i for i, name in enumerate(columns) if name.startswith("K[")]
-        rows = [l.split("\t") for l in lines if not l.startswith("#")]
+        header = dict(l[2:].split(" ", 1) for l in lines if l.startswith("# "))
+        assert "min_eig" not in header["columns"].split()
+        K = trace.final_k()
+        exact = np.linalg.eigvalsh(evaluate(complex, K).J)[0]
+        lam = float(header["min_eig"])
+        if side is None:
+            assert lam == exact
+        else:
+            assert abs(lam / exact - 1.0) <= 1e-12
+        rate = float(header["predicted_rate"])
+        assert rate == -2.0 * (lam * lam if method == "calabi" else lam)
+        rows = [l for l in lines if not l.startswith("#")]
         assert len(rows) == len(trace.samples) > 1
-        for row in rows:
-            K = np.array([float(row[i]) for i in k_cols])
-            expected = evaluate(complex, K).min_eigenvalue
-            assert float(row[columns.index("min_eig")]) == expected
+        assert len(rows[0].split("\t")) == len(header["columns"].split())
 
     def test_solution_file(self):
         inst, config, trace = self._solved()
@@ -237,5 +241,6 @@ class TestReports:
         text = buf.getvalue()
         assert "# verdict diverged" in text
         assert "# failure" not in text
+        assert "# min_eig none\n# predicted_rate none\n" in text
         assert "# certificate_subset" in text
         assert "# certificate_margin" in text
