@@ -40,7 +40,7 @@ EXIT_BUDGET = 4
 
 def _load(path: Path) -> Instance:
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
@@ -89,8 +89,6 @@ def _solve_one(path: Path, args, trace_path: Path | None,
 
     config = FlowConfig(
         method=args.method,
-        integrator=args.integrator,
-        step=args.step,
         tol_curvature=args.tol,
         max_time=args.max_time,
     )
@@ -221,9 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--method", choices=("calabi", "curvature", "newton"),
                    default="calabi")
-    p.add_argument("--integrator", choices=("rk4", "rkf45"), default="rkf45")
-    p.add_argument("--step", type=float, default=1e-2,
-                   help="initial step size (fixed size for rk4)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="termination threshold on ||L - Lhat||_inf")
     p.add_argument("--max-time", type=float, default=1e4, dest="max_time",

@@ -39,7 +39,11 @@ from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
 
 METHODS = ("calabi", "curvature", "newton")
-INTEGRATORS = ("rk4", "rkf45")
+# The first RKF45 step, and the run budgets: accepted flow steps, Newton
+# iterations.
+FIRST_STEP = 1e-2
+MAX_ITERS = 500_000
+NEWTON_MAX_ITERS = 100
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -52,25 +56,17 @@ class FlowConfig:
     """Integration parameters for one flow run."""
 
     method: str = "calabi"
-    integrator: str = "rkf45"
-    step: float = 1e-2
     tol_curvature: float = 1e-10
     tol_ode: float = 1e-9
     max_time: float = 1e4
-    max_iters: int = 500_000
-    newton_max_iters: int = 100
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise InputError(f"unknown method {self.method!r}")
-        if self.integrator not in INTEGRATORS:
-            raise InputError(f"unknown integrator {self.integrator!r}")
-        for name in ("step", "tol_curvature", "tol_ode", "max_time"):
+        for name in ("tol_curvature", "tol_ode", "max_time"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise InputError(f"{name} must be finite and positive")
-        if self.max_iters <= 0 or self.newton_max_iters <= 0:
-            raise InputError("iteration budgets must be positive")
 
 
 @dataclass(frozen=True)
@@ -163,10 +159,10 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     every iteration, with t the iteration count).  Convergence means
     ||L - Lhat||_inf dropped below ``tol_curvature``; divergence means
     some |K_v| crossed the radius clamp K_CLAMP.  The budget is
-    ``max_iters`` steps or ``max_time`` for the flows and
-    ``newton_max_iters`` iterations for Newton.  The curvature flow is
-    integrated in K-space through the identity dK/dt = -(L - Lhat), which
-    avoids the radius-interval boundary entirely.
+    MAX_ITERS steps or ``max_time`` for the flows and NEWTON_MAX_ITERS
+    iterations for Newton.  The curvature flow is integrated in K-space
+    through the identity dK/dt = -(L - Lhat), which avoids the
+    radius-interval boundary entirely.
 
     A step-size underflow, a Newton iteration with no descent, a failed
     linear solve or a failed LAPACK call ends the run with the verdict
@@ -191,10 +187,10 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     trace = FlowTrace(method=config.method)
     if config.method == "newton":
         states = _newton_states(complex, prescription, K0)
-        budget, max_time = config.newton_max_iters, math.inf
+        budget, max_time = NEWTON_MAX_ITERS, math.inf
     else:
         states = _ode_states(complex, prescription, K0, config)
-        budget, max_time = config.max_iters, config.max_time
+        budget, max_time = MAX_ITERS, config.max_time
     try:
         for steps, (t, state, speed) in enumerate(states):
             err_inf = float(np.abs(state.L - prescription.lhat).max())
@@ -266,8 +262,9 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
                 K0: np.ndarray, config: FlowConfig):
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
-    The adaptive integrator bounds each step by a loose
-    ``extreme_eigenvalue`` ceiling at the state it steps from.
+    The adaptive RKF45 integrator starts at FIRST_STEP and bounds each
+    step by a loose ``extreme_eigenvalue`` ceiling at the state it steps
+    from.
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -279,32 +276,23 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
 
     t = 0.0
     K = K0.copy()
-    h = config.step
+    h = FIRST_STEP
     ritz = None
     while True:
         state = evaluate(complex, K)
         f0 = direction(state)
         yield t, state, math.sqrt(f0 @ f0)
 
-        if config.integrator == "rk4":
-            h_step = min(config.step, config.max_time - t)
-            k1 = f0
-            k2 = direction(evaluate(complex, K + 0.5 * h_step * k1))
-            k3 = direction(evaluate(complex, K + 0.5 * h_step * k2))
-            k4 = direction(evaluate(complex, K + h_step * k3))
-            K = K + (h_step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h_step
-        else:
-            # Linear-stability ceiling from the top of the spectrum: the
-            # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
-            # holding h below the explicit stability limit keeps the local
-            # error shrinking with the residual instead of riding the
-            # boundary.
-            lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
-            cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
-            h = min(h, cap, config.max_time - t)
-            K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
-                                  config.tol_ode)
+        # Linear-stability ceiling from the top of the spectrum: the
+        # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
+        # holding h below the explicit stability limit keeps the local
+        # error shrinking with the residual instead of riding the
+        # boundary.
+        lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
+        cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
+        h = min(h, cap, config.max_time - t)
+        K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
+                              config.tol_ode)
 
 
 def _rkf45_step(complex, direction, K, f0, t, h, tol):

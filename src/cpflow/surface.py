@@ -201,10 +201,13 @@ def validate(complex: SurfaceComplex) -> list[str]:
     """Check every structural invariant; returns one message per violation.
 
     Empty result means the complex is a usable closed-surface instance:
-    loopless, connected, every edge covered exactly twice by face walks,
-    all intersection angles in (0, pi/2], and Euler characteristic <= 2.
+    at least one edge, loopless, connected, every edge covered exactly
+    twice by face walks, all intersection angles in (0, pi/2], and Euler
+    characteristic <= 2.
     """
     problems: list[str] = []
+    if not complex.edges:
+        problems.append("complex has no edges")
 
     for e, (v, w) in enumerate(complex.edges):
         if v == w:
@@ -238,8 +241,6 @@ def validate(complex: SurfaceComplex) -> list[str]:
 
 def _connected(complex: SurfaceComplex) -> bool:
     n = complex.n_vertices
-    if n == 1:
-        return True
     adj: list[list[int]] = [[] for _ in range(n)]
     for v, w in complex.edges:
         adj[v].append(w)

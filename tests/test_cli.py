@@ -54,6 +54,19 @@ f1 aa ab
         assert main(["validate", str(path)]) == 1
         assert "loop" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["validate"], ["check"], ["solve", "--method", "calabi"],
+        ["solve", "--method", "curvature"], ["solve", "--method", "newton"],
+    ], ids=["validate", "check", "calabi", "curvature", "newton"])
+    def test_edgeless_complex_rejected(self, tmp_path, capsys, argv):
+        # A lone vertex has chi = 1 but no edge to carry a circle pattern.
+        path = tmp_path / "lone.icp"
+        path.write_text("[vertices]\na\n[prescription]\na 1\n")
+        assert main(argv[:1] + [str(path)] + argv[1:]) == 1
+        out, err = capsys.readouterr()
+        assert out == "violation: complex has no edges\n"
+        assert err == ""
+
     def test_malformed_document(self, tmp_path, capsys):
         path = tmp_path / "broken.icp"
         path.write_text("[vertices]\na a\n")
@@ -115,6 +128,18 @@ class TestCheck:
         assert err == (f"error: cannot read {path}: 'utf-8' codec can't "
                        "decode byte 0xff in position 0: invalid start byte\n")
 
+    def test_byte_order_mark_accepted(self, tmp_path, capsys):
+        # as some editors save UTF-8; 4 < 2 pi, so the bigon is feasible
+        path = tmp_path / "bom.icp"
+        path.write_bytes(b"\xef\xbb\xbf[vertices]\na b\n[edges]\n"
+                         b"ab a b pi/2\nba a b pi/2\n[faces]\nf0 ab ba\n"
+                         b"f1 ab ba\n[prescription]\na 2\nb 2\n")
+        assert main(["validate", str(path)]) == 0
+        assert main(["check", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("valid, chi=2\nfeasible ")
+        assert err == ""
+
     def test_missing_prescription(self, tmp_path):
         path = write_instance(tmp_path / "bare.icp", fixtures.tetrahedron())
         assert main(["check", path]) == 2
@@ -158,8 +183,7 @@ class TestSolve:
     def test_seeded_traces_are_byte_identical(self, tetra_file, tmp_path):
         paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
         for p in paths:
-            code = main(["solve", tetra_file, "--integrator", "rk4",
-                         "--step", "0.05", "--tol", "1e-8",
+            code = main(["solve", tetra_file, "--tol", "1e-8",
                          "--seed", "12", "--trace", str(p)])
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -188,8 +212,7 @@ class TestSolve:
         assert "face" in out
 
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"),
-                                             ("--max-time", "nan"),
-                                             ("--step", "inf")])
+                                             ("--max-time", "nan")])
     def test_non_finite_flag_rejected(self, tetra_file, capsys, flag, value):
         assert main(["solve", tetra_file, flag, value]) == 2
         assert "finite" in capsys.readouterr().err
@@ -374,16 +397,20 @@ class TestNumericalFailure:
 class TestHonestVerdicts:
     """Exit 3 only where the certificate proves infeasibility."""
 
-    def tetra_with(self, tmp_path, lhat_d):
+    # On the feasible lhat_d = 3.9, Newton steps from here land past the
+    # radius clamp.
+    FAR_START = (20.0, -20.0, 0.0, 0.0)
+
+    def tetra_with(self, tmp_path, lhat_d, initial_k=None):
         lhat = np.array([4.053, 4.053, 4.053, lhat_d])
         return write_instance(tmp_path / "tetra.icp", fixtures.tetrahedron(),
-                              Prescription(lhat))
+                              Prescription(lhat), initial_k)
 
     def test_divergence_of_a_feasible_prescription(self, tmp_path, capsys):
-        path = self.tetra_with(tmp_path, 3.9)
+        path = self.tetra_with(tmp_path, 3.9, self.FAR_START)
         assert main(["check", path]) == 0
         capsys.readouterr()
-        code = main(["solve", path, "--integrator", "rk4", "--step", "1e300",
+        code = main(["solve", path, "--method", "newton",
                      "--trace", str(tmp_path / "t.tsv")])
         assert code == 4
         out, err = capsys.readouterr()
@@ -392,18 +419,19 @@ class TestHonestVerdicts:
                        "although the prescription is feasible "
                        "(worst margin -2.79055592154)\n")
 
-    @pytest.mark.parametrize("lhat_d, flags, rows, failure", [
-        (3.9, ["--integrator", "rk4", "--step", "1e300"], 2,
+    @pytest.mark.parametrize("lhat_d, k0, rows, failure", [
+        (3.9, FAR_START, 3,
          "flow diverged although the prescription is feasible "
          "(worst margin -2.79055592154)"),
-        (9.5, ["--method", "newton"], None, "backtracking found no decrease"),
+        (9.5, None, None, "backtracking found no decrease"),
     ], ids=["diverged-feasible", "newton-no-descent"])
     def test_failed_solve_writes_its_partial_trace(self, tmp_path, capsys,
-                                                    lhat_d, flags, rows,
+                                                    lhat_d, k0, rows,
                                                     failure):
-        path = self.tetra_with(tmp_path, lhat_d)
+        path = self.tetra_with(tmp_path, lhat_d, k0)
         trace = tmp_path / "t.tsv"
-        assert main(["solve", path, "--trace", str(trace)] + flags) == 4
+        assert main(["solve", path, "--method", "newton",
+                     "--trace", str(trace)]) == 4
         assert "numerical failure" in capsys.readouterr().err
         lines = trace.read_text().splitlines()
         at = lines.index("# verdict numerical-failure")
@@ -411,20 +439,18 @@ class TestHonestVerdicts:
         body = [l for l in lines if not l.startswith("#")]
         assert len(body) >= 1 and (rows is None or len(body) == rows)
 
-    @pytest.mark.parametrize("lhat_d, flags", [
-        (3.9, ["--integrator", "rk4", "--step", "1e300"]),
-        (9.5, ["--method", "newton"]),
-    ], ids=["rk4-divergence", "newton-no-descent"])
+    @pytest.mark.parametrize("lhat_d, k0", [(3.9, FAR_START), (9.5, None)],
+                             ids=["diverged-feasible", "newton-no-descent"])
     def test_failed_solve_computes_one_min_cut(self, tmp_path, monkeypatch,
-                                               lhat_d, flags):
+                                               lhat_d, k0):
         calls = []
         for module in (cpflow.flow, cpflow.cli):
             def counted(*args, real=module.check_mincut):
                 calls.append(args)
                 return real(*args)
             monkeypatch.setattr(module, "check_mincut", counted)
-        path = self.tetra_with(tmp_path, lhat_d)
-        assert main(["solve", path] + flags) == 4
+        path = self.tetra_with(tmp_path, lhat_d, k0)
+        assert main(["solve", path, "--method", "newton"]) == 4
         assert len(calls) == 1
 
     def test_newton_without_descent(self, tmp_path, capsys):

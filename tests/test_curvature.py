@@ -67,10 +67,12 @@ class TestEvaluate:
         assert np.all(np.isfinite(st.L)) and np.all(np.isfinite(st.J))
 
     def test_edgeless_complex(self):
+        # L and J vanish identically without edges, so no flow or Newton
+        # step is defined: the complex is invalid.
         from cpflow.surface import SurfaceComplex
         lone = SurfaceComplex(1, (), ((),), np.zeros(0))
-        st = evaluate(lone, np.zeros(1))
-        assert st.L.tolist() == [0.0] and st.diag.tolist() == [0.0]
+        with pytest.raises(InputError, match="complex has no edges"):
+            evaluate(lone, np.zeros(1))
 
     def test_input_errors(self, tetra):
         with pytest.raises(InputError):

@@ -142,8 +142,7 @@ class TestParse:
 class TestReports:
     def _solved(self):
         inst = parse_instance(TETRA_DOC)
-        config = FlowConfig(integrator="rk4", step=0.05, tol_ode=1e-6,
-                            tol_curvature=1e-9)
+        config = FlowConfig(tol_ode=1e-6, tol_curvature=1e-9)
         trace = run(inst.complex, inst.prescription,
                     np.array([0.4, -0.3, 0.2, 0.0]), config)
         return inst, config, trace
@@ -172,10 +171,9 @@ class TestReports:
         write_trace(b, trace2, inst.complex, inst.prescription, config2)
         assert a.getvalue() == b.getvalue()
 
-    @pytest.mark.parametrize("integrator, side", [
-        ("rk4", None), ("rkf45", None), ("rkf45", 10),
-    ], ids=["rk4", "rkf45", "rkf45-torus10x10"])
-    def test_min_eig_header_is_the_solution_spectrum(self, integrator, side):
+    @pytest.mark.parametrize("side", [None, 10],
+                             ids=["rkf45", "rkf45-torus10x10"])
+    def test_min_eig_header_is_the_solution_spectrum(self, side):
         # On the tetrahedron the run reads the cached dense spectrum; on the
         # 10x10 torus it runs Lanczos to a relative error bound of 1e-14.
         if side is None:
@@ -189,8 +187,7 @@ class TestReports:
             prescription = planted.prescription
             k0 = planted.kbar + 0.3
             method = "curvature"
-        config = FlowConfig(method=method, integrator=integrator, step=0.05,
-                            tol_curvature=1e-9)
+        config = FlowConfig(method=method, tol_curvature=1e-9)
         trace = run(complex, prescription, k0, config)
         buf = io.StringIO()
         write_trace(buf, trace, complex, prescription, config)

@@ -72,6 +72,10 @@ class TestValidate:
         assert any("not connected" in p for p in problems)
         assert any("Euler characteristic" in p for p in problems)  # chi = 4
 
+    def test_edgeless_rejected(self):
+        c = SurfaceComplex(1, (), (), np.zeros(0))
+        assert validate(c) == ["complex has no edges"]
+
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
         assert tetra.is_valid
