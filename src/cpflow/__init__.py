@@ -8,34 +8,32 @@ feasibility certification of the prescription.
 
 from .curvature import (CurvatureState, evaluate, potential,
                         prescribed_calabi_energy, velocity_bound)
-from .errors import (DomainError, InputError, IntegrationError,
-                     NonConvergenceError, ParseError, QuadratureError,
-                     SizeError)
+from .errors import (DomainError, InputError, NonConvergenceError,
+                     ParseError, QuadratureError, SizeError)
 from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
 from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
                    calabi_direction, curvature_rhs, fit_decay_rate, run)
-from .geometry import (EdgeSideGeometry, edge_side_geometry, k_to_r,
-                       quad_angle, r_to_k, side_curvature)
+from .geometry import EdgeSideGeometry, edge_side_geometry, k_to_r, r_to_k
 from .instancefile import (Instance, instance_digest, parse_instance,
                            serialize_instance)
 from .oracle import (SyntheticInstance, fd_gradient, fd_jacobian,
                      make_synthetic, relative_error, rng_for)
-from .surface import (Prescription, SurfaceComplex, build_complex, degree,
+from .surface import (Prescription, SurfaceComplex, build_complex,
                       edge_neighborhood, validate)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurvatureState", "DomainError", "EdgeSideGeometry", "FeasibilityVerdict",
-    "FlowConfig", "FlowSample", "FlowTrace", "InputError", "IntegrationError",
+    "FlowConfig", "FlowSample", "FlowTrace", "InputError",
     "Instance", "NonConvergenceError", "ParseError", "Prescription",
     "QuadratureError", "RateFit", "SizeError", "SurfaceComplex",
     "SyntheticInstance", "build_complex", "calabi_direction",
-    "check_bruteforce", "check_mincut", "curvature_rhs", "degree",
+    "check_bruteforce", "check_mincut", "curvature_rhs",
     "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",
     "fd_jacobian", "fit_decay_rate", "k_to_r", "make_synthetic",
-    "potential", "prescribed_calabi_energy", "quad_angle",
-    "r_to_k", "relative_error", "rng_for", "run", "side_curvature",
+    "potential", "prescribed_calabi_energy",
+    "r_to_k", "relative_error", "rng_for", "run",
     "validate", "velocity_bound", "instance_digest", "parse_instance",
     "serialize_instance",
 ]

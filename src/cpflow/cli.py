@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``validate`` (structural checks), ``check`` (feasibility of
-the prescription), ``solve`` (run a flow and write trace/solution files).
+the prescription), ``solve`` (run a flow, print a summary line, and write
+trace/solution files; the solution file is the report of the pattern).
 
 Exit codes are a stable contract:
 
@@ -20,7 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .curvature import evaluate
 from .errors import InputError, ParseError
 # check_bruteforce is not called here; it stays importable from this module
 # because the benchmark's tracer counts calls through this name.
@@ -130,13 +130,6 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     final = trace.final
     print(f"{path.name}: {trace.verdict} t={final.t:.6g} "
           f"err_inf={final.err_inf:.6g} energy={final.energy:.6g}")
-    if args.report_geometry:
-        state = evaluate(inst.complex, trace.final_k())
-        for v, name in enumerate(inst.complex.vertex_names):
-            print(f"  vertex {name}: r={state.r[v]:.12g} K={state.K[v]:.12g} "
-                  f"L={state.L[v]:.12g} cone_angle={state.alpha_v[v]:.12g}")
-        for f, name in enumerate(inst.complex.face_names):
-            print(f"  face {name}: cone_angle={state.alpha_f[f]:.12g}")
     if trace.verdict == VERDICT_CONVERGED:
         return EXIT_OK
     if trace.verdict == VERDICT_DIVERGED:
@@ -224,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-time", type=float, default=1e4, dest="max_time",
                    help="flow-time budget")
     p.add_argument("--trace", help="write the step-by-step trace here")
-    p.add_argument("--solution", help="write the solution report here")
-    p.add_argument("--report-geometry", action="store_true",
-                   help="also print cone angles of the solved pattern")
+    p.add_argument("--solution",
+                   help="write the solution report (radii, cone angles) here")
     p.add_argument("--seed", type=_seed, default=None,
                    help="randomize the start coordinates (overrides [initial_k])")
     p.set_defaults(func=cmd_solve)

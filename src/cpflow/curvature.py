@@ -1,7 +1,7 @@
 """Global curvature quantities assembled over the whole complex.
 
 Everything downstream of the per-edge kernel lives here: the total
-geodesic curvature vector L(K), cone angles at vertices and face centers,
+geodesic curvature vector L(K), the cone angles at the vertices,
 the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
 Vertex quantities are assembled over the edge list in O(E); the dense
@@ -102,20 +102,6 @@ class CurvatureState:
         """Cone angle at each vertex: sum of incident center angles."""
         c = self.complex
         return np.bincount(c.flat_ends, self.theta_sides.ravel(), c.n_vertices)
-
-    @property
-    def alpha_f(self) -> np.ndarray:
-        """Cone angle at each face center (depends only on the angles phi)."""
-        return self.complex.face_cone_angles
-
-    def theta(self, edge: int, vertex: int) -> float:
-        """Center angle of edge ``edge`` on the side of ``vertex``."""
-        v, w = self.complex.edges[edge]
-        if vertex == v:
-            return float(self.theta_v[edge])
-        if vertex == w:
-            return float(self.theta_w[edge])
-        raise InputError(f"vertex {vertex} is not an endpoint of edge {edge}")
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:

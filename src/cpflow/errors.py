@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-``flow.run`` catches IntegrationError and NonConvergenceError and returns
-them as the verdict ``numerical-failure``.
+``flow.run`` catches NonConvergenceError (an RKF45 step-size underflow,
+a Newton step with no descent, a failed linear solve) and returns it as
+the verdict ``numerical-failure``.
 """
 
 
@@ -40,8 +41,4 @@ class QuadratureError(ArithmeticError):
 
 
 class NonConvergenceError(RuntimeError):
-    """An iterative solver failed to reach its tolerance."""
-
-
-class IntegrationError(RuntimeError):
-    """The ODE integrator could not proceed (step-size underflow)."""
+    """An integrator or iterative solver could not proceed."""

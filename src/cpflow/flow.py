@@ -33,8 +33,7 @@ import numpy as np
 from . import geometry
 from .curvature import (K_CLAMP, CurvatureState, evaluate,
                         extreme_eigenvalue, prescribed_calabi_energy)
-from .errors import (DomainError, InputError, IntegrationError,
-                     NonConvergenceError)
+from .errors import DomainError, InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
 
@@ -215,8 +214,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
             lam = trace.min_eig = extreme_eigenvalue(state, "min", 1e-14)[0]
             trace.predicted_rate = -2.0 * (
                 lam * lam if config.method == "calabi" else lam)
-    except (IntegrationError, NonConvergenceError,
-            np.linalg.LinAlgError) as exc:
+    except (NonConvergenceError, np.linalg.LinAlgError) as exc:
         verdict, trace.failure = VERDICT_FAILED, str(exc)
     trace.verdict = verdict
     if verdict == VERDICT_CONVERGED:
@@ -314,7 +312,7 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol):
             return K + np.dot(h * _RKF_B5, k), t + h, h * factor
         h *= max(0.1, 0.9 * (tol / err) ** 0.2)
         if h < _MIN_STEP:
-            raise IntegrationError(
+            raise NonConvergenceError(
                 f"step size underflow at t={t:g} (local error {err:g})")
 
 

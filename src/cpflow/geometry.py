@@ -1,11 +1,11 @@
 """Spherical-trigonometry kernel for a single edge quadrilateral.
 
 Every edge of the embedded graph carries a spherical quadrilateral spanned
-by the two circle centers v, w and the two adjacent face centers.  The
-functions here compute the center angles of that quadrilateral, the total
-geodesic curvature contributed by each circular arc, and the analytic
-partial derivatives with respect to the log-cotangent coordinates
-K = ln cot r.
+by the two circle centers v, w and the two adjacent face centers.
+``edge_side_geometry`` computes the center angles of that quadrilateral,
+the total geodesic curvature contributed by each circular arc, and the
+analytic partial derivatives with respect to the log-cotangent
+coordinates K = ln cot r, all in one ``EdgeSideGeometry``.
 
 All functions accept scalars or numpy arrays (broadcasting elementwise)
 and work in radians.  Radii live in (0, pi/2), intersection angles in
@@ -59,35 +59,6 @@ def k_to_r(k):
     return float(out) if out.ndim == 0 else out
 
 
-def quad_angle(r_v, r_w, phi):
-    """Center angle theta at the circle of radius ``r_v`` across one edge.
-
-    Spherical cotangent four-part relation for the edge quadrilateral:
-
-        cot(theta/2) = (cot r_w sin r_v + cos r_v cos phi) / sin phi
-
-    computed branch-free as 2 atan2(sin phi, .) so the result stays
-    accurate when the right-hand side crosses small values (theta near pi).
-    Swapping ``r_v`` and ``r_w`` gives the angle at the other endpoint.
-    """
-    r_v = _check_radius(r_v, "r_v")
-    r_w = _check_radius(r_w, "r_w")
-    phi = _check_phi(phi)
-    ct = np.cos(r_w) / np.sin(r_w) * np.sin(r_v) + np.cos(r_v) * np.cos(phi)
-    out = 2.0 * np.arctan2(np.sin(phi), ct)
-    return float(out) if out.ndim == 0 else out
-
-
-def side_curvature(theta, r):
-    """Total geodesic curvature theta * cos r of one circular arc."""
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= 0.0) or np.any(theta >= 2.0 * np.pi):
-        raise DomainError("theta must lie in (0, 2*pi)")
-    r = _check_radius(r, "r")
-    out = theta * np.cos(r)
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class EdgeSideGeometry:
     """Angles, arc curvatures, and K-derivatives for one edge quadrilateral.
@@ -135,16 +106,6 @@ class EdgeSideGeometry:
     def d_own(self) -> np.ndarray:
         """dL_v/dK_v and dL_w/dK_w, stacked."""
         return self.d_pair - self.d_cross
-
-    @property
-    def d_own_v(self):
-        """dL_v/dK_v."""
-        return self.d_pair_v - self.d_cross
-
-    @property
-    def d_own_w(self):
-        """dL_w/dK_w."""
-        return self.d_pair_w - self.d_cross
 
 
 # Below _TMS_SERIES_BELOW, theta - sin(theta) is summed from its Taylor
@@ -200,7 +161,9 @@ def _edge_kernel(sin_phi, cos_phi, cross_scale, cot_across, sin_r, cos_r) -> Edg
 def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
     """Evaluate both side angles and all analytic partials for one edge.
 
-    The derivative formulas:
+    The center angle theta_v = 2 atan2(sin phi, cot r_w sin r_v + cos r_v
+    cos phi) is the cotangent four-part relation of the quadrilateral, and
+    L_v_side = theta_v cos r_v; the w side mirrors both.  The derivatives:
 
         dL_v/dK_w          = -2 cos r_v cos r_w sin(theta_v/2) sin(theta_w/2) / sin phi
         d(L_v + L_w)/dK_v  = sin^2 r_v cos r_v (theta_v - sin theta_v)

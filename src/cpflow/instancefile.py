@@ -268,4 +268,4 @@ def write_solution(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write("\n[faces]\n")
     out.write("# name cone_angle\n")
     for f, name in enumerate(complex.face_names):
-        out.write(f"{name} {fmt(state.alpha_f[f])}\n")
+        out.write(f"{name} {fmt(complex.face_cone_angles[f])}\n")

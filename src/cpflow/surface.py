@@ -2,8 +2,8 @@
 
 The embedding is encoded by face boundary walks (cyclic sequences of edge
 ids).  Nothing geometric is stored here beyond the per-edge intersection
-angle; the closed-surface structure is captured combinatorially by the
-condition that every edge is covered exactly twice by the face walks.
+angle; the closed-surface structure is captured combinatorially by
+closed face walks that together cover every edge exactly twice.
 """
 
 from __future__ import annotations
@@ -202,8 +202,8 @@ def validate(complex: SurfaceComplex) -> list[str]:
 
     Empty result means the complex is a usable closed-surface instance:
     at least one edge, loopless, connected, every edge covered exactly
-    twice by face walks, all intersection angles in (0, pi/2], and Euler
-    characteristic <= 2.
+    twice by face walks, every face walk closed, all intersection angles
+    in (0, pi/2], and Euler characteristic <= 2.
     """
     problems: list[str] = []
     if not complex.edges:
@@ -222,6 +222,9 @@ def validate(complex: SurfaceComplex) -> list[str]:
         if c != 2:
             problems.append(f"edge {complex.edge_names[e]} covered {c} times by "
                             f"face walks (expected 2)")
+    for f, walk in enumerate(complex.faces):
+        if not _closed(complex.edges, walk):
+            problems.append(f"face {complex.face_names[f]} is not a closed walk")
 
     for e in range(complex.n_edges):
         p = complex.phi[e]
@@ -237,6 +240,19 @@ def validate(complex: SurfaceComplex) -> list[str]:
         problems.append(f"Euler characteristic {chi} exceeds 2; not a closed surface")
 
     return problems
+
+
+def _closed(edges: tuple[tuple[int, int], ...], walk: tuple[int, ...]) -> bool:
+    """Whether some orientation of the walk's edges chains end to end back
+    to its start; the first edge's orientation forces all the others."""
+    for start in edges[walk[0]] if walk else ():
+        at = start
+        for e in walk:
+            v, w = edges[e]
+            at = w if at == v else v if at == w else None
+        if at == start:
+            return True
+    return False
 
 
 def _connected(complex: SurfaceComplex) -> bool:
@@ -263,11 +279,6 @@ def edge_neighborhood(complex: SurfaceComplex, w: Iterable[int]) -> set[int]:
     """Ids of all edges with at least one endpoint in the vertex set ``w``."""
     members = {complex.require_vertex(v) for v in w}
     return {e for e, (a, b) in enumerate(complex.edges) if a in members or b in members}
-
-
-def degree(complex: SurfaceComplex, v: int) -> int:
-    """Number of edge-ends at ``v`` (parallel edges counted separately)."""
-    return int(complex.degrees[complex.require_vertex(v)])
 
 
 def build_complex(vertex_names: Sequence[str],

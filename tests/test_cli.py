@@ -6,8 +6,8 @@ import pytest
 
 import cpflow.cli
 import cpflow.flow
-from cpflow import (IntegrationError, NonConvergenceError, Prescription,
-                    evaluate, fixtures, make_synthetic, serialize_instance)
+from cpflow import (NonConvergenceError, Prescription, evaluate, fixtures,
+                    make_synthetic, serialize_instance)
 from cpflow.cli import main
 from cpflow.surface import edge_neighborhood
 from conftest import count_computed, single_vertex_violator
@@ -65,6 +65,21 @@ f1 aa ab
         assert main(argv[:1] + [str(path)] + argv[1:]) == 1
         out, err = capsys.readouterr()
         assert out == "violation: complex has no edges\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["validate"], ["check"], ["solve"]],
+                             ids=["validate", "check", "solve"])
+    def test_open_face_walk_rejected(self, tmp_path, capsys, argv):
+        # Every edge lies on two walks and chi = 2, but f1 jumps from ab to
+        # the far edge cd, so it bounds no face.
+        path = tmp_path / "square.icp"
+        path.write_text("[vertices]\na b c d\n[edges]\nab a b pi/2\n"
+                        "bc b c pi/2\ncd c d pi/2\nda d a pi/2\n[faces]\n"
+                        "f0 ab bc cd da\nf1 ab cd bc da\n"
+                        "[prescription]\na 1\nb 1\nc 1\nd 1\n")
+        assert main(argv + [str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "violation: face f1 is not a closed walk\n"
         assert err == ""
 
     def test_malformed_document(self, tmp_path, capsys):
@@ -205,12 +220,6 @@ class TestSolve:
         assert main(["solve", str(path)]) == 2
         assert "K0 lies past the radius clamp" in capsys.readouterr().err
 
-    def test_report_geometry(self, tetra_file, capsys):
-        assert main(["solve", tetra_file, "--report-geometry"]) == 0
-        out = capsys.readouterr().out
-        assert "cone_angle" in out
-        assert "face" in out
-
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"),
                                              ("--max-time", "nan")])
     def test_non_finite_flag_rejected(self, tetra_file, capsys, flag, value):
@@ -220,6 +229,12 @@ class TestSolve:
     def test_usage_error(self):
         assert main(["solve"]) == 2
         assert main(["frobnicate", "x"]) == 2
+
+    def test_report_geometry_flag_removed(self, tetra_file, capsys):
+        # The solution report (--solution) carries the solved geometry.
+        assert main(["solve", tetra_file, "--report-geometry"]) == 2
+        assert ("unrecognized arguments: --report-geometry"
+                in capsys.readouterr().err)
 
     def test_batch_directory(self, tmp_path, capsys):
         tetra = fixtures.tetrahedron()
@@ -341,7 +356,7 @@ class TestNumericalFailure:
     """A solver failure is one file's outcome (exit 4), not a traceback."""
 
     @pytest.fixture(params=[
-        IntegrationError("step size underflow at t=0.5 (local error 1e-3)"),
+        NonConvergenceError("step size underflow at t=0.5 (local error 1e-3)"),
         NonConvergenceError("linear solve failed"),
         np.linalg.LinAlgError("Singular matrix"),
     ], ids=["integration", "non-convergence", "linalg"])

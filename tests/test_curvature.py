@@ -40,18 +40,17 @@ class TestEvaluate:
         assert np.allclose(st.theta_w, THETA_REF, atol=1e-14)
         assert np.allclose(st.L, L_REF, atol=1e-13)
         assert np.allclose(st.alpha_v, ALPHA_REF, atol=1e-13)
-        assert np.allclose(st.alpha_f, 3 * np.pi / 2, atol=1e-14)
+        assert np.allclose(st.complex.face_cone_angles, 3 * np.pi / 2, atol=1e-14)
         assert np.allclose(np.diag(st.J), J_DIAG_REF, atol=1e-13)
         off = st.J[~np.eye(4, dtype=bool)]
         assert np.allclose(off, -2.0 / 3.0, atol=1e-13)
         assert not st.clamped
 
-    def test_theta_lookup(self, tetra, tetra_state):
-        v, w = tetra.edges[0]
-        assert tetra_state.theta(0, v) == pytest.approx(THETA_REF, abs=1e-14)
-        assert tetra_state.theta(0, w) == pytest.approx(THETA_REF, abs=1e-14)
-        with pytest.raises(InputError):
-            tetra_state.theta(0, 3)
+    def test_theta_lookup(self, tetra_state):
+        # theta_v[e] is the side of edge e's first endpoint, theta_w[e] the
+        # side of its second.
+        assert tetra_state.theta_v[0] == pytest.approx(THETA_REF, abs=1e-14)
+        assert tetra_state.theta_w[0] == pytest.approx(THETA_REF, abs=1e-14)
 
     def test_parallel_edges_accumulate(self):
         big = fixtures.bigon()

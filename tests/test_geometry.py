@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cpflow import (DomainError, edge_side_geometry, k_to_r, quad_angle,
-                    r_to_k, side_curvature)
+from cpflow import DomainError, edge_side_geometry, k_to_r, r_to_k
 from cpflow.oracle import rng_for
 
 # Reference values for r_v = r_w = pi/4, phi = pi/2, frozen from direct
@@ -63,25 +62,32 @@ class TestCoordinateChange:
             k_to_r(bad)
 
 
+def theta_v(r_v, r_w, phi):
+    return edge_side_geometry(r_v, r_w, phi).theta_v
+
+
 class TestQuadAngle:
+    """The center angle of the edge quadrilateral at the v side."""
+
     def test_symmetric_reference(self):
-        theta = quad_angle(math.pi / 4, math.pi / 4, math.pi / 2)
+        theta = theta_v(math.pi / 4, math.pi / 4, math.pi / 2)
         assert theta == pytest.approx(THETA_REF, abs=1e-15)
         assert theta == pytest.approx(2.0 * math.atan(math.sqrt(2.0)), abs=1e-15)
         assert theta == pytest.approx(math.acos(-1.0 / 3.0), abs=1e-15)
 
     def test_equal_radii_both_sides_agree(self):
         for r, phi in [(0.3, 1.0), (1.2, math.pi / 2), (0.7, 0.4)]:
-            assert quad_angle(r, r, phi) == quad_angle(r, r, phi)
+            g = edge_side_geometry(r, r, phi)
+            assert g.theta_v == g.theta_w
 
     def test_far_circle_limit(self):
         # r_w -> pi/2 at phi = pi/2 closes up the angle to pi
-        theta = quad_angle(0.3, math.pi / 2 - 1e-9, math.pi / 2)
+        theta = theta_v(0.3, math.pi / 2 - 1e-9, math.pi / 2)
         assert theta == pytest.approx(math.pi, abs=1e-8)
 
     def test_increasing_in_other_radius(self):
         rw = np.linspace(0.05, math.pi / 2 - 0.05, 80)
-        theta = quad_angle(0.6, rw, 1.1)
+        theta = theta_v(0.6, rw, 1.1)
         assert np.all(np.diff(theta) > 0.0)
 
     def test_range(self):
@@ -89,44 +95,40 @@ class TestQuadAngle:
         rv = rng.uniform(0.01, math.pi / 2 - 0.01, 500)
         rw = rng.uniform(0.01, math.pi / 2 - 0.01, 500)
         phi = rng.uniform(0.01, math.pi / 2, 500)
-        theta = quad_angle(rv, rw, phi)
+        theta = theta_v(rv, rw, phi)
         assert np.all(theta > 0.0) and np.all(theta < math.pi)
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
-            quad_angle(0.0, 0.3, 1.0)
+            theta_v(0.0, 0.3, 1.0)
         with pytest.raises(DomainError):
-            quad_angle(0.3, math.pi / 2, 1.0)
+            theta_v(0.3, math.pi / 2, 1.0)
         with pytest.raises(DomainError):
-            quad_angle(0.3, 0.3, math.pi / 2 + 1e-9)
+            theta_v(0.3, 0.3, math.pi / 2 + 1e-9)
         with pytest.raises(DomainError):
-            quad_angle(0.3, 0.3, 0.0)
+            theta_v(0.3, 0.3, 0.0)
 
 
 class TestSideCurvature:
-    def test_reference(self):
-        assert side_curvature(THETA_REF, math.pi / 4) == pytest.approx(L_SIDE_REF, abs=1e-14)
+    """The arc curvature L_v_side = theta_v cos r_v."""
 
-    def test_half_cosine(self):
-        # cos(pi/3) = 1/2
-        assert side_curvature(math.pi, math.pi / 3) == pytest.approx(math.pi / 2, abs=1e-14)
+    def test_reference(self):
+        g = edge_side_geometry(math.pi / 4, math.pi / 4, math.pi / 2)
+        assert g.L_v_side == pytest.approx(L_SIDE_REF, abs=1e-14)
 
     def test_vanishes_at_equator(self):
-        assert side_curvature(1.0, math.pi / 2 - 1e-9) < 1e-8
+        assert edge_side_geometry(math.pi / 2 - 1e-9, 0.3, 1.0).L_v_side < 1e-8
 
     def test_positive(self):
         rng = rng_for(13)
-        theta = rng.uniform(0.01, 2 * math.pi - 0.01, 200)
-        r = rng.uniform(0.01, math.pi / 2 - 0.01, 200)
-        assert np.all(side_curvature(theta, r) > 0.0)
+        rv = rng.uniform(0.01, math.pi / 2 - 0.01, 200)
+        rw = rng.uniform(0.01, math.pi / 2 - 0.01, 200)
+        phi = rng.uniform(0.01, math.pi / 2, 200)
+        assert np.all(edge_side_geometry(rv, rw, phi).L_side > 0.0)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            side_curvature(0.0, 0.3)
-        with pytest.raises(DomainError):
-            side_curvature(2 * math.pi, 0.3)
-        with pytest.raises(DomainError):
-            side_curvature(1.0, math.pi / 2)
+            edge_side_geometry(math.pi / 2, 0.3, 1.0)
 
 
 def _fd_in_k(f, k, h=1e-5):
@@ -142,7 +144,7 @@ class TestEdgeSideGeometry:
         assert g.d_cross == pytest.approx(D_CROSS_REF, abs=1e-12)
         assert g.d_pair_v == pytest.approx(D_PAIR_REF, abs=1e-12)
         assert g.d_pair_w == pytest.approx(D_PAIR_REF, abs=1e-12)
-        assert g.d_own_v == g.d_pair_v - g.d_cross
+        assert g.d_own[0] == g.d_pair_v - g.d_cross
 
     def test_cross_partial_symmetry(self):
         rng = rng_for(14)
@@ -164,7 +166,7 @@ class TestEdgeSideGeometry:
         assert np.all(g.d_pair_v > 0.0)
         assert np.all(g.d_pair_w > 0.0)
         # 2x2 block strict diagonal dominance
-        assert np.all(g.d_own_v > np.abs(g.d_cross))
+        assert np.all(g.d_own[0] > np.abs(g.d_cross))
         residual = (np.sin(g.theta_v / 2) / np.sin(rw)
                     - np.sin(g.theta_w / 2) / np.sin(rv))
         assert np.max(np.abs(residual)) <= 1e-12
@@ -189,7 +191,7 @@ class TestEdgeSideGeometry:
 
             worst_cross = max(worst_cross, abs(fd_cross - g.d_cross) / abs(g.d_cross))
             worst_pair = max(worst_pair, abs(fd_pair - g.d_pair_v) / abs(g.d_pair_v))
-            worst_own = max(worst_own, abs(fd_own - g.d_own_v) / abs(g.d_own_v))
+            worst_own = max(worst_own, abs(fd_own - g.d_own[0]) / abs(g.d_own[0]))
         assert worst_cross <= 1e-6
         assert worst_pair <= 1e-6
         assert worst_own <= 1e-6

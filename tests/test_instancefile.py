@@ -7,7 +7,7 @@ import pytest
 from cpflow import (FlowConfig, ParseError, Prescription, evaluate, fixtures,
                     instance_digest, make_synthetic, parse_instance, run,
                     serialize_instance)
-from cpflow.instancefile import parse_angle, write_solution, write_trace
+from cpflow.instancefile import fmt, parse_angle, write_solution, write_trace
 
 TETRA_DOC = """\
 # four circles, all crossings orthogonal
@@ -220,6 +220,12 @@ class TestReports:
                 name, K, r, L, alpha = line.split()
                 assert abs(float(r) - math.pi / 4) < 1e-6
                 assert abs(float(L) - 4.05306515313624) < 1e-6
+        # every face of the right-angled tetrahedron has cone angle 3 pi/2
+        faces = [line for line in text.split("[faces]")[1].splitlines()
+                 if line and not line.startswith("#")]
+        assert len(faces) == 4
+        for line in faces:
+            assert line.split()[1] == fmt(3 * math.pi / 2)
 
     def test_digest_tracks_content(self):
         inst = parse_instance(TETRA_DOC)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cpflow import (InputError, Prescription, SurfaceComplex, build_complex,
-                    degree, edge_neighborhood, fixtures, potential, validate)
+                    edge_neighborhood, fixtures, potential, validate)
 from cpflow.surface import check_instance
 
 
@@ -76,6 +76,25 @@ class TestValidate:
         c = SurfaceComplex(1, (), (), np.zeros(0))
         assert validate(c) == ["complex has no edges"]
 
+    @pytest.mark.parametrize("faces, open_faces", [
+        # a square with one walk that jumps from ab to the far edge cd
+        ({"f0": "ab bc cd da", "f1": "ab cd bc da"}, ["f1"]),
+        # a tetrahedron whose four "faces" cover every edge twice
+        ({"f0": "ab cd ac", "f1": "ab cd bd", "f2": "ac bc ad",
+          "f3": "bd bc ad"}, ["f0", "f1", "f2", "f3"]),
+    ], ids=["square", "tetrahedron"])
+    def test_open_walks_rejected(self, faces, open_faces):
+        # an edge named "ab" runs from vertex a to vertex b
+        names = sorted({e for walk in faces.values() for e in walk.split()})
+        c = build_complex("abcd", [(e[0], e[1], np.pi / 2) for e in names],
+                          [walk.split() for walk in faces.values()],
+                          edge_names=names, face_names=list(faces))
+        assert validate(c) == [f"face {f} is not a closed walk" for f in open_faces]
+
+    def test_empty_walk_is_not_closed(self, tetra):
+        c = SurfaceComplex(4, tetra.edges, tetra.faces + ((),), tetra.phi)
+        assert "face f4 is not a closed walk" in validate(c)
+
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
         assert tetra.is_valid
@@ -89,7 +108,9 @@ class TestCheckInstance:
 
     def test_messages(self, tetra):
         with pytest.raises(InputError, match="^invalid complex: "
-                           "edge e0 is a loop at vertex v0$"):
+                           "edge e0 is a loop at vertex v0; "
+                           "face f0 is not a closed walk; "
+                           "face f1 is not a closed walk$"):
             check_instance(self.loopy)
         with pytest.raises(InputError,
                            match="^prescription length does not match complex$"):
@@ -127,21 +148,17 @@ class TestQueries:
                         == edge_neighborhood(tetra, a | b))
 
     def test_degrees(self, tetra):
-        assert all(degree(tetra, v) == 3 for v in range(4))
+        assert all(tetra.degrees[v] == 3 for v in range(4))
         big = fixtures.bigon()
-        assert degree(big, 0) == degree(big, 1) == 2
+        assert big.degrees[0] == big.degrees[1] == 2
 
     def test_parallel_edge_bumps_degree(self, tetra):
         edges = tetra.edges + ((0, 1),)
         faces = tetra.faces  # coverage now wrong, but degrees don't care
         c = SurfaceComplex(4, edges, faces, np.full(7, 1.0))
-        assert degree(c, 0) == degree(tetra, 0) + 1
-        assert degree(c, 1) == degree(tetra, 1) + 1
-        assert degree(c, 2) == degree(tetra, 2)
-
-    def test_degree_unknown_vertex(self, tetra):
-        with pytest.raises(InputError):
-            degree(tetra, -1)
+        assert c.degrees[0] == tetra.degrees[0] + 1
+        assert c.degrees[1] == tetra.degrees[1] + 1
+        assert c.degrees[2] == tetra.degrees[2]
 
 
 class TestConstruction:
