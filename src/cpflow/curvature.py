@@ -173,6 +173,17 @@ def extreme_eigenvalue(state: CurvatureState, end: str,
     return float(value), s[:, pick] @ Q[:j + 1]
 
 
+def gershgorin_bound(state: CurvatureState) -> float:
+    """Gershgorin's (1931) upper bound on the largest eigenvalue of J: the
+    largest right end J_ii + sum_{j != i} |J_ij| of a Gershgorin disc.
+
+    Every off-diagonal entry of J is negative, so that end is
+    2 J_ii - (J 1)_i, and the bound costs one ``jvp``.
+    """
+    ones = np.ones(state.complex.n_vertices)
+    return float(np.max(2.0 * state.diag - state.jvp(ones)))
+
+
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     """Evaluate curvatures and the Jacobian in edge form at coordinates K.
 

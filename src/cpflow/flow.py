@@ -32,7 +32,8 @@ import numpy as np
 
 from . import geometry
 from .curvature import (K_CLAMP, CurvatureState, evaluate,
-                        extreme_eigenvalue, prescribed_calabi_energy)
+                        extreme_eigenvalue, gershgorin_bound,
+                        prescribed_calabi_energy)
 from .errors import DomainError, InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -254,6 +255,11 @@ _MIN_STEP = 1e-14
 # real-axis stability extent (about 3.68) of the propagated fifth-order
 # solution.
 _RKF_STAB = 3.2
+# Relative slack on the Gershgorin bound before it may stand in for the
+# ceiling: it covers the rounding of the bound and of eigvalsh (about
+# 1e-14 relative up to LANCZOS_CUT vertices), so a step the bound lets
+# through is below the exact ceiling and keeps its h bit for bit.
+_GERSHGORIN_SLACK = 1e-10
 
 
 def _ode_states(complex: SurfaceComplex, prescription: Prescription,
@@ -262,7 +268,11 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
 
     The adaptive RKF45 integrator starts at FIRST_STEP and bounds each
     step by a loose ``extreme_eigenvalue`` ceiling at the state it steps
-    from.
+    from, unless the Gershgorin bound proves the proposed step is already
+    under that ceiling.  The bound is tried only after a step the ceiling
+    did not cap, so the first step and every step after a capped one
+    compute the ceiling.  Above LANCZOS_CUT the ceiling warm-starts from
+    the last Ritz vector it computed.
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -272,10 +282,14 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         def direction(state: CurvatureState) -> np.ndarray:
             return lhat - state.L
 
+    def stiffness(lam: float) -> float:
+        return lam * lam if config.method == "calabi" else lam
+
     t = 0.0
     K = K0.copy()
     h = FIRST_STEP
     ritz = None
+    screen = False
     while True:
         state = evaluate(complex, K)
         f0 = direction(state)
@@ -285,10 +299,16 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
         # holding h below the explicit stability limit keeps the local
         # error shrinking with the residual instead of riding the
-        # boundary.
-        lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
-        cap = _RKF_STAB / (lam * lam if config.method == "calabi" else lam)
-        h = min(h, cap, config.max_time - t)
+        # boundary.  Where the Gershgorin bound already holds the proposed
+        # h under the ceiling, the ceiling is skipped; a NaN bound fails
+        # that test.
+        if not (screen and h * stiffness((1.0 + _GERSHGORIN_SLACK)
+                                         * gershgorin_bound(state)) <= _RKF_STAB):
+            lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
+            cap = _RKF_STAB / stiffness(lam)
+            screen = cap >= h
+            h = min(h, cap)
+        h = min(h, config.max_time - t)
         K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
                               config.tol_ode)
 

@@ -202,8 +202,9 @@ def validate(complex: SurfaceComplex) -> list[str]:
 
     Empty result means the complex is a usable closed-surface instance:
     at least one edge, loopless, connected, every edge covered exactly
-    twice by face walks, every face walk closed, all intersection angles
-    in (0, pi/2], and Euler characteristic <= 2.
+    twice by face walks, every face walk closed, the faces around every
+    vertex forming one cycle, all intersection angles in (0, pi/2], and
+    Euler characteristic <= 2.
     """
     problems: list[str] = []
     if not complex.edges:
@@ -222,9 +223,17 @@ def validate(complex: SurfaceComplex) -> list[str]:
         if c != 2:
             problems.append(f"edge {complex.edge_names[e]} covered {c} times by "
                             f"face walks (expected 2)")
-    for f, walk in enumerate(complex.faces):
-        if not _closed(complex.edges, walk):
+    entries = [_entries(complex.edges, walk) for walk in complex.faces]
+    for f, entered in enumerate(entries):
+        if entered is None:
             problems.append(f"face {complex.face_names[f]} is not a closed walk")
+    # The corners are defined only once every walk is closed and every
+    # edge end lies on exactly two of them.
+    if not problems:
+        for v, k in enumerate(_corner_cycles(complex, entries)):
+            if k > 1:
+                problems.append(f"vertex {complex.vertex_names[v]} is not a "
+                                f"surface point: its faces form {k} cycles")
 
     for e in range(complex.n_edges):
         p = complex.phi[e]
@@ -242,17 +251,51 @@ def validate(complex: SurfaceComplex) -> list[str]:
     return problems
 
 
-def _closed(edges: tuple[tuple[int, int], ...], walk: tuple[int, ...]) -> bool:
-    """Whether some orientation of the walk's edges chains end to end back
-    to its start; the first edge's orientation forces all the others."""
+def _entries(edges: tuple[tuple[int, int], ...],
+             walk: tuple[int, ...]) -> list[int] | None:
+    """The vertex at which the walk enters each of its edges, for the first
+    orientation of the edges that chains end to end back to its start (the
+    first edge's orientation forces all the others); None when none does."""
     for start in edges[walk[0]] if walk else ():
-        at = start
+        at, entered = start, []
         for e in walk:
+            entered.append(at)
             v, w = edges[e]
             at = w if at == v else v if at == w else None
         if at == start:
-            return True
-    return False
+            return entered
+    return None
+
+
+def _corner_cycles(complex: SurfaceComplex,
+                   entries: list[list[int]]) -> list[int]:
+    """How many cycles the face corners form around each vertex.
+
+    Node 2e + s is end s of edge e.  The corner where a closed walk enters
+    edge e at vertex x joins the ends at x of e and of the edge before it
+    (union-find, O(E)).  Each edge end lies on two corners, so the corners
+    at a vertex chain its edge ends into cycles; around a point of a
+    surface they form one.
+    """
+    edges = complex.edges
+    parent = list(range(2 * len(edges)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for walk, entered in zip(complex.faces, entries):
+        before = walk[-1]
+        for e, x in zip(walk, entered):
+            parent[find(2 * before + (edges[before][0] != x))] = \
+                find(2 * e + (edges[e][0] != x))
+            before = e
+    roots: list[set[int]] = [set() for _ in range(complex.n_vertices)]
+    for node in range(len(parent)):
+        roots[edges[node >> 1][node & 1]].add(find(node))
+    return [len(r) for r in roots]
 
 
 def _connected(complex: SurfaceComplex) -> bool:

@@ -137,3 +137,16 @@ def planted_runs():
                                          ACCEPTANCE_CONFIG)))
         traces.append(per_instance)
     return instances, traces, time.perf_counter() - t0
+
+
+def wedge() -> SurfaceComplex:
+    """A 3x3 torus grid and a tetrahedron glued at one vertex: every edge
+    lies on two closed walks, the graph is connected and chi = 1, but the
+    faces around the shared vertex v0 form two cycles."""
+    torus, tetra = fixtures.torus_grid(), fixtures.tetrahedron()
+    # Tetrahedron vertex 0 becomes v0; its others follow the torus's.
+    shift = {0: 0, 1: 9, 2: 10, 3: 11}
+    edges = torus.edges + tuple((shift[v], shift[w]) for v, w in tetra.edges)
+    faces = torus.faces + tuple(tuple(torus.n_edges + e for e in walk)
+                                for walk in tetra.faces)
+    return SurfaceComplex(12, edges, faces, np.full(len(edges), np.pi / 2))

@@ -10,7 +10,7 @@ from cpflow import (NonConvergenceError, Prescription, evaluate, fixtures,
                     make_synthetic, serialize_instance)
 from cpflow.cli import main
 from cpflow.surface import edge_neighborhood
-from conftest import count_computed, single_vertex_violator
+from conftest import count_computed, single_vertex_violator, wedge
 
 L_REF = 4.05306515313624
 
@@ -80,6 +80,19 @@ f1 aa ab
         assert main(argv + [str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "violation: face f1 is not a closed walk\n"
+        assert err == ""
+
+    @pytest.mark.parametrize("argv", [["validate"], ["check"], ["solve"]],
+                             ids=["validate", "check", "solve"])
+    def test_pinched_complex_rejected(self, tmp_path, capsys, argv):
+        # A torus and a tetrahedron glued at v0 pass every other check,
+        # and the prescription would be feasible.
+        path = write_instance(tmp_path / "wedge.icp", wedge(),
+                              Prescription(np.ones(12)))
+        assert main(argv + [path]) == 1
+        out, err = capsys.readouterr()
+        assert out == ("violation: vertex v0 is not a surface point: its "
+                       "faces form 2 cycles\n")
         assert err == ""
 
     def test_malformed_document(self, tmp_path, capsys):

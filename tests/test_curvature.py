@@ -8,7 +8,8 @@ from cpflow import (InputError, Prescription, QuadratureError,
                     make_synthetic, potential, prescribed_calabi_energy,
                     velocity_bound)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
-                               _edge_geometry, extreme_eigenvalue)
+                               _edge_geometry, extreme_eigenvalue,
+                               gershgorin_bound)
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
 
@@ -280,6 +281,35 @@ class TestExtremeEigenvalue:
         assert abs(lam / exact - 1.0) <= 1e-12
         assert abs(np.linalg.norm(ritz) - 1.0) <= 1e-12
         assert np.linalg.norm(state.jvp(ritz) - lam * ritz) <= 1e-6
+
+
+class TestGershgorinBound:
+    """The step screen relies on (1 + 1e-10) g >= the computed lambda_max."""
+
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
+        fixtures.torus_grid, lambda: fixtures.necklace(4),
+        lambda: fixtures.prism(5), lambda: fixtures.bipyramid(5),
+    ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
+            "prism5", "bipyramid5"])
+    def test_bounds_the_spectrum(self, make):
+        c = make()
+        rng = rng_for(90)
+        for _ in range(200):
+            # Scales from 1e-2 to 1 of the clamp, so both the bulk and the
+            # near-frozen geometry are sampled.
+            scale = K_CLAMP * 10.0 ** rng.uniform(-2.0, 0.0)
+            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
+            lam = np.linalg.eigvalsh(state.J)[-1]
+            assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
+
+    def test_tight_on_the_symmetric_bigon(self):
+        # J = [[d, c], [c, d]] has lambda_max = d - c, the bound itself,
+        # so only the slack covers rounding here.
+        for k in (-20.0, -1.0, 0.0, 0.7, 20.0):
+            state = evaluate(fixtures.bigon(1.1), np.array([k, k]))
+            lam = np.linalg.eigvalsh(state.J)[-1]
+            assert abs(gershgorin_bound(state) / lam - 1.0) <= 1e-14
 
 
 def plain_energy(L):

@@ -26,6 +26,19 @@ def planted(tetra):
     return Prescription(evaluate(tetra, np.zeros(4)).L.copy())
 
 
+def count_ceilings(monkeypatch) -> list:
+    """Collects every state a run computes its RKF45 step ceiling at."""
+    ceilings = []
+
+    def recorded(state, end, tol=None, start=None):
+        if tol is None:
+            ceilings.append(state)
+        return extreme_eigenvalue(state, end, tol, start)
+
+    monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", recorded)
+    return ceilings
+
+
 def torus_start(side: int, seed: int):
     """A planted torus grid and a start within 0.3 of its solution."""
     c = fixtures.torus_grid(side, side, phi=1.3)
@@ -249,13 +262,15 @@ class TestSpectrumOnDemand:
         assert spectra == []
         assert trace.min_eig is None and trace.predicted_rate is None
 
-    def test_adaptive_run_records_the_spectrum_it_computed(self, tetra, spectra):
+    def test_adaptive_run_records_the_spectrum_it_computed(
+            self, tetra, spectra, monkeypatch):
+        ceilings = count_ceilings(monkeypatch)
         inst = make_synthetic(tetra, seed=65)
         k0 = inst.kbar + rng_for(66).uniform(-0.5, 0.5, 4)
         trace = run(tetra, inst.prescription, k0)
-        # one spectrum per accepted step, for the step cap, and one at the
-        # solution
-        assert len(spectra) == len(trace.samples)
+        # one spectrum per step the Gershgorin bound did not screen, for
+        # the step cap, and one at the solution
+        assert len(spectra) == len(ceilings) + 1
         lam = evaluate(tetra, trace.final.K).min_eigenvalue
         assert trace.min_eig == lam
         assert trace.predicted_rate == -2.0 * lam * lam
@@ -298,7 +313,6 @@ class TestLanczosCeiling:
         monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", dense)
         exact = run(c, prescription, k0, config)
         assert lanczos.verdict == exact.verdict == "converged"
-        assert len(ceilings) == len(lanczos.samples) - 1
         for lam, state in ceilings:
             assert abs(lam / state.max_eigenvalue - 1.0) <= 0.05
         steps = len(exact.samples) - 1
@@ -309,6 +323,49 @@ class TestLanczosCeiling:
         state = evaluate(c, k0)
         assert c.n_vertices == LANCZOS_CUT
         assert extreme_eigenvalue(state, "max") == (state.max_eigenvalue, None)
+
+
+class TestGershgorinScreen:
+    """A step skips its ceiling only where the Gershgorin bound proves the
+    ceiling would not cap it, so a screened run is bit for bit the run
+    that computes the ceiling on every step."""
+
+    @pytest.mark.parametrize("config", [ACCEPTANCE_CONFIG, FlowConfig()],
+                             ids=["acceptance", "default"])
+    @pytest.mark.parametrize("method", ["calabi", "curvature"])
+    @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
+    def test_trace_is_the_unscreened_trace(self, monkeypatch, name, method,
+                                           config):
+        c = PINNED_COMPLEXES[name]()
+        inst = make_synthetic(c, seed=71)
+        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        config = dataclasses.replace(config, method=method)
+        ceilings = count_ceilings(monkeypatch)
+        screened = run(c, inst.prescription, k0, config)
+        assert len(ceilings) < len(screened.samples) - 1
+        monkeypatch.setattr(cpflow.flow, "gershgorin_bound",
+                            lambda state: math.inf)
+        unscreened = run(c, inst.prescription, k0, config)
+        assert screened.verdict == unscreened.verdict == "converged"
+        assert len(screened.samples) == len(unscreened.samples)
+        for a, b in zip(screened.samples, unscreened.samples):
+            assert a.K.tobytes() == b.K.tobytes()
+            assert (a.t, a.err_inf, a.energy, a.speed) == (
+                b.t, b.err_inf, b.energy, b.speed)
+        assert screened.min_eig == unscreened.min_eig
+
+    def test_accuracy_bound_divergence_skips_the_ceiling(self, monkeypatch):
+        # The curvature flow on an infeasible prescription runs at the
+        # step its error tolerance allows, well under the ceiling.
+        c = fixtures.torus_grid(4, 4, phi=1.3)
+        inst = make_synthetic(c, seed=73)
+        lhat = inst.prescription.lhat.copy()
+        lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
+        ceilings = count_ceilings(monkeypatch)
+        trace = run(c, Prescription(lhat), inst.kbar,
+                    FlowConfig(method="curvature"))
+        assert trace.verdict == "diverged"
+        assert len(ceilings) < 0.1 * (len(trace.samples) - 1)
 
 
 class TestNewton:

@@ -6,6 +6,7 @@ import pytest
 from cpflow import (InputError, Prescription, SurfaceComplex, build_complex,
                     edge_neighborhood, fixtures, potential, validate)
 from cpflow.surface import check_instance
+from conftest import wedge
 
 
 @pytest.fixture
@@ -94,6 +95,10 @@ class TestValidate:
     def test_empty_walk_is_not_closed(self, tetra):
         c = SurfaceComplex(4, tetra.edges, tetra.faces + ((),), tetra.phi)
         assert "face f4 is not a closed walk" in validate(c)
+
+    def test_pinched_vertex_rejected(self):
+        assert validate(wedge()) == [
+            "vertex v0 is not a surface point: its faces form 2 cycles"]
 
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
