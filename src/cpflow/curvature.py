@@ -4,8 +4,13 @@ Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), the cone angles at the vertices,
 the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
-Vertex quantities are assembled over the edge list in O(E); the dense
-Jacobian and its spectrum are computed only when a caller reads them.
+Vertex quantities are assembled over the edge list in O(E).  Each
+evaluation computes the center angles theta and L; J's edge form (its
+diagonal and the per-edge mixed partials) is computed on its first read,
+which the curvature flow's RKF45 stages, Newton's backtracking trials,
+``potential`` and ``instancefile.write_solution`` never make.  The dense
+Jacobian and its spectrum are likewise computed only when a caller reads
+them.
 """
 
 from __future__ import annotations
@@ -38,28 +43,64 @@ LANCZOS_CUT = 64
 LANCZOS_STEPS = 6
 
 
+class _EdgeForm:
+    """``CurvatureState.diag`` and ``d_cross``, J's edge form.
+
+    The first read of either computes both from the state's stored
+    trigonometry and stores them in the instance dict.  This descriptor
+    has no ``__set__``, so later reads find the stored value and never
+    reach ``__get__``.  Unlike ``functools.cached_property`` before Python
+    3.12 it takes no lock, which every Calabi stage would pay for: each
+    one reads J's edge form once, through ``jvp``.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            return self
+        c = state.complex
+        d_cross, d_pair = geometry._edge_derivatives(
+            c.cross_scale, state.sin_r_sides, state.cos_r_sides,
+            state.half_sides, state.theta_sides)
+        # Row s of a stacked per-side quantity belongs at the vertices ends[s].
+        state.__dict__.update(diag=np.bincount(
+            c.flat_ends, (d_pair - d_cross).ravel(), c.n_vertices),
+            d_cross=d_cross)
+        return state.__dict__[self.name]
+
+
 @dataclass(frozen=True)
 class CurvatureState:
     """All curvature data of one coordinate vector K on a fixed complex.
 
     ``theta_sides`` stacks the quadrilateral center angles at the first
     (row 0, ``theta_v``) and second (row 1, ``theta_w``) endpoint of each
-    edge.  The symmetric Jacobian ``J[i, j] = dL_i/dK_j`` is kept in edge
-    form: its diagonal ``diag`` and the per-edge mixed partial
-    ``d_cross[e]`` (always negative), which sits at (v, w) and (w, v) for
-    edge e = (v, w) and accumulates over parallel edges.  ``jvp`` applies
-    J in O(E); the dense ``J`` and the radii ``r`` are computed only when
-    read.  ``clamped`` records whether any radius had to be pulled back
-    from the boundary of (0, pi/2), that is, whether any |K_v| exceeds
-    K_CLAMP.
+    edge; ``sin_r_sides``, ``cos_r_sides`` and ``half_sides`` (= theta / 2)
+    stack the trigonometry of the radii and the half angles the same way.
+    K, theta and L are computed by ``evaluate``.  The symmetric Jacobian
+    ``J[i, j] = dL_i/dK_j`` is kept in edge form: its diagonal ``diag``
+    and the per-edge mixed partial ``d_cross[e]`` (always negative), which
+    sits at (v, w) and (w, v) for edge e = (v, w) and accumulates over
+    parallel edges.  Both are computed together from the stored
+    trigonometry on the first read of either; only ``jvp``, ``J``,
+    ``gershgorin_bound`` and Newton's preconditioner read them, so the
+    curvature flow's RKF45 stages, Newton's backtracking trials,
+    ``potential`` and ``instancefile.write_solution`` never compute them.
+    ``jvp`` applies J in O(E); the dense ``J`` and the radii ``r`` are
+    likewise computed only when read.  ``clamped`` records whether any
+    radius had to be pulled back from the boundary of (0, pi/2), that is,
+    whether any |K_v| exceeds K_CLAMP.
     """
 
     complex: SurfaceComplex
     K: np.ndarray
     theta_sides: np.ndarray
     L: np.ndarray
-    diag: np.ndarray
-    d_cross: np.ndarray
+    sin_r_sides: np.ndarray
+    cos_r_sides: np.ndarray
+    half_sides: np.ndarray
 
     @property
     def theta_v(self) -> np.ndarray:
@@ -79,6 +120,9 @@ class CurvatureState:
     @property
     def clamped(self) -> bool:
         return bool(np.abs(self.K).max() > K_CLAMP)
+
+    diag = _EdgeForm()
+    d_cross = _EdgeForm()
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -122,7 +166,8 @@ def extreme_eigenvalue(state: CurvatureState, end: str,
                        start: np.ndarray | None = None
                        ) -> tuple[float, np.ndarray | None]:
     """The smallest (``end="min"``) or largest (``end="max"``) eigenvalue
-    of J, and a start vector for the next call.
+    of J, and a start vector for the next call; any other ``end`` raises
+    InputError.
 
     Up to LANCZOS_CUT vertices it is exact, from the spectrum cached on
     the state, and the vector is None.  Above the cut it is Lanczos on
@@ -136,6 +181,8 @@ def extreme_eigenvalue(state: CurvatureState, end: str,
     (Parlett 1980; gap to the next Ritz value), checked every
     LANCZOS_STEPS steps, is at most ``tol`` |theta|.
     """
+    if end not in ("min", "max"):
+        raise InputError(f"end must be 'min' or 'max', not {end!r}")
     n = state.complex.n_vertices
     if n <= LANCZOS_CUT:
         return (state.max_eigenvalue if end == "max"
@@ -178,17 +225,26 @@ def gershgorin_bound(state: CurvatureState) -> float:
     largest right end J_ii + sum_{j != i} |J_ij| of a Gershgorin disc.
 
     Every off-diagonal entry of J is negative, so that end is
-    2 J_ii - (J 1)_i, and the bound costs one ``jvp``.
+    2 J_ii - (J 1)_i, and the bound costs one ``jvp``, plus J's edge form
+    where the state has not computed it yet (a curvature-flow state).
     """
     ones = np.ones(state.complex.n_vertices)
     return float(np.max(2.0 * state.diag - state.jvp(ones)))
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
-    """Evaluate curvatures and the Jacobian in edge form at coordinates K.
+    """Evaluate the center angles and curvatures at coordinates K.
 
+    theta and L are computed here, per evaluation; J's edge form is
+    computed from the state on its first read (see ``CurvatureState``).
     Every vertex quantity is a sum over the edge list, accumulated with
     ``np.bincount`` in O(E); parallel edges accumulate.
+
+    The trigonometry of the radii is taken at the vertices straight from
+    K, then gathered to the edge ends: with cot r = exp K (K clipped to
+    |K| <= K_CLAMP), sin r = 1 / hypot(1, cot r) and cos r = cot r sin r
+    keep full relative accuracy even within 1e-11 of either end of
+    (0, pi/2), where r itself cannot.
     """
     check_instance(complex)
     K = np.array(K, dtype=float)
@@ -198,31 +254,18 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     if not np.isfinite(K).all():
         raise InputError("K must be finite")
 
-    g = _edge_geometry(complex, K)
-    # Row s of a stacked per-side quantity belongs at the vertices ends[s].
-    ends = complex.flat_ends
-    return CurvatureState(complex, K, g.theta,
-                          np.bincount(ends, g.L_side.ravel(), n),
-                          np.bincount(ends, g.d_own.ravel(), n), g.d_cross)
-
-
-def _edge_geometry(complex: SurfaceComplex, K: np.ndarray) -> geometry.EdgeSideGeometry:
-    """The edge kernel on every edge at finite coordinates K.
-
-    The trigonometry of the radii is taken at the vertices straight from
-    K, then gathered to the edge ends: with cot r = exp K (K clipped to
-    |K| <= K_CLAMP), sin r = 1 / hypot(1, cot r) and cos r = cot r sin r
-    keep full relative accuracy even within 1e-11 of either end of
-    (0, pi/2), where r itself cannot.
-    """
     cot_r = np.exp(np.minimum(np.maximum(K, -K_CLAMP), K_CLAMP))
     sin_r = np.hypot(1.0, cot_r)
     np.reciprocal(sin_r, out=sin_r)
     ends = complex.endpoint_arrays
-    return geometry._edge_kernel(complex.sin_phi, complex.cos_phi,
-                                 complex.cross_scale,
-                                 cot_r.take(complex.opposite_endpoints),
-                                 sin_r.take(ends), (cot_r * sin_r).take(ends))
+    sin_sides = sin_r.take(ends)
+    cos_sides = (cot_r * sin_r).take(ends)
+    half, theta, L_side = geometry._edge_kernel(
+        complex.sin_phi, complex.cos_phi,
+        cot_r.take(complex.opposite_endpoints), sin_sides, cos_sides)
+    return CurvatureState(complex, K, theta,
+                          np.bincount(complex.flat_ends, L_side.ravel(), n),
+                          sin_sides, cos_sides, half)
 
 
 def prescribed_calabi_energy(L, prescription: Prescription | np.ndarray) -> float:

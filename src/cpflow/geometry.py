@@ -5,7 +5,9 @@ by the two circle centers v, w and the two adjacent face centers.
 ``edge_side_geometry`` computes the center angles of that quadrilateral,
 the total geodesic curvature contributed by each circular arc, and the
 analytic partial derivatives with respect to the log-cotangent
-coordinates K = ln cot r, all in one ``EdgeSideGeometry``.
+coordinates K = ln cot r, all in one ``EdgeSideGeometry``.  It composes
+two check-free halves: ``_edge_kernel`` (angles and arc curvatures) and
+``_edge_derivatives`` (the partials).
 
 All functions accept scalars or numpy arrays (broadcasting elementwise)
 and work in radians.  Radii live in (0, pi/2), intersection angles in
@@ -139,23 +141,31 @@ def _k_to_r(k: np.ndarray) -> np.ndarray:
     return np.where(k >= 0.0, small, HALF_PI - small)
 
 
-def _edge_kernel(sin_phi, cos_phi, cross_scale, cot_across, sin_r, cos_r) -> EdgeSideGeometry:
-    """Check-free kernel on the trigonometry of the radii and the angle.
+def _edge_kernel(sin_phi, cos_phi, cot_across, sin_r, cos_r):
+    """Check-free angle half of the kernel: the half angles, the center
+    angles theta and the arc curvatures L_side, from the trigonometry of
+    the radii and the angle.
 
     ``sin_r`` and ``cos_r`` stack the v side (row 0) over the w side (row
     1); ``cot_across`` holds the cotangent of the radius at the other end
-    (row 0: cot r_w, row 1: cot r_v).  ``sin_phi``, ``cos_phi`` and
-    ``cross_scale`` = -2 / sin phi broadcast against one row.  Callers
-    must guarantee the domains.
+    (row 0: cot r_w, row 1: cot r_v).  ``sin_phi`` and ``cos_phi``
+    broadcast against one row.  Callers must guarantee the domains.
     """
     # Row 0 is cot r_w sin r_v + cos r_v cos phi, row 1 the mirror image.
     half = np.arctan2(sin_phi, cot_across * sin_r + cos_r * cos_phi)
     theta = half + half
-    cos_sin_half = cos_r * np.sin(half)
+    return half, theta, theta * cos_r
 
+
+def _edge_derivatives(cross_scale, sin_r, cos_r, half, theta):
+    """Check-free derivative half of the kernel: ``d_cross`` and
+    ``d_pair`` of ``EdgeSideGeometry`` from the inputs and outputs of
+    ``_edge_kernel``; ``cross_scale`` = -2 / sin phi broadcasts against
+    one row.
+    """
+    cos_sin_half = cos_r * np.sin(half)
     d_cross = cross_scale * cos_sin_half[0] * cos_sin_half[1]
-    d_pair = sin_r * sin_r * cos_r * _theta_minus_sin(theta)
-    return EdgeSideGeometry(theta, theta * cos_r, d_cross, d_pair)
+    return d_cross, sin_r * sin_r * cos_r * _theta_minus_sin(theta)
 
 
 def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
@@ -170,7 +180,8 @@ def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
 
     with theta - sin theta summed from its Taylor series at small theta.
     The trigonometry of the radii is taken from ``r_v`` and ``r_w`` here;
-    ``curvature.evaluate`` feeds the same kernel from K directly.
+    ``curvature`` runs the same two halves from K directly, the
+    derivative half only when J is read.
     """
     r_v = _check_radius(r_v, "r_v")
     r_w = _check_radius(r_w, "r_w")
@@ -179,5 +190,7 @@ def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
     r = np.array((r_v, r_w))
     sin_r, cos_r = np.sin(r), np.cos(r)
     sin_phi = np.sin(phi)
-    return _edge_kernel(sin_phi, np.cos(phi), -2.0 / sin_phi,
-                        (cos_r / sin_r)[::-1], sin_r, cos_r)
+    half, theta, L_side = _edge_kernel(sin_phi, np.cos(phi),
+                                       (cos_r / sin_r)[::-1], sin_r, cos_r)
+    return EdgeSideGeometry(theta, L_side, *_edge_derivatives(
+        -2.0 / sin_phi, sin_r, cos_r, half, theta))

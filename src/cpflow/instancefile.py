@@ -243,7 +243,9 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     cols += ["err_inf", "energy", "speed", "clamped"]
     out.write("# columns " + " ".join(cols) + "\n")
     for s in trace.samples:
-        row = [fmt(s.t)] + [fmt(k) for k in s.K]
+        # tolist() hands over Python floats, which format as ``fmt`` does
+        # without making a numpy scalar per value.
+        row = [fmt(s.t)] + [f"{k:.17g}" for k in s.K.tolist()]
         row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
                 "1" if s.clamped else "0"]
         out.write("\t".join(row) + "\n")

@@ -8,8 +8,8 @@ from cpflow import (InputError, Prescription, QuadratureError,
                     make_synthetic, potential, prescribed_calabi_energy,
                     velocity_bound)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
-                               _edge_geometry, extreme_eigenvalue,
-                               gershgorin_bound)
+                               extreme_eigenvalue, gershgorin_bound)
+from cpflow.geometry import _edge_derivatives
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
 
@@ -236,6 +236,34 @@ class TestEdgeFormAssembly:
         assert "J" not in st.__dict__ and "eigenvalues" not in st.__dict__
         assert st.J is st.J
 
+    def test_edge_form_is_lazy(self, tetra):
+        st = evaluate(tetra, np.zeros(4))
+        assert np.all(st.L > 0.0) and np.all(st.alpha_v > 0.0)
+        assert "diag" not in st.__dict__ and "d_cross" not in st.__dict__
+        d_cross = st.d_cross
+        # One read stores both halves of the edge form.
+        assert st.__dict__["diag"] is st.diag and st.d_cross is d_cross
+
+    @pytest.mark.parametrize("make", [fixtures.tetrahedron, fixtures.bigon,
+                                      lambda: fixtures.torus_grid(3, 3, 1.3)])
+    def test_read_order_keeps_every_byte(self, make):
+        # |K| <= 50 reaches far past the clamp (about 27.63).
+        c = make()
+        rng = rng_for(35 + c.n_vertices)
+        orders = (("diag", "d_cross", "J", "L"), ("L", "J", "d_cross", "diag"),
+                  ("d_cross", "L", "diag", "J"), ("J", "L", "diag", "d_cross"))
+        clamped = 0
+        for _ in range(50):
+            K = rng.uniform(-50.0, 50.0, c.n_vertices)
+            reads = []
+            for order in orders:
+                st = evaluate(c, K)
+                reads.append({name: getattr(st, name).tobytes()
+                              for name in order})
+            clamped += st.clamped
+            assert all(r == reads[0] for r in reads[1:])
+        assert clamped >= 10
+
     @pytest.mark.parametrize("make", [fixtures.tetrahedron, fixtures.bigon,
                                       lambda: fixtures.torus_grid(3, 3, 1.3)])
     def test_strict_dominance_over_runner_range(self, make):
@@ -248,11 +276,13 @@ class TestEdgeFormAssembly:
         rng = rng_for(32 + n)
         for _ in range(200):
             st = evaluate(c, rng.uniform(-50.0, 50.0, n))
-            g = _edge_geometry(c, st.K)
-            assert np.all(g.d_pair_v > 0.0) and np.all(g.d_pair_w > 0.0)
+            d_pair = _edge_derivatives(c.cross_scale, st.sin_r_sides,
+                                       st.cos_r_sides, st.half_sides,
+                                       st.theta_sides)[1]
+            assert np.all(d_pair > 0.0)
             # Row i of J exceeds its off-diagonal mass by exactly the sum of
             # d(L_v + L_w)/dK_v over the edge ends at i.
-            surplus = np.bincount(ev, g.d_pair_v, n) + np.bincount(ew, g.d_pair_w, n)
+            surplus = np.bincount(ev, d_pair[0], n) + np.bincount(ew, d_pair[1], n)
             assert np.all(surplus > 0.0)
             diag = np.diag(st.J)
             dominance = diag - np.sum(np.abs(st.J * off), axis=1)
@@ -281,6 +311,17 @@ class TestExtremeEigenvalue:
         assert abs(lam / exact - 1.0) <= 1e-12
         assert abs(np.linalg.norm(ritz) - 1.0) <= 1e-12
         assert np.linalg.norm(state.jvp(ritz) - lam * ritz) <= 1e-6
+
+
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, lambda: fixtures.torus_grid(9, 9, phi=1.3),
+    ], ids=["dense", "lanczos"])
+    @pytest.mark.parametrize("end", ["maxx", "MIN", "", None])
+    def test_unknown_end_rejected(self, make, end):
+        c = make()
+        state = evaluate(c, np.zeros(c.n_vertices))
+        with pytest.raises(InputError, match="end must be 'min' or 'max'"):
+            extreme_eigenvalue(state, end)
 
 
 class TestGershgorinBound:

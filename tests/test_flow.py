@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import cpflow.flow
+import cpflow.geometry
 from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     InputError, NonConvergenceError, Prescription,
                     calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
@@ -37,6 +38,32 @@ def count_ceilings(monkeypatch) -> list:
 
     monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", recorded)
     return ceilings
+
+
+def count_edge_forms(monkeypatch) -> list:
+    """Counts every computation of J's edge form while the test runs."""
+    calls = []
+    real = cpflow.geometry._edge_derivatives
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cpflow.geometry, "_edge_derivatives", counted)
+    return calls
+
+
+def record_states(monkeypatch) -> list:
+    """Collects every state the flow module evaluates."""
+    states = []
+    real = cpflow.flow.evaluate
+
+    def recorded(complex, K):
+        states.append(real(complex, K))
+        return states[-1]
+
+    monkeypatch.setattr(cpflow.flow, "evaluate", recorded)
+    return states
 
 
 def torus_start(side: int, seed: int):
@@ -473,6 +500,84 @@ class TestMatrixFreeNewton:
         assert trace.verdict == "converged"
         assert trace.final.err_inf <= 1e-10
         assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
+
+
+class TestLazyEdgeForm:
+    """J's edge form is computed only at the states that read it."""
+
+    @staticmethod
+    def _accepted(trace, states):
+        """Split ``states`` into those the trace records and the rest."""
+        kept = {s.K.tobytes() for s in trace.samples}
+        accepted = [st for st in states if st.K.tobytes() in kept]
+        return accepted, [st for st in states if st.K.tobytes() not in kept]
+
+    @pytest.mark.parametrize("case", ["converges", "diverges", "diverges-4x4"])
+    def test_curvature_flow_derives_at_accepted_states_only(
+            self, monkeypatch, case):
+        if case == "converges":
+            c = fixtures.tetrahedron()
+            inst = make_synthetic(c, seed=95)
+            lhat = inst.prescription
+            k0 = inst.kbar + rng_for(96).uniform(-1.0, 1.0, 4)
+            config = FlowConfig(method="curvature")
+        elif case == "diverges":
+            _, c, lhat, _ = single_vertex_violator(0)
+            k0 = np.zeros(c.n_vertices)
+            config = FlowConfig(method="curvature", tol_ode=1e-4)
+        else:
+            c = fixtures.torus_grid(4, 4, phi=1.3)
+            inst = make_synthetic(c, seed=73)
+            target = inst.prescription.lhat.copy()
+            target[5] = 8.0 * 1.3 * 1.05 + 0.3
+            lhat, k0 = Prescription(target), inst.kbar
+            config = FlowConfig(method="curvature")
+        calls = count_edge_forms(monkeypatch)
+        states = record_states(monkeypatch)
+        trace = run(c, lhat, k0, config)
+        assert trace.verdict == ("converged" if case == "converges"
+                                 else "diverged")
+        assert len(calls) <= len(trace.samples) < len(states)
+        accepted, stages = self._accepted(trace, states)
+        assert len(accepted) == len(trace.samples)
+        assert not any("diag" in st.__dict__ for st in stages)
+
+    def test_newton_trials_never_derive(self, monkeypatch):
+        c = fixtures.tetrahedron()
+        inst = make_synthetic(c, seed=62)
+        k0 = inst.kbar + 3.0 * rng_for(62).uniform(-1.0, 1.0, 4)
+        calls = count_edge_forms(monkeypatch)
+        states = record_states(monkeypatch)
+        trace = run(c, inst.prescription, k0, FlowConfig(method="newton"))
+        assert trace.verdict == "converged"
+        accepted, rejected = self._accepted(trace, states)
+        assert len(rejected) == 5
+        assert not any("diag" in st.__dict__ for st in rejected)
+        # Every accepted state but the solution reads it for its CG solve.
+        assert len(calls) == len(accepted) - 1
+
+    def test_calabi_derives_at_every_stage(self, monkeypatch):
+        c = fixtures.tetrahedron()
+        inst = make_synthetic(c, seed=95)
+        k0 = inst.kbar + rng_for(96).uniform(-1.0, 1.0, 4)
+        calls = count_edge_forms(monkeypatch)
+        states = record_states(monkeypatch)
+        trace = run(c, inst.prescription, k0)
+        assert trace.verdict == "converged"
+        assert len(calls) == len(states) > len(trace.samples)
+        assert all("diag" in st.__dict__ for st in states)
+
+    def test_potential_and_solution_file_never_derive(self, monkeypatch):
+        from io import StringIO
+
+        from cpflow.instancefile import write_solution
+        c = fixtures.tetrahedron()
+        inst = make_synthetic(c, seed=95)
+        trace = run(c, inst.prescription, inst.kbar + 0.5)
+        calls = count_edge_forms(monkeypatch)
+        potential(c, inst.prescription, trace.final_k())
+        write_solution(StringIO(), trace, c, inst.prescription)
+        assert calls == []
 
 
 class TestDecayRate:

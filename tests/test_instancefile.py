@@ -163,6 +163,29 @@ class TestReports:
         ts = [float(r.split("\t")[0]) for r in rows]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
+    @pytest.mark.parametrize("case", ["converged", "diverged"])
+    def test_rows_are_per_value_fmt(self, case):
+        # Every value of a row formats as ``fmt`` formats it alone,
+        # including the clamped K of a diverged run.
+        if case == "converged":
+            inst, config, trace = self._solved()
+            complex, prescription = inst.complex, inst.prescription
+        else:
+            from conftest import single_vertex_violator
+            _, complex, prescription, _ = single_vertex_violator(4)
+            config = FlowConfig(method="curvature", tol_ode=1e-4)
+            trace = run(complex, prescription,
+                        np.zeros(complex.n_vertices), config)
+        assert trace.verdict == case
+        buf = io.StringIO()
+        write_trace(buf, trace, complex, prescription, config)
+        rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
+        assert rows == ["\t".join(
+            [fmt(s.t)] + [fmt(k) for k in s.K]
+            + [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
+               "1" if s.clamped else "0"]) for s in trace.samples]
+        assert rows[-1].endswith("\t" + ("1" if case == "diverged" else "0"))
+
     def test_trace_deterministic(self):
         inst, config, trace = self._solved()
         a, b = io.StringIO(), io.StringIO()
