@@ -4,13 +4,16 @@ Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), the cone angles at the vertices,
 the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
-Vertex quantities are assembled over the edge list in O(E).  Each
-evaluation computes the center angles theta and L; J's edge form (its
+Vertex quantities are assembled over the edge list in O(E).  The public
+``evaluate`` checks its inputs and runs the check-free ``_evaluate``, the
+one evaluator, which the flows call inside their loops.  Each evaluation
+computes the center angles theta and L; J's edge form (its
 diagonal and the per-edge mixed partials) is computed on its first read,
 which the curvature flow's RKF45 stages, Newton's backtracking trials,
 ``potential`` and ``instancefile.write_solution`` never make.  The dense
 Jacobian and its spectrum are likewise computed only when a caller reads
-them.
+them.  ``gershgorin_bound`` bounds the top of J's spectrum at one state,
+and ``uniform_gershgorin_bound`` bounds that bound at every K.
 """
 
 from __future__ import annotations
@@ -229,7 +232,27 @@ def gershgorin_bound(state: CurvatureState) -> float:
     where the state has not computed it yet (a curvature-flow state).
     """
     ones = np.ones(state.complex.n_vertices)
-    return float(np.max(2.0 * state.diag - state.jvp(ones)))
+    return float((2.0 * state.diag - state.jvp(ones)).max())
+
+
+# The largest value of sin^2 r cos r on (0, pi/2), at tan^2 r = 2, times pi.
+_D_PAIR_MAX = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
+
+
+def uniform_gershgorin_bound(complex: SurfaceComplex) -> float:
+    """A bound G on ``gershgorin_bound`` that holds at every K.
+
+    Row v of the Gershgorin bound is sum_{e at v} (d_pair + 2 |d_cross|).
+    d_pair = sin^2 r cos r (theta - sin theta) is at most 2 pi / (3 sqrt 3),
+    as theta < pi (both terms of the atan2 denominator in the kernel are
+    nonnegative), and |d_cross| is at most 2 / sin phi, so
+
+        G = max_v sum_{e at v} (2 pi / (3 sqrt 3) + 4 / sin phi_e).
+    """
+    per_end = _D_PAIR_MAX + 4.0 / complex.sin_phi
+    return float(np.bincount(complex.flat_ends,
+                             np.concatenate((per_end, per_end)),
+                             complex.n_vertices).max())
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
@@ -245,6 +268,8 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     |K| <= K_CLAMP), sin r = 1 / hypot(1, cot r) and cos r = cot r sin r
     keep full relative accuracy even within 1e-11 of either end of
     (0, pi/2), where r itself cannot.
+
+    Checks the complex and K, then runs the check-free ``_evaluate``.
     """
     check_instance(complex)
     K = np.array(K, dtype=float)
@@ -253,7 +278,13 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
         raise InputError(f"K must have length {n}")
     if not np.isfinite(K).all():
         raise InputError("K must be finite")
+    return _evaluate(complex, K)
 
+
+def _evaluate(complex: SurfaceComplex, K: np.ndarray) -> CurvatureState:
+    """Check-free ``evaluate`` for a valid complex and a finite float
+    array K of length V, which the state keeps without a copy."""
+    n = complex.n_vertices
     cot_r = np.exp(np.minimum(np.maximum(K, -K_CLAMP), K_CLAMP))
     sin_r = np.hypot(1.0, cot_r)
     np.reciprocal(sin_r, out=sin_r)

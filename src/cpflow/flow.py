@@ -17,9 +17,11 @@ with a violating-subset certificate.  A damped inexact Newton iteration
 on the same fixed-point equation is provided for fast polishing; it
 solves each linear system by Jacobi-preconditioned conjugate gradients on
 the matrix-free J and never builds the dense V x V Jacobian.  Every method
-is a generator of states; ``run`` alone applies the stop rule and sets
-every verdict.  A numerical failure is one more verdict: ``run`` catches
-the generators' errors and returns the message on the trace.
+is a generator of states; ``run`` alone checks the inputs, once, applies
+the stop rule and sets every verdict.  The generators evaluate every state
+and stage with the check-free ``curvature._evaluate``.  A numerical
+failure is one more verdict: ``run`` catches the generators' errors and
+returns the message on the trace.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .curvature import (K_CLAMP, CurvatureState, evaluate,
+from .curvature import (K_CLAMP, CurvatureState, _evaluate, evaluate,
                         extreme_eigenvalue, gershgorin_bound,
-                        prescribed_calabi_energy)
+                        uniform_gershgorin_bound)
 from .errors import DomainError, InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -170,7 +172,8 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     a feasible prescription.  A run that does not converge carries a
     violating-subset certificate exactly when the prescription is
     infeasible.  Raises only InputError, on bad input or a K0 past the
-    clamp.
+    clamp.  The inputs are checked here, once; every state and stage
+    after that is evaluated by the check-free ``curvature._evaluate``.
     """
     if config is None:
         config = FlowConfig()
@@ -193,7 +196,8 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
         budget, max_time = MAX_ITERS, config.max_time
     try:
         for steps, (t, state, speed) in enumerate(states):
-            err_inf = float(np.abs(state.L - prescription.lhat).max())
+            d = state.L - prescription.lhat
+            err_inf = float(np.abs(d).max())
             clamped = state.clamped
             if err_inf < config.tol_curvature:
                 verdict = VERDICT_CONVERGED
@@ -205,7 +209,8 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
                 verdict = None
             trace.samples.append(FlowSample(
                 t=t, K=state.K.copy(), err_inf=err_inf,
-                energy=prescribed_calabi_energy(state.L, prescription),
+                # prescribed_calabi_energy, from the d already at hand
+                energy=0.5 * float(np.dot(d, d)),
                 speed=speed, clamped=clamped,
             ))
             if verdict is not None:
@@ -268,11 +273,16 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
 
     The adaptive RKF45 integrator starts at FIRST_STEP and bounds each
     step by a loose ``extreme_eigenvalue`` ceiling at the state it steps
-    from, unless the Gershgorin bound proves the proposed step is already
-    under that ceiling.  The bound is tried only after a step the ceiling
-    did not cap, so the first step and every step after a capped one
-    compute the ceiling.  Above LANCZOS_CUT the ceiling warm-starts from
-    the last Ritz vector it computed.
+    from, unless a bound on the top of J's spectrum proves the proposed
+    step is already under that ceiling: first the per-complex constant
+    ``uniform_gershgorin_bound``, which costs one compare, then the
+    state's ``gershgorin_bound``.  The constant is at least the Gershgorin
+    bound, so it passes only where that bound would, and the ceilings are
+    computed at the same states either way.  The bounds are tried only
+    after a step the ceiling did not cap, so the first step and every step
+    after a capped one compute the ceiling.  A ceiling of zero or below
+    (an eigenvalue that underflowed) caps nothing.  Above LANCZOS_CUT the
+    ceiling warm-starts from the last Ritz vector it computed.
     """
     lhat = prescription.lhat
     if config.method == "calabi":
@@ -285,13 +295,17 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     def stiffness(lam: float) -> float:
         return lam * lam if config.method == "calabi" else lam
 
+    # h * uniform_stiffness <= _RKF_STAB implies the Gershgorin test below:
+    # the same operations on a larger bound.
+    uniform_stiffness = stiffness(
+        (1.0 + _GERSHGORIN_SLACK) * uniform_gershgorin_bound(complex))
     t = 0.0
     K = K0.copy()
     h = FIRST_STEP
     ritz = None
     screen = False
     while True:
-        state = evaluate(complex, K)
+        state = _evaluate(complex, K)
         f0 = direction(state)
         yield t, state, math.sqrt(f0 @ f0)
 
@@ -299,13 +313,16 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
         # holding h below the explicit stability limit keeps the local
         # error shrinking with the residual instead of riding the
-        # boundary.  Where the Gershgorin bound already holds the proposed
+        # boundary.  Where a Gershgorin bound already holds the proposed
         # h under the ceiling, the ceiling is skipped; a NaN bound fails
         # that test.
-        if not (screen and h * stiffness((1.0 + _GERSHGORIN_SLACK)
-                                         * gershgorin_bound(state)) <= _RKF_STAB):
+        if not (screen and (
+                h * uniform_stiffness <= _RKF_STAB
+                or h * stiffness((1.0 + _GERSHGORIN_SLACK)
+                                 * gershgorin_bound(state)) <= _RKF_STAB)):
             lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
-            cap = _RKF_STAB / stiffness(lam)
+            stiff = stiffness(lam)
+            cap = _RKF_STAB / stiff if stiff > 0.0 else math.inf
             screen = cap >= h
             h = min(h, cap)
         h = min(h, config.max_time - t)
@@ -325,7 +342,7 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol):
     while True:
         a = h * _RKF_A
         for i in range(1, 6):
-            k[i] = direction(evaluate(complex, K + np.dot(a[i, :i], k[:i])))
+            k[i] = direction(_evaluate(complex, K + np.dot(a[i, :i], k[:i])))
         err = float(np.abs(np.dot(h * _RKF_ERR, k)).max())
         if err <= tol:
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
@@ -351,7 +368,7 @@ def _newton_states(complex: SurfaceComplex, prescription: Prescription,
     decreases it or the linear solve fails.
     """
     lhat = prescription.lhat
-    state = evaluate(complex, K0)
+    state = _evaluate(complex, K0)
     yield 0.0, state, 0.0
     for it in itertools.count(1):
         residual = state.L - lhat
@@ -359,7 +376,7 @@ def _newton_states(complex: SurfaceComplex, prescription: Prescription,
         delta = _newton_step(state, residual, min(_ETA_MAX, merit))
         s = 1.0
         while True:
-            state_new = evaluate(complex, state.K - s * delta)
+            state_new = _evaluate(complex, state.K - s * delta)
             if float(np.linalg.norm(state_new.L - lhat)) < merit:
                 break
             s *= 0.5

@@ -123,9 +123,8 @@ _TMS_SERIES = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(6))
 def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
     """theta - sin(theta) for an array of angles, accurate at small theta."""
     out = theta - np.sin(theta)
-    # ``initial`` gives an edgeless complex (no angles) a minimum.
-    if theta.min(initial=np.inf) < _TMS_SERIES_BELOW:
-        small = theta < _TMS_SERIES_BELOW
+    small = theta < _TMS_SERIES_BELOW
+    if np.count_nonzero(small):
         t = theta[small]
         t2 = t * t
         acc = 0.0

@@ -368,6 +368,32 @@ def test_module_entry_point(tetra_file):
 class TestNumericalFailure:
     """A solver failure is one file's outcome (exit 4), not a traceback."""
 
+    TINY_BIGON = """\
+[vertices]
+a b
+[edges]
+ab a b 1e-300
+ba a b 1e-300
+[faces]
+f0 ab ba
+f1 ab ba
+[prescription]
+a 1e-6
+b 1e-6
+"""
+
+    @pytest.mark.parametrize("method", ["calabi", "curvature", "newton"])
+    def test_tiny_angles_end_without_a_traceback(self, tmp_path, method):
+        # Below an angle of about 1e-162, lambda_max^2 of J underflows to
+        # 0; a zero step ceiling caps nothing.
+        path = tmp_path / "tiny.icp"
+        path.write_text(self.TINY_BIGON)
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpflow", "solve", str(path),
+             "--method", method], capture_output=True, text=True)
+        assert 0 <= proc.returncode <= 4
+        assert "Traceback" not in proc.stderr
+
     @pytest.fixture(params=[
         NonConvergenceError("step size underflow at t=0.5 (local error 1e-3)"),
         NonConvergenceError("linear solve failed"),

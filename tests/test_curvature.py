@@ -8,7 +8,8 @@ from cpflow import (InputError, Prescription, QuadratureError,
                     make_synthetic, potential, prescribed_calabi_energy,
                     velocity_bound)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
-                               extreme_eigenvalue, gershgorin_bound)
+                               extreme_eigenvalue, gershgorin_bound,
+                               uniform_gershgorin_bound)
 from cpflow.geometry import _edge_derivatives
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
@@ -351,6 +352,39 @@ class TestGershgorinBound:
             state = evaluate(fixtures.bigon(1.1), np.array([k, k]))
             lam = np.linalg.eigvalsh(state.J)[-1]
             assert abs(gershgorin_bound(state) / lam - 1.0) <= 1e-14
+
+
+class TestUniformGershgorinBound:
+    """The per-complex constant G bounds the Gershgorin bound at every K,
+    so the flow's constant test passes only where the Gershgorin test
+    would."""
+
+    @pytest.mark.parametrize("phi", [0.2, 1.3, 0.5 * math.pi],
+                             ids=["0.2", "1.3", "pi/2"])
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
+        fixtures.torus_grid, lambda phi: fixtures.necklace(4, phi),
+        lambda phi: fixtures.prism(5, phi),
+        lambda phi: fixtures.bipyramid(5, phi),
+    ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
+            "prism5", "bipyramid5"])
+    def test_bounds_the_gershgorin_bound(self, make, phi):
+        c = make(phi=phi)
+        bound = uniform_gershgorin_bound(c)
+        rng = np.random.default_rng(91)
+        for _ in range(100):
+            # Up to one past the clamp, so clamped states are drawn too.
+            scale = (K_CLAMP + 1.0) * 10.0 ** rng.uniform(-2.0, 0.0)
+            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
+            g = gershgorin_bound(state)
+            assert bound >= g
+            assert (1.0 + 1e-10) * g >= state.max_eigenvalue
+
+    def test_value_on_the_tetrahedron(self):
+        # Three edges at each vertex, each 2 pi / (3 sqrt 3) + 4 / sin phi.
+        expected = 3.0 * (2.0 * math.pi / (3.0 * math.sqrt(3.0)) + 4.0)
+        assert uniform_gershgorin_bound(fixtures.tetrahedron()) == \
+            pytest.approx(expected, rel=1e-15)
 
 
 def plain_energy(L):

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import cpflow.curvature
+import cpflow.feasibility
 import cpflow.flow
 import cpflow.geometry
 from cpflow import (FlowConfig, FlowSample, FlowTrace,
@@ -11,7 +13,7 @@ from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run,
                     velocity_bound)
-from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue
+from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue, gershgorin_bound
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
 
@@ -56,13 +58,13 @@ def count_edge_forms(monkeypatch) -> list:
 def record_states(monkeypatch) -> list:
     """Collects every state the flow module evaluates."""
     states = []
-    real = cpflow.flow.evaluate
+    real = cpflow.flow._evaluate
 
     def recorded(complex, K):
         states.append(real(complex, K))
         return states[-1]
 
-    monkeypatch.setattr(cpflow.flow, "evaluate", recorded)
+    monkeypatch.setattr(cpflow.flow, "_evaluate", recorded)
     return states
 
 
@@ -393,6 +395,117 @@ class TestGershgorinScreen:
                     FlowConfig(method="curvature"))
         assert trace.verdict == "diverged"
         assert len(ceilings) < 0.1 * (len(trace.samples) - 1)
+
+
+def diverging_torus4x4():
+    """An infeasible torus4x4 prescription and its planted start."""
+    c = fixtures.torus_grid(4, 4, phi=1.3)
+    inst = make_synthetic(c, seed=73)
+    lhat = inst.prescription.lhat.copy()
+    lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
+    return c, Prescription(lhat), inst.kbar
+
+
+class TestUniformScreen:
+    """The constant tier of the screen passes only where the Gershgorin
+    test would, so the ceilings are computed at the same states and the
+    trace is the one without it."""
+
+    def runs(self, monkeypatch, *args):
+        """(trace, states a ceiling was computed at, gershgorin_bound
+        calls) with the uniform bound, then with it at inf."""
+        out = []
+        for uniform in (cpflow.flow.uniform_gershgorin_bound,
+                        lambda complex: math.inf):
+            monkeypatch.setattr(cpflow.flow, "uniform_gershgorin_bound",
+                                uniform)
+            ceilings = count_ceilings(monkeypatch)
+            bounds = []
+
+            def counted(state):
+                bounds.append(state)
+                return gershgorin_bound(state)
+
+            monkeypatch.setattr(cpflow.flow, "gershgorin_bound", counted)
+            trace = run(*args)
+            out.append((trace, [st.K.tobytes() for st in ceilings],
+                        len(bounds)))
+        (a, ceil_a, bounds_a), (b, ceil_b, bounds_b) = out
+        assert (a.verdict, a.min_eig, a.failure) == (
+            b.verdict, b.min_eig, b.failure)
+        assert len(a.samples) == len(b.samples)
+        for x, y in zip(a.samples, b.samples):
+            assert x.K.tobytes() == y.K.tobytes()
+            assert (x.t, x.err_inf, x.energy, x.speed, x.clamped) == (
+                y.t, y.err_inf, y.energy, y.speed, y.clamped)
+        assert ceil_a == ceil_b
+        assert bounds_a <= bounds_b
+        return bounds_a, bounds_b
+
+    @pytest.mark.parametrize("config", [ACCEPTANCE_CONFIG, FlowConfig()],
+                             ids=["acceptance", "default"])
+    @pytest.mark.parametrize("method", cpflow.flow.METHODS)
+    @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
+    def test_pinned_runs(self, monkeypatch, name, method, config):
+        c = PINNED_COMPLEXES[name]()
+        inst = make_synthetic(c, seed=71)
+        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        self.runs(monkeypatch, c, inst.prescription, k0,
+                  dataclasses.replace(config, method=method))
+
+    def test_diverging_run_calls_fewer_gershgorin_bounds(self, monkeypatch):
+        c, prescription, k0 = diverging_torus4x4()
+        with_uniform, without = self.runs(monkeypatch, c, prescription, k0,
+                                          FlowConfig(method="curvature"))
+        assert with_uniform < without
+
+    @pytest.mark.parametrize("method", ["calabi", "curvature"])
+    def test_above_the_cut(self, monkeypatch, method):
+        c, prescription, k0 = torus_start(10, seed=83)
+        assert c.n_vertices > LANCZOS_CUT
+        self.runs(monkeypatch, c, prescription, k0, FlowConfig(method=method))
+
+
+class TestValidatesOnce:
+    """``run`` checks its inputs once; its states and stages are evaluated
+    without checks."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        for module in (cpflow.flow, cpflow.curvature, cpflow.feasibility):
+            def counted(*args, real=module.check_instance):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(module, "check_instance", counted)
+        return calls
+
+    def test_same_checks_for_5_and_500_steps(self, monkeypatch, checks):
+        c = PINNED_COMPLEXES["tetrahedron"]()
+        inst = make_synthetic(c, seed=71)
+        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        counts = []
+        for steps in (5, 500):
+            monkeypatch.setattr(cpflow.flow, "MAX_ITERS", steps)
+            before = len(checks)
+            trace = run(c, inst.prescription, k0, ACCEPTANCE_CONFIG)
+            assert trace.verdict == "budget-exhausted"
+            assert len(trace.samples) == steps + 1
+            counts.append(len(checks) - before)
+        assert counts[0] == counts[1] > 0
+
+    def test_newton_trials_are_not_checked(self, checks):
+        # From the solution (no iteration) and from a start whose steps
+        # backtrack five times.
+        c = fixtures.tetrahedron()
+        inst = make_synthetic(c, seed=62)
+        counts = []
+        for k0 in (inst.kbar, inst.kbar + 3.0 * rng_for(62).uniform(-1.0, 1.0, 4)):
+            before = len(checks)
+            trace = run(c, inst.prescription, k0, FlowConfig(method="newton"))
+            assert trace.verdict == "converged"
+            counts.append(len(checks) - before)
+        assert counts[0] == counts[1] > 0
 
 
 class TestNewton:
