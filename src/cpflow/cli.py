@@ -130,12 +130,15 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     final = trace.final
     print(f"{path.name}: {trace.verdict} t={final.t:.6g} "
           f"err_inf={final.err_inf:.6g} energy={final.energy:.6g}")
+    # A diverged run always carries its certificate; a budget-exhausted one
+    # carries it when the prescription is infeasible.
+    cert = trace.certificate
+    if cert is not None:
+        print(f"  infeasible: subset={_subset_text(cert, inst.complex)} "
+              f"margin={cert.worst_margin:.12g}")
     if trace.verdict == VERDICT_CONVERGED:
         return EXIT_OK
     if trace.verdict == VERDICT_DIVERGED:
-        cert = trace.certificate
-        print(f"  infeasible: subset={_subset_text(cert, inst.complex)} "
-              f"margin={cert.worst_margin:.12g}")
         return EXIT_DIVERGED
     return EXIT_BUDGET
 

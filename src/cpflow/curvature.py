@@ -6,8 +6,8 @@ the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
 whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
 Vertex quantities are assembled over the edge list in O(E).  The public
 ``evaluate`` checks its inputs and runs the check-free ``_evaluate``, the
-one evaluator, which the flows call inside their loops.  Each evaluation
-computes the center angles theta and L; J's edge form (its
+one evaluator, which the flows and ``potential`` call inside their loops.
+Each evaluation computes the center angles theta and L; J's edge form (its
 diagonal and the per-edge mixed partials) is computed on its first read,
 which the curvature flow's RKF45 stages, Newton's backtracking trials,
 ``potential`` and ``instancefile.write_solution`` never make.  The dense
@@ -370,7 +370,8 @@ def potential(complex: SurfaceComplex, prescription: Prescription, K,
     adaptive Gauss-Legendre panels.  ``base`` defaults to the coordinate
     origin K = 0, where the potential is 0 by convention.  Raises
     QuadratureError (carrying the best estimate) if the bisection budget
-    runs out before reaching ``tol``.
+    runs out before reaching ``tol``.  The inputs are checked here, once;
+    the quadrature nodes are evaluated by the check-free ``_evaluate``.
     """
     K = np.asarray(K, dtype=float)
     if base is None:
@@ -378,6 +379,8 @@ def potential(complex: SurfaceComplex, prescription: Prescription, K,
     base = np.asarray(base, dtype=float)
     if K.shape != base.shape or K.shape != (complex.n_vertices,):
         raise InputError("K and base must be coordinate vectors on the complex")
+    if not (np.isfinite(K).all() and np.isfinite(base).all()):
+        raise InputError("K and base must be finite")
     check_instance(complex, prescription)
     direction = K - base
     if not np.any(direction):
@@ -386,7 +389,7 @@ def potential(complex: SurfaceComplex, prescription: Prescription, K,
     lhat = prescription.lhat
 
     def integrand(t: float) -> float:
-        state = evaluate(complex, base + t * direction)
+        state = _evaluate(complex, base + t * direction)
         return float(np.dot(state.L - lhat, direction))
 
     whole = _gauss(integrand, 0.0, 1.0)

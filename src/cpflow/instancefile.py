@@ -37,7 +37,7 @@ import numpy as np
 from . import geometry
 from .curvature import evaluate, prescribed_calabi_energy
 from .errors import ParseError
-from .flow import FIRST_STEP, FlowConfig, FlowTrace
+from .flow import FIRST_STEP, FlowConfig, FlowTrace, integrator
 from .surface import Prescription, SurfaceComplex, build_complex
 
 SECTIONS = ("vertices", "edges", "faces", "prescription", "initial_k", "initial_r")
@@ -224,7 +224,7 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write("# cpflow trace v2\n")
     out.write(f"# instance sha256:{digest}\n")
     out.write(f"# method {config.method}\n")
-    out.write("# integrator rkf45\n")
+    out.write(f"# integrator {integrator(config)}\n")
     out.write(f"# step {fmt(FIRST_STEP)}\n")
     out.write(f"# tol_curvature {fmt(config.tol_curvature)}\n")
     out.write(f"# tol_ode {fmt(config.tol_ode)}\n")

@@ -197,8 +197,9 @@ def test_criterion_06_exponential_decay(planted_runs):
 def test_predicted_rate_matches_the_fitted_rate(planted_runs):
     # Near Kbar the Calabi energy decays like exp(-2 lambda_min^2 t), with
     # lambda_min the smallest eigenvalue of J at the solution.  Measured
-    # over the 250 runs, fitted/predicted spans 0.9643 (bigon instance 38,
-    # start 4, a 27-sample run) to 1.0057, median 1.0000.
+    # over the 250 runs (damped RKC steps), fitted/predicted spans 0.9722
+    # (tetrahedron instance 44, start 3, a 114-sample run) to 0.9967,
+    # median 0.9899.
     _, traces, _ = planted_runs
     ratios = [trace.fitted_rate / trace.predicted_rate
               for per_instance in traces for _, trace in per_instance]

@@ -208,6 +208,22 @@ class TestSolve:
                      "--max-time", "1e-7", "--tol", "1e-14"])
         assert code == 4
 
+    def test_budget_exhausted_prints_its_certificate(self, tmp_path, capsys):
+        # 7 > 2 pi, the budget of a's two edges at pi/2: infeasible, and the
+        # Calabi flow is still short of the clamp at t = 1.
+        path = tmp_path / "bigon.icp"
+        path.write_text("[vertices]\na b\n[edges]\nab a b pi/2\n"
+                        "ba a b pi/2\n[faces]\nf0 ab ba\nf1 ab ba\n"
+                        "[prescription]\na 7\nb 2\n")
+        trace = tmp_path / "bigon.tsv"
+        code = main(["solve", str(path), "--max-time", "1",
+                     "--trace", str(trace)])
+        assert code == 4
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("bigon.icp: budget-exhausted t=1 ")
+        assert out[1] == "  infeasible: subset={a,b} margin=2.71681469282"
+        assert "# certificate_subset a,b" in trace.read_text().splitlines()
+
     def test_seeded_traces_are_byte_identical(self, tetra_file, tmp_path):
         paths = [tmp_path / "a.tsv", tmp_path / "b.tsv"]
         for p in paths:

@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+import cpflow.curvature
 
 from cpflow import (InputError, Prescription, QuadratureError,
                     edge_side_geometry, evaluate, fixtures, k_to_r,
@@ -473,6 +476,33 @@ class TestPotential:
                 H[i, j] = H[j, i] = (f(ei + ej) - f(ei - ej)
                                      - f(-ei + ej) + f(-ei - ej)) / (4 * h ** 2)
         assert np.max(np.abs(H - J.T)) / np.max(np.abs(J)) <= 1e-5
+
+    def test_checks_once_however_long_the_segment(self, monkeypatch):
+        # The long segment needs more quadrature panels than the short one.
+        c = fixtures.torus_grid(3, 3)
+        p = Prescription(np.full(9, 3.0))
+        checks, nodes = [], []
+        for name, calls in (("check_instance", checks), ("_evaluate", nodes)):
+            def counted(*args, real=getattr(cpflow.curvature, name),
+                        calls=calls):
+                calls.append(args)
+                return real(*args)
+            monkeypatch.setattr(cpflow.curvature, name, counted)
+        counts = []
+        for scale in (1e-3, 10.0):
+            before, before_nodes = len(checks), len(nodes)
+            potential(c, p, scale * rng_for(25).uniform(-1.0, 1.0, 9))
+            counts.append((len(checks) - before, len(nodes) - before_nodes))
+        (short, short_nodes), (long, long_nodes) = counts
+        assert short == long > 0
+        assert long_nodes > short_nodes
+
+    def test_infinite_base_rejected_without_a_warning(self, tetra):
+        p = Prescription(np.full(4, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="finite"):
+                potential(tetra, p, np.zeros(4), base=np.full(4, np.inf))
 
     def test_quadrature_budget_error(self, tetra):
         p = Prescription(np.full(4, 3.0))

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     fixtures, make_synthetic, potential, r_to_k, run,
                     velocity_bound)
 from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue, gershgorin_bound
+from cpflow.flow import RKC_MIN_TOL, integrator
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
 
@@ -245,15 +247,16 @@ class TestRun:
             FlowConfig(**{name: value})
 
 
-# Accepted RKF45 steps of seeded planted runs under the criterion-4
-# configuration.  A faster evaluation or tableau may move the last bits of
-# each stage, but must not move the step sequence by more than 1%.
+# Accepted steps of seeded planted runs under the criterion-4
+# configuration: damped RKC for the Calabi flow, RKF45 for the curvature
+# flow.  A faster evaluation or tableau may move the last bits of each
+# stage, but must not move the step sequence by more than 1%.
 PINNED_STEP_COUNTS = {
-    ("tetrahedron", "calabi"): 664,
+    ("tetrahedron", "calabi"): 127,
     ("tetrahedron", "curvature"): 75,
-    ("cube", "calabi"): 433,
+    ("cube", "calabi"): 138,
     ("cube", "curvature"): 63,
-    ("torus3x3", "calabi"): 246,
+    ("torus3x3", "calabi"): 142,
     ("torus3x3", "curvature"): 49,
 }
 PINNED_COMPLEXES = {
@@ -369,6 +372,10 @@ class TestGershgorinScreen:
         inst = make_synthetic(c, seed=71)
         k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
         config = dataclasses.replace(config, method=method)
+        if integrator(config) != "rkf45":
+            # The screen belongs to RKF45: step at a tolerance just tighter
+            # than the one where the Calabi flow switches to RKC.
+            config = dataclasses.replace(config, tol_ode=0.1 * RKC_MIN_TOL)
         ceilings = count_ceilings(monkeypatch)
         screened = run(c, inst.prescription, k0, config)
         assert len(ceilings) < len(screened.samples) - 1
@@ -480,15 +487,19 @@ class TestValidatesOnce:
             monkeypatch.setattr(module, "check_instance", counted)
         return calls
 
-    def test_same_checks_for_5_and_500_steps(self, monkeypatch, checks):
+    @pytest.mark.parametrize("tol_ode", [1e-4, 1e-6], ids=["rkc", "rkf45"])
+    def test_same_checks_for_5_and_100_steps(self, monkeypatch, checks,
+                                             tol_ode):
+        # Both integrators take more than 100 steps on this run.
         c = PINNED_COMPLEXES["tetrahedron"]()
         inst = make_synthetic(c, seed=71)
         k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        config = dataclasses.replace(ACCEPTANCE_CONFIG, tol_ode=tol_ode)
         counts = []
-        for steps in (5, 500):
+        for steps in (5, 100):
             monkeypatch.setattr(cpflow.flow, "MAX_ITERS", steps)
             before = len(checks)
-            trace = run(c, inst.prescription, k0, ACCEPTANCE_CONFIG)
+            trace = run(c, inst.prescription, k0, config)
             assert trace.verdict == "budget-exhausted"
             assert len(trace.samples) == steps + 1
             counts.append(len(checks) - before)
@@ -506,6 +517,80 @@ class TestValidatesOnce:
             assert trace.verdict == "converged"
             counts.append(len(checks) - before)
         assert counts[0] == counts[1] > 0
+
+
+class TestRKC:
+    """A Calabi run at tol_ode >= RKC_MIN_TOL steps with damped RKC."""
+
+    def planted_tetrahedron(self):
+        c = PINNED_COMPLEXES["tetrahedron"]()
+        inst = make_synthetic(c, seed=71)
+        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+        return c, inst.prescription, k0
+
+    def test_rule(self):
+        assert integrator(ACCEPTANCE_CONFIG) == "rkc"
+        assert integrator(FlowConfig(tol_ode=RKC_MIN_TOL)) == "rkc"
+        assert integrator(FlowConfig(tol_ode=0.5 * RKC_MIN_TOL)) == "rkf45"
+        assert integrator(FlowConfig()) == "rkf45"
+        for method in ("curvature", "newton"):
+            assert integrator(dataclasses.replace(
+                ACCEPTANCE_CONFIG, method=method)) == "rkf45"
+
+    def test_stability_polynomial(self):
+        # One step of y' = -z y with h = 1 from y = 1 gives R(-z); a step
+        # of s stages may take h * stiffness up to 0.9 beta(s).
+        limits = cpflow.flow._RKC_LIMITS
+        assert len(limits) == cpflow.flow._RKC_MAX_STAGES - 1
+        for s, limit in enumerate(limits, start=2):
+            z = np.linspace(0.0, limit, 2001)
+            R = cpflow.flow._rkc_stages(lambda y: -z * y, np.ones_like(z),
+                                        -z, 1.0, s)
+            assert np.abs(R).max() <= 1.0 + 1e-12, s
+            # second order: R(-z) = exp(-z) + O(z^3)
+            small = cpflow.flow._rkc_stages(lambda y: -1e-3 * y,
+                                            np.ones(1), -1e-3 * np.ones(1),
+                                            1.0, s)
+            assert abs(small[0] - math.exp(-1e-3)) <= 1e-9, s
+
+    def test_one_spectrum_per_converged_run(self, monkeypatch):
+        spectra = count_computed(monkeypatch, "eigenvalues")
+        ceilings = count_ceilings(monkeypatch)
+        trace = run(*self.planted_tetrahedron(), ACCEPTANCE_CONFIG)
+        assert trace.verdict == "converged"
+        # no step ceiling; one spectrum, for min_eig at the solution
+        assert ceilings == [] and len(spectra) == 1
+
+    def test_a_step_of_s_stages_costs_s_evaluations(self, monkeypatch):
+        states = record_states(monkeypatch)
+        stages = []
+        real = cpflow.flow._rkc_stages
+
+        def counted(f, K, f0, h, s):
+            stages.append(s)
+            return real(f, K, f0, h, s)
+
+        monkeypatch.setattr(cpflow.flow, "_rkc_stages", counted)
+        trace = run(*self.planted_tetrahedron(), ACCEPTANCE_CONFIG)
+        assert trace.verdict == "converged"
+        assert max(stages) > 2
+        assert len(states) == 1 + sum(stages)
+
+    def test_max_time_clips_the_last_step(self):
+        config = dataclasses.replace(ACCEPTANCE_CONFIG, max_time=1.0)
+        trace = run(*self.planted_tetrahedron(), config)
+        assert trace.verdict == "budget-exhausted"
+        assert trace.final.t == 1.0
+
+    def test_tiny_bigon_ends_with_a_verdict(self):
+        # At angles of 1e-300 the entries of J underflow.
+        c = fixtures.bigon(phi=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = run(c, Prescription(np.full(2, 1e-6)), np.zeros(2),
+                        ACCEPTANCE_CONFIG)
+        assert trace.verdict in ("converged", "diverged", "budget-exhausted",
+                                 "numerical-failure")
 
 
 class TestNewton:

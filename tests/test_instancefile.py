@@ -163,6 +163,20 @@ class TestReports:
         ts = [float(r.split("\t")[0]) for r in rows]
         assert all(b > a for a, b in zip(ts, ts[1:]))
 
+    @pytest.mark.parametrize("method, tol_ode, name", [
+        ("calabi", 1e-4, "rkc"), ("calabi", 1e-9, "rkf45"),
+        ("curvature", 1e-4, "rkf45")])
+    def test_integrator_header_names_the_integrator(self, method, tol_ode,
+                                                    name):
+        inst = parse_instance(TETRA_DOC)
+        config = FlowConfig(method=method, tol_ode=tol_ode, tol_curvature=1e-9)
+        trace = run(inst.complex, inst.prescription,
+                    np.array([0.4, -0.3, 0.2, 0.0]), config)
+        assert trace.verdict == "converged"
+        buf = io.StringIO()
+        write_trace(buf, trace, inst.complex, inst.prescription, config)
+        assert f"# integrator {name}" in buf.getvalue().splitlines()
+
     @pytest.mark.parametrize("case", ["converged", "diverged"])
     def test_rows_are_per_value_fmt(self, case):
         # Every value of a row formats as ``fmt`` formats it alone,
