@@ -20,17 +20,25 @@ the inclusion-minimal maximizer W*.
 - Infeasible input.  Since f(empty) = 0, a nonempty W* has f(W*) >= 0 and
   is the worst nonempty subset (the smallest one, should several tie).
   One max flow settles the input.
-- Feasible input.  W* is empty and every source arc is saturated.  Each
-  vertex v gets a round that starts from a copy of that residual with
-  v's source arc made unbounded; the flow the round adds is
-  -max_{W containing v} f(W), and its residual gives the minimal such W.
-- Pruning.  A round adds at least LB_v, the residual capacity of v's
-  edges to the sink, since those direct paths stay open.  So the margin
-  of v is at most -LB_v: rounds run in ascending order of LB_v and stop
-  once -LB_v falls below the best margin, and a round is abandoned as
-  soon as the flow it added rules v out.  Both cuts are exact.
-- Tie-break.  Among vertices whose rounds reach the same margin, the
-  lowest-numbered one supplies the subset.
+- Feasible input.  W* is empty and every source arc is saturated; only
+  cuts whose source side holds a vertex count.  One pass in vertex order
+  then finds them, in the manner of Hao & Orlin (J. Algorithms 17, 1994):
+  phase v makes v's source arc unbounded, so v joins W, and augments the
+  flow the pass carries, in which the vertices 0..v-1 are already held on
+  the sink side.  The flow the phase adds is -max f(W) over the W that
+  hold v and none of 0..v-1, and its residual gives the minimal such W.
+  After the phase v joins the sink side for good: its flow into its edges
+  is withdrawn from their arcs to the sink, which leaves a maximum flow
+  for the next phase to start from.  No flow is ever reset.
+- Tie-break.  Every nonempty W is counted in the phase of its lowest
+  vertex, so the first phase to reach the worst margin belongs to the
+  lowest vertex of any worst subset, and its minimal cut is the minimal
+  worst subset holding that vertex.  A later phase replaces it only with
+  a strictly larger margin.
+- Pruning.  A phase adds at least the residual capacity of v's edges to
+  the sink, since those direct paths are open, so v's margin is at most
+  minus that sum: a phase whose sum already rules v out is skipped, and
+  a phase is abandoned as soon as the flow it added rules v out.
 
 Every reported margin is recomputed from its subset by ``_margin_of``.
 """
@@ -73,12 +81,17 @@ class FeasibilityVerdict:
 
 
 def _margin_of(complex: SurfaceComplex, prescription: Prescription,
-               subset: frozenset[int]) -> float:
+               subset: frozenset[int], touched: list[int] | None = None) -> float:
+    """f(subset): the targets summed in the set's iteration order, the
+    angles of the edges it touches in edge order.  ``touched`` lists those
+    edges in ascending order, when the caller knows them."""
+    if touched is None:
+        touched = [e for e, (v, w) in enumerate(complex.edges)
+                   if v in subset or w in subset]
     lhat_sum = float(sum(prescription.lhat[v] for v in subset))
-    phi_sum = 0.0
-    for (v, w), p in zip(complex.edges, complex.phi):
-        if v in subset or w in subset:
-            phi_sum += p
+    phi, phi_sum = complex.phi, 0.0
+    for e in touched:
+        phi_sum += phi[e]
     return lhat_sum - 2.0 * phi_sum
 
 
@@ -134,7 +147,7 @@ def check_mincut(complex: SurfaceComplex,
                  prescription: Prescription) -> FeasibilityVerdict:
     """Exact maximization of the subset margin by max-flow (see the module
     docstring): one max flow settles an infeasible prescription, and a
-    feasible one takes a pruned round per vertex from that flow."""
+    feasible one takes one pass over the vertices from that flow."""
     check_instance(complex, prescription)
     net = _ClosureNetwork(complex, prescription.lhat)
     net.max_flow()
@@ -142,33 +155,19 @@ def check_mincut(complex: SurfaceComplex,
     if closure:
         return _verdict(complex, prescription, closure, "min-cut")
 
-    n = complex.n_vertices
-    base = net.cap
-    # Per vertex, the residual capacity of its edges to the sink.
-    ev, ew = complex.endpoint_arrays
-    sink_residual = np.array(base[2 * n + 4::6])
-    bound = (np.bincount(ev, sink_residual, n)
-             + np.bincount(ew, sink_residual, n)).tolist()
-    best_margin, best_v, best_subset = -math.inf, -1, frozenset()
-    for v in sorted(range(n), key=lambda v: (bound[v], v)):
-        # v wins with a margin above the best, or equal to it if v is the
-        # lower-numbered vertex.  Its margin is minus the flow its round
-        # adds, and that flow is at least bound[v].
-        limit = -best_margin
-        if bound[v] > limit:
-            break
-        if v > best_v:
-            limit = math.nextafter(limit, -math.inf)
-            if bound[v] > limit:
-                continue
-        net.cap = base.copy()
-        net.cap[2 * v] = math.inf
-        if net.max_flow(limit) > limit:
-            continue
-        subset = net.source_vertices()
-        margin = _margin_of(complex, prescription, subset)
-        if margin > best_margin or (margin == best_margin and v < best_v):
-            best_margin, best_v, best_subset = margin, v, subset
+    best_margin, best_subset = -math.inf, frozenset()
+    # A phase must add at most this much flow to beat the best margin.
+    limit = math.inf
+    for v in range(complex.n_vertices):
+        if (net.sink_residual(v) <= limit
+                and net.max_flow(limit, 1 + v) <= limit):
+            subset = net.source_vertices(1 + v)
+            margin = _margin_of(complex, prescription, subset,
+                                net.touched_edges(subset))
+            if margin > best_margin:
+                best_margin, best_subset = margin, subset
+                limit = math.nextafter(-margin, -math.inf)
+        net.exclude(v)
     return _verdict(complex, prescription, best_subset, "min-cut")
 
 
@@ -177,9 +176,12 @@ class _ClosureNetwork:
 
     Node 0 is the source, 1..n the vertices, n+1..n+m the edge nodes and
     n+m+1 the sink.  Arc a and its reverse a ^ 1 are stored side by side;
-    arc 2v is source -> v and arc 2n + 6e + 4 is edge e -> sink.
-    Augmentation is Dinic's, iterative, so path length is not limited by
-    the interpreter's recursion limit.
+    arc 2v is source -> v, arcs 2n + 6e and 2n + 6e + 2 lead from e's
+    endpoints into e, and arc 2n + 6e + 4 is edge e -> sink.  So the arcs
+    of vertex v are the reverse of its source arc, then its arcs into its
+    edges.  A new network already carries the flow of the first phase of
+    Dinic's augmentation; ``max_flow`` goes on from there, iteratively, so
+    path length is not limited by the interpreter's recursion limit.
     """
 
     # Residuals at or below this count as saturated, so that floating-point
@@ -189,32 +191,56 @@ class _ClosureNetwork:
     def __init__(self, complex: SurfaceComplex, lhat: np.ndarray):
         n, m = complex.n_vertices, complex.n_edges
         self.n = n
-        self.sink = n + m + 1
-        self.head: list[list[int]] = [[] for _ in range(n + m + 2)]
-        self.to: list[int] = []
-        self.cap: list[float] = []
+        t = self.sink = n + m + 1
+        first = 2 * n
+        # Arc by arc: source -> v, then per edge e, v -> e, w -> e and
+        # e -> sink, each followed by its reverse.
+        ev, ew = complex.endpoint_arrays
+        edge_node = np.arange(1 + n, 1 + n + m)
+        to = np.empty(first + 6 * m, dtype=np.int64)
+        to[0:first:2] = np.arange(1, n + 1)
+        to[1:first:2] = 0
+        to[first:] = np.column_stack((edge_node, 1 + ev, edge_node, 1 + ew,
+                                      np.full(m, t), edge_node)).ravel()
+        cap = np.zeros(first + 6 * m)
+        cap[0:first:2] = lhat
+        cap[first::6] = cap[first + 2::6] = math.inf
+        cap[first + 4::6] = 2.0 * complex.phi
+        self.to: list[int] = to.tolist()
+        self.cap: list[float] = cap.tolist()
+        # Each node's arcs in the order they were listed.
+        head: list[list[int]] = [[2 * v + 1] for v in range(n)]
+        for e, (v, w) in enumerate(complex.edges):
+            head[v].append(first + 6 * e)
+            head[w].append(first + 6 * e + 2)
+        self.head = ([list(range(0, first, 2))] + head
+                     + [[a + 1, a + 3, a + 4] for a in range(first, first + 6 * m, 6)]
+                     + [list(range(first + 5, first + 6 * m, 6))])
+        # The first phase of Dinic's augmentation, in the order its search
+        # takes: along every path source -> v -> e -> sink, vertex by
+        # vertex and edge by edge, push what both finite arcs have left.
+        cap, eps = self.cap, self.EPS
         for v in range(n):
-            self._add_arc(0, 1 + v, float(lhat[v]))
-        for e, ((v, w), p) in enumerate(zip(complex.edges, complex.phi)):
-            self._add_arc(1 + v, 1 + n + e, math.inf)
-            self._add_arc(1 + w, 1 + n + e, math.inf)
-            self._add_arc(1 + n + e, self.sink, 2.0 * float(p))
+            for a in self._edge_arcs(v):
+                if not cap[2 * v] > eps:
+                    break
+                to_sink = a + 4 - (a - first) % 6
+                if cap[to_sink] > eps:
+                    push = min(cap[2 * v], cap[to_sink])
+                    cap[2 * v] -= push
+                    cap[2 * v + 1] += push
+                    cap[a + 1] += push
+                    cap[to_sink] -= push
+                    cap[to_sink + 1] += push
 
-    def _add_arc(self, u: int, v: int, capacity: float) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0.0)
-
-    def _levels(self) -> list[int]:
-        """BFS distances from the source over unsaturated arcs (-1 where
-        unreachable), stopping once the sink is found."""
+    def _levels(self, start: int = 0) -> list[int]:
+        """BFS distances from ``start`` over unsaturated arcs (-1 where
+        unreachable), stopping once the sink is found.  The source is
+        never entered."""
         head, to, cap, eps, t = self.head, self.to, self.cap, self.EPS, self.sink
         level = [-1] * len(head)
-        level[0] = 0
-        queue = deque([0])
+        level[0] = level[start] = 0
+        queue = deque([start])
         while queue:
             u = queue.popleft()
             lu = level[u] + 1
@@ -227,15 +253,16 @@ class _ClosureNetwork:
                     queue.append(w)
         return level
 
-    def max_flow(self, limit: float = math.inf) -> float:
-        """Augment the current residual to a maximum flow; returns the flow
-        added, stopping early once that exceeds ``limit``."""
+    def max_flow(self, limit: float = math.inf, start: int = 0) -> float:
+        """Augment the current residual to a maximum flow from ``start``
+        (the source, or a vertex node whose source arc counts as unbounded);
+        returns the flow added, stopping early once that exceeds ``limit``."""
         head, to, cap, eps, t = self.head, self.to, self.cap, self.EPS, self.sink
         total = 0.0
-        while (level := self._levels())[t] >= 0:
+        while (level := self._levels(start))[t] >= 0:
             it = [0] * len(head)
             path: list[int] = []
-            u = 0
+            u = start
             while True:
                 if u == t:
                     push = min(cap[a] for a in path)
@@ -250,7 +277,7 @@ class _ClosureNetwork:
                     while cap[path[k]] > eps:
                         k += 1
                     del path[k:]
-                    u = to[path[-1]] if path else 0
+                    u = to[path[-1]] if path else start
                     continue
                 arcs, i, lu = head[u], it[u], level[u] + 1
                 while i < len(arcs) and not (cap[arcs[i]] > eps
@@ -267,8 +294,38 @@ class _ClosureNetwork:
                     break
         return total
 
-    def source_vertices(self) -> frozenset[int]:
-        """The vertices reachable from the source in the residual network of
-        a maximum flow: the source side of the inclusion-minimal min cut."""
-        level = self._levels()
+    def _edge_arcs(self, v: int) -> list[int]:
+        """The arcs from vertex v into its edges."""
+        return self.head[1 + v][1:]
+
+    def sink_residual(self, v: int) -> float:
+        """The residual capacity to the sink of the edges at vertex v."""
+        cap, first = self.cap, 2 * self.n
+        return sum(cap[a + 4 - (a - first) % 6] for a in self._edge_arcs(v))
+
+    def touched_edges(self, subset: frozenset[int]) -> list[int]:
+        """The edges with an endpoint in ``subset``, in ascending order."""
+        first = 2 * self.n
+        return sorted({(a - first) // 6 for v in subset
+                       for a in self._edge_arcs(v)})
+
+    def exclude(self, v: int) -> None:
+        """Hold vertex v on the sink side from now on: the flow it sends
+        into its edges is withdrawn from their arcs to the sink.  A flow
+        stays a flow, and with every source arc saturated a maximum one;
+        no residual arc leads into v any more."""
+        cap, first = self.cap, 2 * self.n
+        for a in self._edge_arcs(v):
+            flow = cap[a + 1]
+            if flow:
+                cap[a + 1] = 0.0
+                to_sink = a + 4 - (a - first) % 6
+                cap[to_sink] += flow
+                cap[to_sink + 1] -= flow
+
+    def source_vertices(self, start: int = 0) -> frozenset[int]:
+        """The vertices reachable from ``start`` in the residual network of
+        a maximum flow from it: the source side of the inclusion-minimal
+        min cut."""
+        level = self._levels(start)
         return frozenset(v for v in range(self.n) if level[1 + v] >= 0)

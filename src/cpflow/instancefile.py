@@ -78,6 +78,10 @@ def parse_instance(text: str) -> Instance:
     edge_names: list[str] = []
     faces: list[list[str]] = []
     face_names: list[str] = []
+    # The names seen so far, for the duplicate checks.
+    seen_vertices: set[str] = set()
+    seen_edges: set[str] = set()
+    seen_faces: set[str] = set()
     prescription: dict[str, float] = {}
     initial: dict[str, float] = {}
     initial_kind: str | None = None
@@ -104,26 +108,29 @@ def parse_instance(text: str) -> Instance:
         tokens = line.split()
         if section == "vertices":
             for name in tokens:
-                if name in vertices:
+                if name in seen_vertices:
                     raise ParseError(f"duplicate vertex name {name!r}", lineno)
+                seen_vertices.add(name)
                 vertices.append(name)
         elif section == "edges":
             if len(tokens) != 4:
                 raise ParseError("edge lines need: name endpoint endpoint angle", lineno)
             name, a, b, angle = tokens
-            if name in edge_names:
+            if name in seen_edges:
                 raise ParseError(f"duplicate edge name {name!r}", lineno)
             try:
                 phi = parse_angle(angle)
             except ValueError:
                 raise ParseError(f"bad angle {angle!r}", lineno) from None
+            seen_edges.add(name)
             edge_names.append(name)
             edges.append((a, b, phi))
         elif section == "faces":
             if len(tokens) < 2:
                 raise ParseError("face lines need: name followed by edge names", lineno)
-            if tokens[0] in face_names:
+            if tokens[0] in seen_faces:
                 raise ParseError(f"duplicate face name {tokens[0]!r}", lineno)
+            seen_faces.add(tokens[0])
             face_names.append(tokens[0])
             faces.append(tokens[1:])
         else:
@@ -147,10 +154,10 @@ def parse_instance(text: str) -> Instance:
 
     presc = None
     if prescription:
-        unknown = set(prescription) - set(vertices)
+        unknown = set(prescription) - seen_vertices
         if unknown:
             raise ParseError(f"prescription names unknown vertex {sorted(unknown)[0]!r}")
-        missing = set(vertices) - set(prescription)
+        missing = seen_vertices - set(prescription)
         if missing:
             raise ParseError(f"prescription missing vertex {sorted(missing)[0]!r}")
         try:
@@ -160,10 +167,10 @@ def parse_instance(text: str) -> Instance:
 
     initial_k = None
     if initial:
-        unknown = set(initial) - set(vertices)
+        unknown = set(initial) - seen_vertices
         if unknown:
             raise ParseError(f"initial values name unknown vertex {sorted(unknown)[0]!r}")
-        missing = set(vertices) - set(initial)
+        missing = seen_vertices - set(initial)
         if missing:
             raise ParseError(f"initial values missing vertex {sorted(missing)[0]!r}")
         vals = np.array([initial[v] for v in vertices])

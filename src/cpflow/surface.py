@@ -235,11 +235,11 @@ def validate(complex: SurfaceComplex) -> list[str]:
                 problems.append(f"vertex {complex.vertex_names[v]} is not a "
                                 f"surface point: its faces form {k} cycles")
 
-    for e in range(complex.n_edges):
-        p = complex.phi[e]
-        if not (0.0 < p <= HALF_PI) or not np.isfinite(p):
-            problems.append(f"edge {complex.edge_names[e]} has intersection angle "
-                            f"{float(p)!r} outside (0, pi/2]")
+    phi = complex.phi
+    # NaN fails both comparisons, so it is flagged with +-inf.
+    for e in np.flatnonzero(~((phi > 0.0) & (phi <= HALF_PI))).tolist():
+        problems.append(f"edge {complex.edge_names[e]} has intersection angle "
+                        f"{float(phi[e])!r} outside (0, pi/2]")
 
     if not _connected(complex):
         problems.append("underlying graph is not connected")

@@ -10,6 +10,7 @@ from cpflow import (Prescription, SizeError, check_bruteforce, check_mincut,
                     evaluate, fixtures, make_synthetic)
 from cpflow.oracle import rng_for
 from conftest import random_instance, random_prescription, with_phi
+from mincut_rounds import check_mincut_rounds
 
 L_REF = 4.05306515313624  # tetrahedron curvature at K = 0, phi = pi/2
 
@@ -162,6 +163,7 @@ class TestMinCutBeyondCriterion8:
         assert mc.worst_margin == pytest.approx(bf.worst_margin, abs=1e-9)
         assert margin(c, p, mc.worst_subset) == pytest.approx(mc.worst_margin,
                                                               abs=1e-12)
+        assert mc == check_mincut_rounds(c, p)
 
     @pytest.mark.parametrize("name, make", LARGER + (
         ("prism11", lambda: fixtures.prism(11)),
@@ -180,27 +182,46 @@ class TestMinCutBeyondCriterion8:
             assert bf.feasible == mc.feasible
             assert mc.boundary == bf.boundary
             assert mc.worst_margin == pytest.approx(bf.worst_margin, abs=1e-9)
+            assert mc == check_mincut_rounds(c, p)
 
 
 class TestMinCutDecider:
     def test_infeasible_costs_one_max_flow(self, monkeypatch):
-        solves = []
-        real = cpflow.feasibility._ClosureNetwork.max_flow
+        network = cpflow.feasibility._ClosureNetwork
+        solves, reached = [], []
+        real_flow, real_levels = network.max_flow, network._levels
 
         def counting(net, *args):
-            solves.append(args)
-            return real(net, *args)
+            solves.append(net)
+            return real_flow(net, *args)
 
-        monkeypatch.setattr(cpflow.feasibility._ClosureNetwork, "max_flow",
-                            counting)
+        def sweeping(net, *args):
+            level = real_levels(net, *args)
+            reached.append(sum(d >= 0 for d in level))
+            return level
+
+        monkeypatch.setattr(network, "max_flow", counting)
+        monkeypatch.setattr(network, "_levels", sweeping)
         c = fixtures.torus_grid(10, 10, phi=1.3)
         lhat = make_synthetic(c, seed=4).prescription.lhat.copy()
         lhat[7] = 1.1 * star_caps(c)[7]
         assert not check_mincut(c, Prescription(lhat)).feasible
         assert len(solves) == 1
+        # The feasible pass works on the closure flow's own network, and
+        # its phases are local: together their breadth-first sweeps reach
+        # at most twice the nodes that the sweeps of that first max flow
+        # reach (about 1.2 times here).
+        p = make_synthetic(c, seed=4).prescription
+        reached.clear()
+        net = network(c, p.lhat)
+        net.max_flow()
+        net.source_vertices()
+        first = sum(reached)
+        reached.clear()
         solves.clear()
-        assert check_mincut(c, make_synthetic(c, seed=4).prescription).feasible
-        assert 1 < len(solves) <= 1 + c.n_vertices
+        assert check_mincut(c, p).feasible
+        assert len(set(map(id, solves))) == 1 < len(solves)
+        assert sum(reached) - first <= 2 * first
 
     @pytest.mark.parametrize("i", range(120))
     def test_reported_subset_is_inclusion_minimal(self, i):
@@ -239,6 +260,51 @@ class TestMinCutDecider:
         assert v.feasible and not v.boundary
         assert v.worst_subset == frozenset(range(n))
         assert v.worst_margin == pytest.approx(-4e-6 * n, rel=1e-6)
+
+
+# Uniform targets beyond the enumeration guard, around the value at which
+# the whole vertex set sits on the boundary.
+LARGE_TIES = (
+    ("necklace40", lambda: fixtures.necklace(40)),
+    ("necklace120", lambda: fixtures.necklace(120, phi=1.0)),
+    ("bipyramid30", lambda: fixtures.bipyramid(30)),
+    ("prism20", lambda: fixtures.prism(20)),
+    ("torus6x6", lambda: fixtures.torus_grid(6, 6)),
+    ("torus9x9", lambda: fixtures.torus_grid(9, 9, phi=1.3)),
+)
+
+
+class TestPassMatchesRounds:
+    """The single pass against the per-vertex rounds it replaced
+    (tests/mincut_rounds.py): the whole verdict, margins bit for bit."""
+
+    def test_criterion_8_instances(self):
+        for i in range(500):
+            c = random_instance(i, max_vertices=14)
+            p = random_prescription(c, i)
+            assert check_mincut(c, p) == check_mincut_rounds(c, p), i
+
+    def test_random_instances(self):
+        for i in range(300):
+            c = random_instance(i)
+            p = random_prescription(c, i)
+            assert check_mincut(c, p) == check_mincut_rounds(c, p), i
+
+    @pytest.mark.parametrize("name, make", LARGE_TIES,
+                             ids=[n for n, _ in LARGE_TIES])
+    def test_uniform_targets_full_of_ties(self, name, make):
+        c = make()
+        t0 = 2.0 * float(np.sum(c.phi)) / c.n_vertices
+        for scale in (0.9, 0.99, 1.0 - 1e-9, 1.0):
+            p = Prescription(np.full(c.n_vertices, scale * t0))
+            assert check_mincut(c, p) == check_mincut_rounds(c, p), scale
+
+    @pytest.mark.parametrize("rows", (5, 10))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_planted_tori(self, rows, seed):
+        c = fixtures.torus_grid(rows, rows, phi=1.3)
+        p = make_synthetic(c, seed=seed).prescription
+        assert check_mincut(c, p) == check_mincut_rounds(c, p)
 
 
 class TestMonotonicity:

@@ -1,5 +1,6 @@
 import io
 import math
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,39 @@ class TestParse:
             parse_instance(TETRA_DOC.replace("ac a c pi/2", "ab a c pi/2"))
         with pytest.raises(ParseError, match="duplicate"):
             parse_instance(TETRA_DOC.replace("a b c d", "a b c c"))
+
+    @pytest.mark.parametrize("section, line, duplicate", [
+        ("vertices", "v{}", "v7"),
+        ("edges", "e{} a b pi/2", "e7 a b pi/2"),
+        ("faces", "f{} e0 e1", "f7 e0 e1"),
+    ])
+    def test_duplicate_on_the_last_line_of_a_long_section(self, section, line,
+                                                          duplicate):
+        head = "[vertices]\na b\n"
+        if section == "faces":
+            head += "[edges]\ne0 a b pi/2\ne1 a b pi/2\n"
+        body = [f"[{section}]"] + [line.format(i) for i in range(4096)]
+        doc = head + "\n".join(body + [duplicate]) + "\n"
+        last = doc.count("\n")
+        with pytest.raises(ParseError, match=f"duplicate .*{duplicate.split()[0]!r}"
+                           ) as exc_info:
+            parse_instance(doc)
+        assert exc_info.value.line == last
+
+    def test_parse_time_is_linear_in_the_section_length(self):
+        # 16 times the vertices, edges and faces; a quadratic duplicate
+        # check made the ratio about 95
+        def best_of_3(doc):
+            times = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                parse_instance(doc)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        small, large = (serialize_instance(fixtures.torus_grid(k, k))
+                        for k in (16, 64))
+        assert best_of_3(large) / best_of_3(small) < 45
 
     def test_unknown_references(self):
         with pytest.raises(ParseError):

@@ -64,6 +64,17 @@ class TestValidate:
         c = SurfaceComplex(4, tetra.edges, tetra.faces, phi)
         assert any("intersection angle" in p for p in validate(c))
 
+    def test_angle_messages_in_edge_order(self, tetra):
+        phi = tetra.phi.copy()
+        phi[[0, 1, 3, 5]] = [2.0, np.nan, 0.0, np.inf]
+        c = SurfaceComplex(4, tetra.edges, tetra.faces, phi)
+        assert validate(c) == [
+            "edge e0 has intersection angle 2.0 outside (0, pi/2]",
+            "edge e1 has intersection angle nan outside (0, pi/2]",
+            "edge e3 has intersection angle 0.0 outside (0, pi/2]",
+            "edge e5 has intersection angle inf outside (0, pi/2]",
+        ]
+
     def test_disconnected(self):
         # two disjoint bigons in one complex
         c = SurfaceComplex(4, ((0, 1), (0, 1), (2, 3), (2, 3)),
