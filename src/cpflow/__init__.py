@@ -9,7 +9,7 @@ feasibility certification of the prescription.
 from .curvature import (CurvatureState, evaluate, potential,
                         prescribed_calabi_energy, velocity_bound)
 from .errors import (DomainError, InputError, NonConvergenceError,
-                     ParseError, QuadratureError, SizeError)
+                     ParseError, SizeError)
 from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
 from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
                    calabi_direction, curvature_rhs, fit_decay_rate, run)
@@ -27,7 +27,7 @@ __all__ = [
     "CurvatureState", "DomainError", "EdgeSideGeometry", "FeasibilityVerdict",
     "FlowConfig", "FlowSample", "FlowTrace", "InputError",
     "Instance", "NonConvergenceError", "ParseError", "Prescription",
-    "QuadratureError", "RateFit", "SizeError", "SurfaceComplex",
+    "RateFit", "SizeError", "SurfaceComplex",
     "SyntheticInstance", "build_complex", "calabi_direction",
     "check_bruteforce", "check_mincut", "curvature_rhs",
     "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",

@@ -2,11 +2,11 @@
 
 Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), the cone angles at the vertices,
-the symmetric Jacobian dL/dK, the Calabi energy, the convex potential
-whose gradient is L - Lhat, and the a-priori bound on the flow velocity.
-Vertex quantities are assembled over the edge list in O(E).  The public
-``evaluate`` checks its inputs and runs the check-free ``_evaluate``, the
-one evaluator, which the flows and ``potential`` call inside their loops.
+the symmetric Jacobian dL/dK, the Calabi energy, the closed-form convex
+potential whose gradient is L - Lhat, and the a-priori bound on the flow
+velocity.  Vertex quantities are assembled over the edge list in O(E).
+The public ``evaluate`` checks its inputs and runs the check-free
+``_evaluate``, the one evaluator, which the flows and ``potential`` call.
 Each evaluation computes the center angles theta and L; J's edge form (its
 diagonal and the per-edge mixed partials) is computed on its first read,
 which the curvature flow's RKF45 stages, Newton's backtracking trials,
@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
 from . import geometry
-from .errors import InputError, QuadratureError
+from .errors import InputError
 from .surface import Prescription, SurfaceComplex, check_instance
 
 # Radii are clamped to this closed interval so that diagnostics stay
@@ -334,63 +335,70 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
 
 
 # ----------------------------------------------------------------------
-# Potential function: path integral of the closed 1-form sum (L_i - Lhat_i) dK_i
+# Potential function: F(K) with dF = sum (L_i - Lhat_i) dK_i, in closed form
 # ----------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+def _cl2_series(terms: int) -> tuple[float, ...]:
+    """c_k = |B_2k| / (2k (2k+1)!), k = 1..terms, of Cl_2(t) = t - t ln|t|
+    + sum_k c_k t^(2k+1) on [-pi, pi], from the exact Bernoulli recurrence
+    sum_{j <= m} C(m + 1, j) B_j = 0; 27 terms leave an error below 1e-17."""
+    B = [Fraction(1)]
+    for m in range(1, 2 * terms + 1):
+        B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
+    return tuple(float(abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
+                 for k in range(1, terms + 1))
 
 
-def _gauss(f, a: float, b: float) -> float:
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return half * sum(w * f(mid + half * x) for x, w in zip(_GL_NODES, _GL_WEIGHTS))
+_CL2_SERIES = _cl2_series(27)
 
 
-def _adaptive(f, a: float, b: float, whole: float, tol: float, depth: int) -> float:
-    mid = 0.5 * (a + b)
-    left = _gauss(f, a, mid)
-    right = _gauss(f, mid, b)
-    if abs(left + right - whole) <= tol:
-        return left + right
-    if depth <= 0:
-        raise QuadratureError(
-            f"quadrature tolerance {tol:g} not reached on [{a:g}, {b:g}]",
-            estimate=left + right,
-        )
-    return (_adaptive(f, a, mid, left, 0.5 * tol, depth - 1)
-            + _adaptive(f, mid, b, right, 0.5 * tol, depth - 1))
+def _lobachevsky(x: np.ndarray) -> np.ndarray:
+    """Lobachevsky's function -int_0^x ln|2 sin u| du = Cl_2(t) / 2, with
+    t = 2x reduced to [-pi, pi] and t ln|t| -> 0 as t -> 0."""
+    t = 2.0 * x - 2.0 * np.pi * np.round(x / np.pi)
+    t2 = t * t
+    series = np.zeros_like(t)
+    for c in reversed(_CL2_SERIES):
+        series *= t2
+        series += c
+    log_t = np.log(np.abs(t), out=np.zeros_like(t), where=t != 0.0)
+    return 0.5 * t * (1.0 - log_t + t2 * series)
+
+
+def _convex_potential(state: CurvatureState, lhat: np.ndarray) -> float:
+    """F(K), whose gradient is L - Lhat, for |K| <= K_CLAMP: the sum over
+    edge sides of Lob(alpha + theta/2) + Lob(alpha - theta/2) + 2 Lob(pi/2
+    - alpha) + theta d, less Lhat . K, with theta the center angle, alpha =
+    arctan(cos r tan(theta/2)), d = arsinh(cot r) and Lob ``_lobachevsky``
+    (Milnor, Bull. AMS 6, 1982; Vinberg, Geometry II, 1993).  By Schlafli's
+    formula an edge's Lob terms differentiate to -(d_v dtheta_v + d_w
+    dtheta_w), so the edge adds L_v_side dK_v + L_w_side dK_w to dF."""
+    half, cos_r = state.half_sides, state.cos_r_sides
+    alpha = np.arctan2(cos_r * np.sin(half), np.cos(half))
+    d = np.arcsinh(np.exp(state.K)).take(state.complex.endpoint_arrays)
+    sides = (_lobachevsky(alpha + half) + _lobachevsky(alpha - half)
+             + 2.0 * _lobachevsky(0.5 * np.pi - alpha) + state.theta_sides * d)
+    return float(sides.sum() - lhat @ state.K)
 
 
 def potential(complex: SurfaceComplex, prescription: Prescription, K,
-              base=None, tol: float = 1e-10, max_bisections: int = 20) -> float:
-    """Line integral of sum (L_i - Lhat_i) dK_i from ``base`` to ``K``.
+              base=None) -> float:
+    """F(K) - F(base), the integral of sum (L_i - Lhat_i) dK_i from
+    ``base`` (by default the origin, where the potential is 0) to ``K``.
 
-    The form is closed (the Jacobian is symmetric), so the value does not
-    depend on the path; we integrate along the straight segment with
-    adaptive Gauss-Legendre panels.  ``base`` defaults to the coordinate
-    origin K = 0, where the potential is 0 by convention.  Raises
-    QuadratureError (carrying the best estimate) if the bisection budget
-    runs out before reaching ``tol``.  The inputs are checked here, once;
-    the quadrature nodes are evaluated by the check-free ``_evaluate``.
+    The inputs are checked here, then both ends are evaluated check-free.
+    Past the radius clamp L stops depending on K, so the form is not closed
+    and no potential exists: a |K_v| or |base_v| > K_CLAMP is an InputError.
     """
     K = np.asarray(K, dtype=float)
-    if base is None:
-        base = np.zeros_like(K)
-    base = np.asarray(base, dtype=float)
+    base = np.zeros_like(K) if base is None else np.asarray(base, dtype=float)
     if K.shape != base.shape or K.shape != (complex.n_vertices,):
         raise InputError("K and base must be coordinate vectors on the complex")
-    if not (np.isfinite(K).all() and np.isfinite(base).all()):
-        raise InputError("K and base must be finite")
+    # NaN fails the comparison too.
+    if not np.abs((K, base)).max() <= K_CLAMP:
+        raise InputError(f"K and base must be finite and within the radius "
+                         f"clamp |K| <= {K_CLAMP:.6g}")
     check_instance(complex, prescription)
-    direction = K - base
-    if not np.any(direction):
-        return 0.0
-
     lhat = prescription.lhat
-
-    def integrand(t: float) -> float:
-        state = _evaluate(complex, base + t * direction)
-        return float(np.dot(state.L - lhat, direction))
-
-    whole = _gauss(integrand, 0.0, 1.0)
-    return _adaptive(integrand, 0.0, 1.0, whole, tol, max_bisections)
+    return (_convex_potential(_evaluate(complex, K), lhat)
+            - _convex_potential(_evaluate(complex, base), lhat))

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
-``flow.run`` catches NonConvergenceError (an RKF45 step-size underflow,
-a Newton step with no descent, a failed linear solve) and returns it as
-the verdict ``numerical-failure``.
+``flow.run`` catches NonConvergenceError (an RKF45 step-size underflow, a
+Newton step with no descent, a failed linear solve) as the verdict
+``numerical-failure``; no other routine fails numerically.
 """
 
 
@@ -26,18 +26,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance.
-
-    The best available estimate is kept on the exception so callers can
-    decide whether to use it anyway.
-    """
-
-    def __init__(self, message: str, estimate: float):
-        super().__init__(message)
-        self.estimate = estimate
 
 
 class NonConvergenceError(RuntimeError):

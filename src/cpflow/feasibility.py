@@ -95,9 +95,8 @@ def _margin_of(complex: SurfaceComplex, prescription: Prescription,
     return lhat_sum - 2.0 * phi_sum
 
 
-def _verdict(complex: SurfaceComplex, prescription: Prescription,
-             subset: frozenset[int], method: str) -> FeasibilityVerdict:
-    margin = _margin_of(complex, prescription, subset)
+def _verdict(subset: frozenset[int], margin: float,
+             method: str) -> FeasibilityVerdict:
     boundary = abs(margin) <= BOUNDARY_SLACK
     return FeasibilityVerdict(
         feasible=(margin < 0.0 and not boundary),
@@ -140,7 +139,8 @@ def check_bruteforce(complex: SurfaceComplex,
             best_mask = int(masks[i])
 
     subset = frozenset(v for v in range(n) if best_mask >> v & 1)
-    return _verdict(complex, prescription, subset, "brute-force")
+    return _verdict(subset, _margin_of(complex, prescription, subset),
+                    "brute-force")
 
 
 def check_mincut(complex: SurfaceComplex,
@@ -153,7 +153,9 @@ def check_mincut(complex: SurfaceComplex,
     net.max_flow()
     closure = net.source_vertices()
     if closure:
-        return _verdict(complex, prescription, closure, "min-cut")
+        return _verdict(closure, _margin_of(complex, prescription, closure,
+                                            net.touched_edges(closure)),
+                        "min-cut")
 
     best_margin, best_subset = -math.inf, frozenset()
     # A phase must add at most this much flow to beat the best margin.
@@ -168,7 +170,7 @@ def check_mincut(complex: SurfaceComplex,
                 best_margin, best_subset = margin, subset
                 limit = math.nextafter(-margin, -math.inf)
         net.exclude(v)
-    return _verdict(complex, prescription, best_subset, "min-cut")
+    return _verdict(best_subset, best_margin, "min-cut")
 
 
 class _ClosureNetwork:

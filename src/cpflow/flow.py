@@ -288,9 +288,9 @@ _RKC_MAX_STAGES = 60
 
 
 def integrator(config: FlowConfig) -> str:
-    """The integrator a run under ``config`` steps with: "rkc" for the
-    Calabi flow at ``tol_ode`` >= RKC_MIN_TOL, else "rkf45" (Newton, which
-    takes no ODE steps, is reported as "rkf45" too).
+    """The integrator a run under ``config`` steps with: "none" for
+    Newton, which takes no ODE steps, "rkc" for the Calabi flow at
+    ``tol_ode`` >= RKC_MIN_TOL, else "rkf45".
 
     The Calabi flow is stiff as lambda^2 of J, so an explicit step is bound
     by stability, not accuracy, once the tolerance is loose; damped RKC
@@ -301,7 +301,7 @@ def integrator(config: FlowConfig) -> str:
     """
     if config.method == "calabi" and config.tol_ode >= RKC_MIN_TOL:
         return "rkc"
-    return "rkf45"
+    return "none" if config.method == "newton" else "rkf45"
 
 
 def _ode_states(complex: SurfaceComplex, prescription: Prescription,

@@ -33,7 +33,8 @@ def check_mincut_rounds(complex: SurfaceComplex,
     net.max_flow()
     closure = net.source_vertices()
     if closure:
-        return _verdict(complex, prescription, closure, "min-cut")
+        return _verdict(closure, _margin_of(complex, prescription, closure),
+                        "min-cut")
 
     n = complex.n_vertices
     base = net.cap
@@ -62,4 +63,4 @@ def check_mincut_rounds(complex: SurfaceComplex,
         margin = _margin_of(complex, prescription, subset)
         if margin > best_margin or (margin == best_margin and v < best_v):
             best_margin, best_v, best_subset = margin, v, subset
-    return _verdict(complex, prescription, best_subset, "min-cut")
+    return _verdict(best_subset, best_margin, "min-cut")

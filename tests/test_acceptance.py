@@ -105,8 +105,7 @@ def test_criterion_03_potential():
             up, dn = K.copy(), K.copy()
             up[i] += h
             dn[i] -= h
-            grad = (potential(c, lhat, up, tol=1e-13)
-                    - potential(c, lhat, dn, tol=1e-13)) / (2 * h)
+            grad = (potential(c, lhat, up) - potential(c, lhat, dn)) / (2 * h)
             worst_grad = max(worst_grad,
                              abs(grad - exact[i]) / max(abs(exact[i]), 1e-8))
 
@@ -118,18 +117,18 @@ def test_criterion_03_potential():
         J = evaluate(c, K).J
         hh = 2e-3
         H = np.empty((n, n))
-        f0 = potential(c, lhat, K, tol=1e-12)
+        f0 = potential(c, lhat, K)
         for i in range(n):
             ei = np.zeros(n); ei[i] = hh
-            H[i, i] = (potential(c, lhat, K + ei, tol=1e-12) - 2 * f0
-                       + potential(c, lhat, K - ei, tol=1e-12)) / hh ** 2
+            H[i, i] = (potential(c, lhat, K + ei) - 2 * f0
+                       + potential(c, lhat, K - ei)) / hh ** 2
             for j in range(i + 1, n):
                 ej = np.zeros(n); ej[j] = hh
                 H[i, j] = H[j, i] = (
-                    potential(c, lhat, K + ei + ej, tol=1e-12)
-                    - potential(c, lhat, K + ei - ej, tol=1e-12)
-                    - potential(c, lhat, K - ei + ej, tol=1e-12)
-                    + potential(c, lhat, K - ei - ej, tol=1e-12)) / (4 * hh ** 2)
+                    potential(c, lhat, K + ei + ej)
+                    - potential(c, lhat, K + ei - ej)
+                    - potential(c, lhat, K - ei + ej)
+                    + potential(c, lhat, K - ei - ej)) / (4 * hh ** 2)
         worst_hess = max(worst_hess,
                          float(np.max(np.abs(H - J.T)) / np.max(np.abs(J))))
 

@@ -6,16 +6,16 @@ import pytest
 
 import cpflow.curvature
 
-from cpflow import (InputError, Prescription, QuadratureError,
-                    edge_side_geometry, evaluate, fixtures, k_to_r,
-                    make_synthetic, potential, prescribed_calabi_energy,
-                    velocity_bound)
+from cpflow import (InputError, Prescription, edge_side_geometry, evaluate,
+                    fixtures, k_to_r, make_synthetic, potential,
+                    prescribed_calabi_energy, velocity_bound)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
                                extreme_eigenvalue, gershgorin_bound,
                                uniform_gershgorin_bound)
 from cpflow.geometry import _edge_derivatives
 from cpflow.oracle import fd_jacobian, rng_for
 from conftest import random_instance
+from potential_quadrature import QuadratureError, potential_quadrature
 
 # Tetrahedron with phi = pi/2 at K = 0, frozen from direct evaluation of
 # the edge kernel (theta = arccos(-1/3)) and confirmed by finite
@@ -444,8 +444,8 @@ class TestPotential:
             up, dn = K.copy(), K.copy()
             up[i] += h
             dn[i] -= h
-            grad[i] = (potential(tetra, p, up, tol=1e-13)
-                       - potential(tetra, p, dn, tol=1e-13)) / (2 * h)
+            grad[i] = (potential(tetra, p, up)
+                       - potential(tetra, p, dn)) / (2 * h)
         rel = np.abs(grad - exact) / np.maximum(np.abs(exact), 1e-8)
         assert np.max(rel) <= 1e-6
 
@@ -465,7 +465,7 @@ class TestPotential:
 
         h = 2e-3
         def f(dk):
-            return potential(tetra, p, K + dk, tol=1e-12)
+            return potential(tetra, p, K + dk)
         H = np.empty((4, 4))
         f0 = f(np.zeros(4))
         for i in range(4):
@@ -478,7 +478,7 @@ class TestPotential:
         assert np.max(np.abs(H - J.T)) / np.max(np.abs(J)) <= 1e-5
 
     def test_checks_once_however_long_the_segment(self, monkeypatch):
-        # The long segment needs more quadrature panels than the short one.
+        # However long the segment, the closed form evaluates its two ends.
         c = fixtures.torus_grid(3, 3)
         p = Prescription(np.full(9, 3.0))
         checks, nodes = [], []
@@ -495,7 +495,7 @@ class TestPotential:
             counts.append((len(checks) - before, len(nodes) - before_nodes))
         (short, short_nodes), (long, long_nodes) = counts
         assert short == long > 0
-        assert long_nodes > short_nodes
+        assert short_nodes == long_nodes == 2
 
     def test_infinite_base_rejected_without_a_warning(self, tetra):
         p = Prescription(np.full(4, 3.0))
@@ -507,8 +507,52 @@ class TestPotential:
     def test_quadrature_budget_error(self, tetra):
         p = Prescription(np.full(4, 3.0))
         with pytest.raises(QuadratureError) as exc_info:
-            potential(tetra, p, np.full(4, 1.0), tol=1e-30, max_bisections=0)
+            potential_quadrature(tetra, p, np.full(4, 1.0), tol=1e-30,
+                                 max_bisections=0)
         assert math.isfinite(exc_info.value.estimate)
+
+    @staticmethod
+    def assert_matches_quadrature(c, p, K, base=None):
+        exact = potential(c, p, K, base)
+        quad = potential_quadrature(c, p, K, base, tol=1e-12)
+        assert abs(exact - quad) <= 1e-13 * max(1.0, abs(quad))
+
+    def test_matches_quadrature_on_criterion_3_samples(self):
+        for idx, make in enumerate((fixtures.tetrahedron, fixtures.bigon)):
+            c = make()
+            n = c.n_vertices
+            p = Prescription(evaluate(
+                c, rng_for(1_200_000 + idx).uniform(-0.8, 0.8, n)).L.copy())
+            K = rng_for(1_200_100 + idx).uniform(-0.8, 0.8, n)
+            mid = rng_for(1_200_200 + idx).uniform(-1.0, 1.0, n)
+            self.assert_matches_quadrature(c, p, K)
+            self.assert_matches_quadrature(c, p, mid)
+            self.assert_matches_quadrature(c, p, K, mid)
+
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
+        fixtures.torus_grid, lambda: fixtures.necklace(6),
+        lambda: fixtures.prism(5), lambda: fixtures.bipyramid(5)],
+        ids=["tetrahedron", "bigon", "cube", "torus", "necklace6", "prism5",
+             "bipyramid5"])
+    def test_matches_quadrature_up_to_the_clamp(self, make):
+        c = make()
+        n = c.n_vertices
+        rng = rng_for(2_600 + n)
+        p = Prescription(evaluate(c, rng.uniform(-0.8, 0.8, n)).L.copy())
+        for scale in (3.0, K_CLAMP):
+            self.assert_matches_quadrature(
+                c, p, rng.uniform(-scale, scale, n),
+                rng.uniform(-scale, scale, n))
+
+    def test_points_past_the_clamp_rejected(self, tetra):
+        p = Prescription(np.full(4, 3.0))
+        past = np.array([0.0, 0.0, 1.01 * K_CLAMP, 0.0])
+        for K, base in ((past, None), (np.zeros(4), -past)):
+            with pytest.raises(InputError, match="clamp"):
+                potential(tetra, p, K, base)
+        at = np.array([K_CLAMP, -K_CLAMP, 0.0, 1.0])
+        assert math.isfinite(potential(tetra, p, at, -at))
 
 
 class TestVelocityBound:

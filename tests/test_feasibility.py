@@ -223,6 +223,23 @@ class TestMinCutDecider:
         assert len(set(map(id, solves))) == 1 < len(solves)
         assert sum(reached) - first <= 2 * first
 
+    def test_margins_never_rescan_the_edge_list(self, monkeypatch):
+        # Both branches sum a margin over the edges the network has listed.
+        real, seen = cpflow.feasibility._margin_of, []
+
+        def recorded(complex, prescription, subset, touched=None):
+            seen.append(touched)
+            return real(complex, prescription, subset, touched)
+
+        monkeypatch.setattr(cpflow.feasibility, "_margin_of", recorded)
+        c = fixtures.torus_grid(5, 5, phi=1.3)
+        p = make_synthetic(c, seed=4).prescription
+        lhat = p.lhat.copy()
+        lhat[7] = 1.1 * star_caps(c)[7]
+        assert check_mincut(c, p).feasible
+        assert not check_mincut(c, Prescription(lhat)).feasible
+        assert seen and None not in seen
+
     @pytest.mark.parametrize("i", range(120))
     def test_reported_subset_is_inclusion_minimal(self, i):
         # whenever the margin is >= 0 no smaller nonempty subset of the

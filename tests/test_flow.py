@@ -537,9 +537,10 @@ class TestRKC:
         assert integrator(FlowConfig(tol_ode=1e-4)) == "rkc"
         assert integrator(FlowConfig(tol_ode=1e-5)) == "rkf45"
         assert integrator(FlowConfig()) == "rkf45"
-        for method in ("curvature", "newton"):
-            assert integrator(dataclasses.replace(
-                ACCEPTANCE_CONFIG, method=method)) == "rkf45"
+        assert integrator(dataclasses.replace(
+            ACCEPTANCE_CONFIG, method="curvature")) == "rkf45"
+        assert integrator(dataclasses.replace(
+            ACCEPTANCE_CONFIG, method="newton")) == "none"
 
     def test_stability_polynomial(self):
         # One step of y' = -z y with h = 1 from y = 1 gives R(-z); a step

@@ -199,7 +199,7 @@ class TestReports:
 
     @pytest.mark.parametrize("method, tol_ode, name", [
         ("calabi", 1e-4, "rkc"), ("calabi", 1e-9, "rkf45"),
-        ("curvature", 1e-4, "rkf45")])
+        ("curvature", 1e-4, "rkf45"), ("newton", 1e-9, "none")])
     def test_integrator_header_names_the_integrator(self, method, tol_ode,
                                                     name):
         inst = parse_instance(TETRA_DOC)

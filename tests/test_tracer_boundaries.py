@@ -5,10 +5,19 @@ then reports the metrics that depend on it as null, so a renamed or removed
 name would only show up as a malformed benchmark result.
 """
 
+import functools
+import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+# Rows the tracer already skips.  `cli` has not imported `evaluate` for a
+# while; ROADMAP's carry-over "[benchmark] stale tracer boundaries" drops
+# the row from bench/tracing.py, and that change empties this list.
+KNOWN_STALE = {("cpflow.cli", "evaluate")}
 
 
 def load_tracing():
@@ -16,6 +25,10 @@ def load_tracing():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+BOUNDARIES = load_tracing().BOUNDARIES
+LIVE = [row for row in BOUNDARIES if row[:2] not in KNOWN_STALE]
 
 
 def test_every_boundary_is_present():
@@ -28,3 +41,20 @@ def test_every_boundary_is_present():
         tracer.uninstall()
     assert not missing
 
+
+@pytest.mark.parametrize("module_name, attr, name", LIVE,
+                         ids=[f"{m}.{a}" for m, a, _ in LIVE])
+def test_boundary_resolves(module_name, attr, name):
+    """The row resolves as the tracer resolves it: a module function, or
+    "Class.prop" naming a cached property."""
+    module = importlib.import_module(module_name)
+    owner, _, prop = attr.rpartition(".")
+    if owner:
+        cls = getattr(module, owner)
+        assert isinstance(cls.__dict__.get(prop), functools.cached_property)
+    else:
+        assert callable(getattr(module, attr, None))
+
+
+def test_known_stale_rows_are_rows():
+    assert KNOWN_STALE <= {(m, a) for m, a, _ in BOUNDARIES}
