@@ -6,34 +6,30 @@ or by Newton iteration on the associated convex potential, with exact
 feasibility certification of the prescription.
 """
 
-from .curvature import (CurvatureState, evaluate, potential,
-                        prescribed_calabi_energy, velocity_bound)
-from .errors import (DomainError, InputError, NonConvergenceError,
-                     ParseError, SizeError)
+from .curvature import CurvatureState, evaluate, potential, velocity_bound
+from .errors import InputError, ParseError, SizeError
 from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
 from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
                    calabi_direction, curvature_rhs, fit_decay_rate, run)
 from .geometry import EdgeSideGeometry, edge_side_geometry, k_to_r, r_to_k
 from .instancefile import (Instance, instance_digest, parse_instance,
                            serialize_instance)
-from .oracle import (SyntheticInstance, fd_gradient, fd_jacobian,
-                     make_synthetic, relative_error, rng_for)
+from .oracle import SyntheticInstance, make_synthetic, rng_for
 from .surface import (Prescription, SurfaceComplex, build_complex,
                       edge_neighborhood, validate)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CurvatureState", "DomainError", "EdgeSideGeometry", "FeasibilityVerdict",
+    "CurvatureState", "EdgeSideGeometry", "FeasibilityVerdict",
     "FlowConfig", "FlowSample", "FlowTrace", "InputError",
-    "Instance", "NonConvergenceError", "ParseError", "Prescription",
+    "Instance", "ParseError", "Prescription",
     "RateFit", "SizeError", "SurfaceComplex",
     "SyntheticInstance", "build_complex", "calabi_direction",
     "check_bruteforce", "check_mincut", "curvature_rhs",
-    "edge_neighborhood", "edge_side_geometry", "evaluate", "fd_gradient",
-    "fd_jacobian", "fit_decay_rate", "k_to_r", "make_synthetic",
-    "potential", "prescribed_calabi_energy",
-    "r_to_k", "relative_error", "rng_for", "run",
+    "edge_neighborhood", "edge_side_geometry", "evaluate",
+    "fit_decay_rate", "k_to_r", "make_synthetic",
+    "potential", "r_to_k", "rng_for", "run",
     "validate", "velocity_bound", "instance_digest", "parse_instance",
     "serialize_instance",
 ]

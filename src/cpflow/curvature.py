@@ -2,11 +2,13 @@
 
 Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), the cone angles at the vertices,
-the symmetric Jacobian dL/dK, the Calabi energy, the closed-form convex
-potential whose gradient is L - Lhat, and the a-priori bound on the flow
-velocity.  Vertex quantities are assembled over the edge list in O(E).
-The public ``evaluate`` checks its inputs and runs the check-free
-``_evaluate``, the one evaluator, which the flows and ``potential`` call.
+the symmetric Jacobian dL/dK, the closed-form convex potential whose
+gradient is L - Lhat, and the a-priori bound on the flow velocity.  The
+Calabi energy 0.5 ||L - Lhat||^2 has one formula, in ``flow.run``, which
+records it on every ``FlowSample``.  Vertex quantities are assembled
+over the edge list in O(E).  The public ``evaluate`` checks its inputs
+and runs the check-free ``_evaluate``, the one evaluator, which the flows
+and ``potential`` call.
 Each evaluation computes the center angles theta and L; J's edge form (its
 diagonal and the per-edge mixed partials) is computed on its first read,
 which the curvature flow's RKF45 stages, Newton's backtracking trials,
@@ -298,21 +300,6 @@ def _evaluate(complex: SurfaceComplex, K: np.ndarray) -> CurvatureState:
     return CurvatureState(complex, K, theta,
                           np.bincount(complex.flat_ends, L_side.ravel(), n),
                           sin_sides, cos_sides, half)
-
-
-def prescribed_calabi_energy(L, prescription: Prescription | np.ndarray) -> float:
-    """Half the squared 2-norm of the curvature error L - Lhat.
-
-    ``prescription`` may be a Prescription or a raw target vector (raw
-    vectors are handy for degenerate comparisons like Lhat = 0).
-    """
-    L = np.asarray(L, dtype=float)
-    lhat = prescription.lhat if isinstance(prescription, Prescription) \
-        else np.asarray(prescription, dtype=float)
-    if L.shape != lhat.shape:
-        raise InputError("curvature vector and prescription differ in length")
-    d = L - lhat
-    return 0.5 * float(np.dot(d, d))
 
 
 def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float:

@@ -1,17 +1,17 @@
 """Exception types shared across the package.
 
-``flow.run`` catches NonConvergenceError (an RKF45 step-size underflow, a
-Newton step with no descent, a failed linear solve) as the verdict
-``numerical-failure``; no other routine fails numerically.
+Bad input raises InputError, whether it is malformed (an unknown vertex, a
+mismatched length) or lies outside its mathematical domain (a radius past
+(0, pi/2), a non-finite K, a tolerance <= 0); ParseError covers malformed
+instance documents.  ``flow.run`` catches NonConvergenceError (an RKF45 or
+RKC step-size underflow, a Newton step with no descent, a failed linear
+solve) as the verdict ``numerical-failure``; no other routine fails
+numerically.
 """
 
 
-class DomainError(ValueError):
-    """A numeric argument lies outside its mathematical domain."""
-
-
 class InputError(ValueError):
-    """Structurally bad input: unknown identifiers, mismatched dimensions."""
+    """Bad input: malformed, or outside its mathematical domain."""
 
 
 class SizeError(InputError):

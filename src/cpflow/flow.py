@@ -42,7 +42,7 @@ from . import geometry
 from .curvature import (K_CLAMP, CurvatureState, _evaluate, evaluate,
                         extreme_eigenvalue, gershgorin_bound,
                         uniform_gershgorin_bound)
-from .errors import DomainError, InputError, NonConvergenceError
+from .errors import InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
 
@@ -149,7 +149,7 @@ def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.
     """dr_v/dt = (L_v - Lhat_v)/2 * sin(2 r_v), the radius-space flow."""
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0.0) or np.any(r >= 0.5 * np.pi):
-        raise DomainError("radii must lie in (0, pi/2)")
+        raise InputError("radii must lie in (0, pi/2)")
     state = evaluate(complex, geometry.r_to_k(r))
     return 0.5 * (state.L - prescription.lhat) * np.sin(2.0 * r)
 
@@ -215,7 +215,6 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
                 verdict = None
             trace.samples.append(FlowSample(
                 t=t, K=state.K.copy(), err_inf=err_inf,
-                # prescribed_calabi_energy, from the d already at hand
                 energy=0.5 * float(np.dot(d, d)),
                 speed=speed, clamped=clamped,
             ))

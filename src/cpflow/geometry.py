@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import InputError
 
 HALF_PI = 0.5 * np.pi
 
@@ -30,14 +30,14 @@ def _check_radius(r, name: str) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     # NaN and infinities fail the comparisons, so one reduction covers all.
     if not bool(np.all((r > 0.0) & (r < HALF_PI))):
-        raise DomainError(f"{name} must lie in the open interval (0, pi/2)")
+        raise InputError(f"{name} must lie in the open interval (0, pi/2)")
     return r
 
 
 def _check_phi(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if not bool(np.all((phi > 0.0) & (phi <= HALF_PI))):
-        raise DomainError("intersection angle must lie in (0, pi/2]")
+        raise InputError("intersection angle must lie in (0, pi/2]")
     return phi
 
 
@@ -56,7 +56,7 @@ def k_to_r(k):
     """
     k = np.asarray(k, dtype=float)
     if np.any(~np.isfinite(k)):
-        raise DomainError("K must be finite")
+        raise InputError("K must be finite")
     out = _k_to_r(k)
     return float(out) if out.ndim == 0 else out
 

@@ -35,7 +35,7 @@ from typing import IO
 import numpy as np
 
 from . import geometry
-from .curvature import evaluate, prescribed_calabi_energy
+from .curvature import evaluate
 from .errors import ParseError
 from .flow import FIRST_STEP, FlowConfig, FlowTrace, integrator
 from .surface import Prescription, SurfaceComplex, build_complex
@@ -266,7 +266,7 @@ def write_solution(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
     out.write("# cpflow solution v1\n")
     out.write(f"# instance sha256:{digest}\n")
     out.write(f"# verdict {trace.verdict}\n")
-    out.write(f"# final_energy {fmt(prescribed_calabi_energy(state.L, prescription))}\n")
+    out.write(f"# final_energy {fmt(trace.final.energy)}\n")
     rate = "none" if trace.fitted_rate is None else fmt(trace.fitted_rate)
     out.write(f"# fitted_rate {rate}\n")
     out.write("\n[vertices]\n")

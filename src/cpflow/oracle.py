@@ -1,69 +1,32 @@
-"""Independent verification utilities: finite differences and planted instances.
+"""Planted instances: prescriptions with a known solution.
 
-These deliberately avoid the analytic code paths they are used to check.
 Random draws go through a counter-based Philox generator keyed by the
-seed, so fixtures are bit-reproducible across platforms.
+seed, so fixtures are bit-reproducible across platforms.  The command
+line draws its seeded start coordinates from the same generator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .curvature import evaluate
-from .errors import DomainError
+from .errors import InputError
 from .surface import Prescription, SurfaceComplex
-
-DEFAULT_FD_STEP = 1e-5
-# Relative-error denominators are floored here to avoid blowup near zeros.
-REL_FLOOR = 1e-8
 
 
 def rng_for(seed: int) -> np.random.Generator:
-    """Counter-based generator keyed by seed (bit-stable across platforms)."""
+    """Counter-based generator keyed by seed (bit-stable across platforms).
+
+    The seed is an integer in [0, 2**64); anything else raises InputError
+    (or TypeError, for a value that is not an integer at all).
+    """
+    seed = operator.index(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise InputError(f"seed {seed} lies outside [0, 2**64)")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
-def relative_error(approx, exact, floor: float = REL_FLOOR):
-    """|approx - exact| / max(|exact|, floor), elementwise."""
-    approx = np.asarray(approx, dtype=float)
-    exact = np.asarray(exact, dtype=float)
-    return np.abs(approx - exact) / np.maximum(np.abs(exact), floor)
-
-
-def fd_gradient(f: Callable[[np.ndarray], float], K,
-                h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference gradient of a scalar field over K."""
-    if h <= 0.0:
-        raise DomainError("finite-difference step must be positive")
-    K = np.asarray(K, dtype=float)
-    grad = np.empty_like(K)
-    for i in range(len(K)):
-        up = K.copy()
-        dn = K.copy()
-        up[i] += h
-        dn[i] -= h
-        grad[i] = (f(up) - f(dn)) / (2.0 * h)
-    return grad
-
-
-def fd_jacobian(complex: SurfaceComplex, K,
-                h: float = DEFAULT_FD_STEP) -> np.ndarray:
-    """Central-difference Jacobian of L(K), column by column."""
-    if h <= 0.0:
-        raise DomainError("finite-difference step must be positive")
-    K = np.asarray(K, dtype=float)
-    n = complex.n_vertices
-    J = np.empty((n, n))
-    for j in range(n):
-        up = K.copy()
-        dn = K.copy()
-        up[j] += h
-        dn[j] -= h
-        J[:, j] = (evaluate(complex, up).L - evaluate(complex, dn).L) / (2.0 * h)
-    return J
 
 
 @dataclass(frozen=True)
@@ -89,7 +52,7 @@ def make_synthetic(complex: SurfaceComplex, seed: int,
     """
     lo, hi = k_range
     if not lo <= hi:
-        raise DomainError("k_range must be an interval")
+        raise InputError("k_range must be an interval")
     kbar = rng_for(seed).uniform(lo, hi, size=complex.n_vertices)
     state = evaluate(complex, kbar)
     return SyntheticInstance(

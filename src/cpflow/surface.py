@@ -8,6 +8,7 @@ closed face walks that together cover every edge exactly twice.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -135,10 +136,6 @@ class SurfaceComplex:
     def violations(self) -> tuple[str, ...]:
         return tuple(validate(self))
 
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations
-
     # -- equality is structural ----------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -155,12 +152,6 @@ class SurfaceComplex:
 
     def __hash__(self):
         return hash((self.n_vertices, self.edges, self.faces, self.phi.tobytes()))
-
-    def require_vertex(self, v: int) -> int:
-        v = int(v)
-        if not 0 <= v < self.n_vertices:
-            raise InputError(f"unknown vertex index {v}")
-        return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +182,7 @@ def check_instance(complex: SurfaceComplex,
                    prescription: Prescription | None = None) -> None:
     """Raise InputError unless ``complex`` is valid and ``prescription``,
     when given, has one target per vertex."""
-    if not complex.is_valid:
+    if complex.violations:
         raise InputError("invalid complex: " + "; ".join(complex.violations))
     if prescription is not None and len(prescription) != complex.n_vertices:
         raise InputError("prescription length does not match complex")
@@ -319,8 +310,15 @@ def _connected(complex: SurfaceComplex) -> bool:
 
 
 def edge_neighborhood(complex: SurfaceComplex, w: Iterable[int]) -> set[int]:
-    """Ids of all edges with at least one endpoint in the vertex set ``w``."""
-    members = {complex.require_vertex(v) for v in w}
+    """Ids of all edges with at least one endpoint in the vertex set ``w``.
+
+    A vertex is an integer index; one outside [0, V) raises InputError, and
+    a value that is not an integer (1.7, "1") raises TypeError.
+    """
+    members = {operator.index(v) for v in w}
+    bad = [v for v in members if not 0 <= v < complex.n_vertices]
+    if bad:
+        raise InputError(f"unknown vertex index {min(bad)}")
     return {e for e, (a, b) in enumerate(complex.edges) if a in members or b in members}
 
 

@@ -6,9 +6,10 @@ import pytest
 
 import cpflow.cli
 import cpflow.flow
-from cpflow import (NonConvergenceError, Prescription, evaluate, fixtures,
-                    make_synthetic, serialize_instance)
+from cpflow import (Prescription, evaluate, fixtures, make_synthetic,
+                    serialize_instance)
 from cpflow.cli import main
+from cpflow.errors import NonConvergenceError
 from cpflow.surface import edge_neighborhood
 from conftest import count_computed, single_vertex_violator, wedge
 

@@ -1,3 +1,4 @@
+import io
 import math
 import warnings
 
@@ -6,15 +7,17 @@ import pytest
 
 import cpflow.curvature
 
-from cpflow import (InputError, Prescription, edge_side_geometry, evaluate,
-                    fixtures, k_to_r, make_synthetic, potential,
-                    prescribed_calabi_energy, velocity_bound)
+from cpflow import (FlowConfig, InputError, Prescription, edge_side_geometry,
+                    evaluate, fixtures, k_to_r, make_synthetic, potential, run,
+                    velocity_bound)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
                                extreme_eigenvalue, gershgorin_bound,
                                uniform_gershgorin_bound)
 from cpflow.geometry import _edge_derivatives
-from cpflow.oracle import fd_jacobian, rng_for
+from cpflow.instancefile import fmt, write_solution
+from cpflow.oracle import rng_for
 from conftest import random_instance
+from fd_oracle import fd_jacobian
 from potential_quadrature import QuadratureError, potential_quadrature
 
 # Tetrahedron with phi = pi/2 at K = 0, frozen from direct evaluation of
@@ -24,7 +27,6 @@ THETA_REF = 1.9106332362490186
 L_REF = 4.05306515313624               # 3 * THETA_REF * cos(pi/4)
 ALPHA_REF = 5.731899708747056          # 3 * THETA_REF
 J_DIAG_REF = 3.02653257656812          # 3 * (d_pair - d_cross)
-ENERGY_REF = 32.854674271134584        # 0.5 * 4 * L_REF^2
 VELOCITY_BOUND_REF = 2276.4798525797937
 
 
@@ -390,40 +392,50 @@ class TestUniformGershgorinBound:
             pytest.approx(expected, rel=1e-15)
 
 
-def plain_energy(L):
-    """Half the squared norm of L itself: the energy against Lhat = 0."""
-    return prescribed_calabi_energy(L, np.zeros_like(L))
+# Calabi at the default tol_ode (RKF45) and at a loose one (damped RKC),
+# the curvature flow and Newton.
+ENERGY_CONFIGS = {
+    "calabi": FlowConfig(),
+    "calabi-rkc": FlowConfig(tol_ode=1e-4),
+    "curvature": FlowConfig(method="curvature"),
+    "newton": FlowConfig(method="newton"),
+}
+
+
+def planted_run(config):
+    inst = make_synthetic(fixtures.cube_graph(), seed=26)
+    k0 = inst.kbar + rng_for(27).uniform(-0.5, 0.5, inst.complex.n_vertices)
+    return inst, run(inst.complex, inst.prescription, k0, config)
 
 
 class TestEnergies:
-    def test_zero(self):
-        assert plain_energy(np.zeros(5)) == 0.0
+    """The Calabi energy 0.5 ||L - Lhat||^2 has one formula: the one that
+    ``flow.run`` records as ``FlowSample.energy``."""
 
-    def test_tetra_reference(self, tetra_state):
-        assert plain_energy(tetra_state.L) == pytest.approx(ENERGY_REF, abs=1e-10)
+    def test_prescribed_at_target(self, tetra, tetra_state):
+        trace = run(tetra, Prescription(tetra_state.L.copy()), np.zeros(4))
+        assert trace.samples[0].energy == 0.0
 
-    def test_quadratic_scaling(self):
-        L = rng_for(17).uniform(0.5, 3.0, 6)
-        assert plain_energy(3.0 * L) == pytest.approx(9.0 * plain_energy(L), rel=1e-14)
-
-    def test_prescribed_at_target(self, tetra_state):
-        p = Prescription(tetra_state.L.copy())
-        assert prescribed_calabi_energy(tetra_state.L, p) == 0.0
-
-    def test_prescribed_reduces_to_plain(self, tetra_state):
-        L = tetra_state.L
-        assert prescribed_calabi_energy(L, np.zeros(4)) \
-            == pytest.approx(0.5 * float(np.dot(L, L)), rel=1e-15)
-
-    def test_single_vertex_perturbation(self, tetra_state):
-        p = Prescription(tetra_state.L.copy())
+    def test_single_vertex_perturbation(self, tetra, tetra_state):
         bumped = tetra_state.L.copy()
         bumped[2] += 0.125
-        assert prescribed_calabi_energy(bumped, p) == pytest.approx(0.5 * 0.125 ** 2, rel=1e-14)
+        trace = run(tetra, Prescription(bumped), np.zeros(4))
+        assert trace.samples[0].energy == pytest.approx(0.5 * 0.125 ** 2, rel=1e-14)
 
-    def test_dimension_mismatch(self, tetra_state):
-        with pytest.raises(InputError):
-            prescribed_calabi_energy(tetra_state.L, Prescription(np.ones(3)))
+    @pytest.mark.parametrize("name", ENERGY_CONFIGS)
+    def test_every_sample_is_half_the_squared_error(self, name):
+        inst, trace = planted_run(ENERGY_CONFIGS[name])
+        assert trace.verdict == "converged" and len(trace.samples) > 2
+        for s in trace.samples:
+            d = evaluate(inst.complex, s.K).L - inst.prescription.lhat
+            assert s.energy == 0.5 * float(np.dot(d, d))
+
+    @pytest.mark.parametrize("name", ENERGY_CONFIGS)
+    def test_solution_file_writes_the_final_sample_energy(self, name):
+        inst, trace = planted_run(ENERGY_CONFIGS[name])
+        out = io.StringIO()
+        write_solution(out, trace, inst.complex, inst.prescription)
+        assert f"# final_energy {fmt(trace.final.energy)}\n" in out.getvalue()
 
 
 class TestPotential:

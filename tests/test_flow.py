@@ -10,11 +10,12 @@ import cpflow.feasibility
 import cpflow.flow
 import cpflow.geometry
 from cpflow import (FlowConfig, FlowSample, FlowTrace,
-                    InputError, NonConvergenceError, Prescription,
+                    InputError, Prescription,
                     calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run,
                     velocity_bound)
 from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue, gershgorin_bound
+from cpflow.errors import NonConvergenceError
 from cpflow.flow import RKC_MIN_TOL, integrator
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator

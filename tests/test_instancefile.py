@@ -63,7 +63,7 @@ class TestParse:
         assert c.n_vertices == 4 and c.n_edges == 6 and c.n_faces == 4
         assert c.vertex_names == ("a", "b", "c", "d")
         assert np.all(c.phi == math.pi / 2)
-        assert c.is_valid
+        assert not c.violations
         assert inst.prescription is not None
         assert np.all(inst.prescription.lhat == 4.05306515313624)
         assert inst.initial_k is None

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cpflow import (DomainError, FlowConfig, check_bruteforce, evaluate,
-                    fixtures, make_synthetic, potential,
-                    prescribed_calabi_energy, run)
-from cpflow.oracle import (fd_gradient, fd_jacobian, relative_error, rng_for)
+from cpflow import (FlowConfig, InputError, check_bruteforce, evaluate,
+                    fixtures, make_synthetic, potential, run)
+from cpflow.oracle import rng_for
+from fd_oracle import fd_gradient, fd_jacobian, relative_error
 
 L_REF = 4.05306515313624
 
@@ -30,13 +30,15 @@ class TestFdGradient:
         K = rng_for(73).uniform(-0.8, 0.8, 4)
         st = evaluate(tetra, K)
         exact = st.J.T @ (st.L - inst.prescription.lhat)
-        grad = fd_gradient(
-            lambda k: prescribed_calabi_energy(evaluate(tetra, k).L,
-                                               inst.prescription), K)
+        def energy(k):
+            d = evaluate(tetra, k).L - inst.prescription.lhat
+            return 0.5 * float(np.dot(d, d))
+
+        grad = fd_gradient(energy, K)
         assert np.max(relative_error(grad, exact)) <= 1e-6
 
     def test_step_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             fd_gradient(lambda K: 0.0, np.zeros(2), h=0.0)
 
 
@@ -97,8 +99,34 @@ class TestMakeSynthetic:
                 assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
 
     def test_bad_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError):
             make_synthetic(fixtures.bigon(), seed=81, k_range=(1.0, -1.0))
+
+    def test_negative_seed_is_an_input_error(self):
+        with pytest.raises(InputError, match="outside"):
+            make_synthetic(fixtures.bigon(), seed=-1)
+
+
+class TestRngFor:
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="outside"):
+            rng_for(-1)
+
+    def test_seed_past_64_bits_rejected(self):
+        with pytest.raises(InputError, match="outside"):
+            rng_for(2 ** 64)
+
+    def test_largest_seed_accepted(self):
+        assert 0.0 <= rng_for(2 ** 64 - 1).uniform() < 1.0
+
+    def test_fractional_seed_not_truncated(self):
+        with pytest.raises(TypeError):
+            rng_for(1.5)
+
+    def test_numpy_integer_draws_as_the_int(self):
+        for seed in (np.int64(7), np.uint64(7)):
+            assert np.all(rng_for(seed).uniform(size=4)
+                          == rng_for(7).uniform(size=4))
 
 
 class TestRelativeError:

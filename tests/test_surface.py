@@ -113,7 +113,7 @@ class TestValidate:
 
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
-        assert tetra.is_valid
+        assert not tetra.violations
 
 
 class TestCheckInstance:
@@ -153,6 +153,22 @@ class TestQueries:
     def test_edge_neighborhood_unknown_vertex(self, tetra):
         with pytest.raises(InputError):
             edge_neighborhood(tetra, [7])
+
+    def test_edge_neighborhood_negative_vertex(self, tetra):
+        with pytest.raises(InputError):
+            edge_neighborhood(tetra, [-1])
+
+    def test_edge_neighborhood_fractional_vertex_not_truncated(self, tetra):
+        with pytest.raises(TypeError):
+            edge_neighborhood(tetra, [1.7])
+
+    def test_edge_neighborhood_string_vertex_not_parsed(self, tetra):
+        with pytest.raises(TypeError):
+            edge_neighborhood(tetra, ["1"])
+
+    def test_edge_neighborhood_numpy_integers(self, tetra):
+        assert edge_neighborhood(tetra, np.arange(2)) \
+            == edge_neighborhood(tetra, [0, 1])
 
     def test_union_compatibility(self, tetra):
         subsets = []
