@@ -11,11 +11,16 @@ Exit codes are a stable contract:
     2  parse or usage error
     3  flow diverged (infeasibility certificate printed)
     4  budget exhausted or numerical failure
+
+``main(argv)`` may be called any number of times in one process: the
+argument parser is built on the first call and reused, and no option
+carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -184,18 +189,26 @@ def cmd_solve(args) -> int:
 
 
 def _seed(text: str) -> int:
-    """A start-coordinate seed: an integer key of the Philox generator."""
+    """A start-coordinate seed: an integer key of the Philox generator,
+    in the range ``rng_for`` accepts."""
     try:
         seed = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-    if not 0 <= seed < 2 ** 64:
-        raise argparse.ArgumentTypeError(
-            f"seed {text} lies outside [0, 2**64)")
+    try:
+        rng_for(seed)
+    except InputError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return seed
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: ``main`` reuses it on every call.
+
+    ``parse_args`` does not change it, and each call gets a fresh
+    Namespace; a caller that adds to the parser changes every later call.
+    """
     parser = argparse.ArgumentParser(
         prog="cpflow",
         description="Ideal circle patterns with prescribed total geodesic "

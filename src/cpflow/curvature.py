@@ -16,14 +16,15 @@ which the curvature flow's RKF45 stages, Newton's backtracking trials,
 Jacobian and its spectrum are likewise computed only when a caller reads
 them.  ``gershgorin_bound`` bounds the top of J's spectrum at one state,
 and ``uniform_gershgorin_bound`` bounds that bound at every K.
+The exact Cl_2 series behind ``potential`` is computed on its first call,
+not at import: no CLI command needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -325,18 +326,18 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
 # Potential function: F(K) with dF = sum (L_i - Lhat_i) dK_i, in closed form
 # ----------------------------------------------------------------------
 
+@cache
 def _cl2_series(terms: int) -> tuple[float, ...]:
     """c_k = |B_2k| / (2k (2k+1)!), k = 1..terms, of Cl_2(t) = t - t ln|t|
     + sum_k c_k t^(2k+1) on [-pi, pi], from the exact Bernoulli recurrence
-    sum_{j <= m} C(m + 1, j) B_j = 0; 27 terms leave an error below 1e-17."""
+    sum_{j <= m} C(m + 1, j) B_j = 0; 27 terms leave an error below 1e-17.
+    Computed on first use, not at import: only ``potential`` reads it."""
+    from fractions import Fraction
     B = [Fraction(1)]
     for m in range(1, 2 * terms + 1):
         B.append(-sum(math.comb(m + 1, j) * B[j] for j in range(m)) / (m + 1))
     return tuple(float(abs(B[2 * k]) / (2 * k * math.factorial(2 * k + 1)))
                  for k in range(1, terms + 1))
-
-
-_CL2_SERIES = _cl2_series(27)
 
 
 def _lobachevsky(x: np.ndarray) -> np.ndarray:
@@ -345,7 +346,7 @@ def _lobachevsky(x: np.ndarray) -> np.ndarray:
     t = 2.0 * x - 2.0 * np.pi * np.round(x / np.pi)
     t2 = t * t
     series = np.zeros_like(t)
-    for c in reversed(_CL2_SERIES):
+    for c in reversed(_cl2_series(27)):
         series *= t2
         series += c
     log_t = np.log(np.abs(t), out=np.zeros_like(t), where=t != 0.0)

@@ -9,7 +9,7 @@ closed face walks that together cover every edge exactly twice.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 

@@ -1,3 +1,4 @@
+import argparse
 import subprocess
 import sys
 
@@ -380,6 +381,60 @@ def test_module_entry_point(tetra_file):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "valid" in proc.stdout
+
+
+class TestOneParser:
+    """``main`` reuses one parser, and no call sees another's options."""
+
+    def test_built_once_however_many_calls(self, tetra_file, infeasible_file,
+                                           monkeypatch, capsys):
+        assert cpflow.cli.build_parser() is cpflow.cli.build_parser()
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        cpflow.cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        codes = [main(["check", tetra_file]), main(["check", infeasible_file]),
+                 main(["validate", tetra_file]), main(["solve"]),
+                 main(["solve", tetra_file, "--method", "newton"])]
+        assert codes == [0, 1, 0, 2, 0]
+        # one tree: the top-level parser and its three subcommand parsers
+        assert built == ["cpflow", "cpflow validate", "cpflow check",
+                         "cpflow solve"]
+
+    def test_solve_options_do_not_carry_over(self, tetra_file, tmp_path,
+                                             capsys):
+        def solve_defaults(directory):
+            # the same tetra.icp, solved with every option at its default
+            directory.mkdir()
+            instance = write_instance(directory / "tetra.icp",
+                                      fixtures.tetrahedron(),
+                                      Prescription(np.full(4, L_REF)))
+            trace = directory / "b.tsv"
+            assert main(["solve", instance, "--trace", str(trace)]) == 0
+            return capsys.readouterr().out, trace.read_bytes()
+
+        fresh = solve_defaults(tmp_path / "fresh")
+        assert main(["solve", tetra_file, "--method", "curvature",
+                     "--tol", "1e-8", "--seed", "12",
+                     "--trace", str(tmp_path / "a.tsv")]) == 0
+        capsys.readouterr()
+        assert solve_defaults(tmp_path / "after") == fresh
+        assert b"# method calabi\n" in fresh[1]
+
+    def test_check_unchanged_by_usage_error_and_help(self, tetra_file, capsys):
+        assert main(["check", tetra_file]) == 0
+        before = capsys.readouterr().out
+        assert main(["solve"]) == 2
+        assert main(["--help"]) == 0
+        assert "usage: cpflow" in capsys.readouterr().out
+        assert main(["check", tetra_file]) == 0
+        assert capsys.readouterr().out == before
+        assert before.startswith("feasible ")
 
 
 class TestNumericalFailure:

@@ -1,5 +1,7 @@
 import io
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -439,6 +441,17 @@ class TestEnergies:
 
 
 class TestPotential:
+    def test_import_computes_no_cl2_coefficient(self):
+        # Only potential reads the exact Cl_2 series, so importing the
+        # package (the CLI included) neither computes it nor pulls in
+        # fractions; the oracle comparisons below guard its values.
+        code = ("import sys, cpflow.cli, cpflow.curvature as c; "
+                "print('fractions' in sys.modules, "
+                "c._cl2_series.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "False 0\n"
+
     def test_zero_at_base(self, tetra):
         p = Prescription(np.full(4, 2.0))
         K = rng_for(18).uniform(-1, 1, 4)
