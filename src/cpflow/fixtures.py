@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
 from .surface import SurfaceComplex
 
 
@@ -17,7 +18,7 @@ def _phi_array(phi, m: int) -> np.ndarray:
     if arr.ndim == 0:
         return np.full(m, float(arr))
     if arr.shape != (m,):
-        raise ValueError(f"expected {m} angles, got shape {arr.shape}")
+        raise InputError(f"expected {m} angles, got shape {arr.shape}")
     return arr.copy()
 
 
@@ -55,7 +56,7 @@ def torus_grid(rows: int = 3, cols: int = 3, phi=np.pi / 2) -> SurfaceComplex:
     Needs rows, cols >= 3 to stay loopless and free of parallel edges.
     """
     if rows < 3 or cols < 3:
-        raise ValueError("torus grid needs at least 3 rows and 3 columns")
+        raise InputError("torus grid needs at least 3 rows and 3 columns")
 
     def vid(i: int, j: int) -> int:
         return (i % rows) * cols + (j % cols)
@@ -85,7 +86,7 @@ def necklace(beads: int = 3, phi=np.pi / 2) -> SurfaceComplex:
     """Cycle of ``beads`` vertices with doubled edges; every doubled pair
     bounds a bigon face, and the two sides of the necklace close it up."""
     if beads < 2:
-        raise ValueError("necklace needs at least 2 beads")
+        raise InputError("necklace needs at least 2 beads")
     edges = []
     for i in range(beads):
         j = (i + 1) % beads
@@ -101,7 +102,7 @@ def necklace(beads: int = 3, phi=np.pi / 2) -> SurfaceComplex:
 def prism(sides: int = 3, phi=np.pi / 2) -> SurfaceComplex:
     """Two ``sides``-gons joined by rungs (the triangular prism for 3)."""
     if sides < 3:
-        raise ValueError("prism needs at least 3 sides")
+        raise InputError("prism needs at least 3 sides")
     bottom = [(i, (i + 1) % sides) for i in range(sides)]
     top = [(sides + i, sides + (i + 1) % sides) for i in range(sides)]
     rungs = [(i, sides + i) for i in range(sides)]
@@ -116,7 +117,7 @@ def prism(sides: int = 3, phi=np.pi / 2) -> SurfaceComplex:
 def bipyramid(sides: int = 3, phi=np.pi / 2) -> SurfaceComplex:
     """Double pyramid over a ``sides``-gon (the octahedron for 4)."""
     if sides < 3:
-        raise ValueError("bipyramid needs at least 3 sides")
+        raise InputError("bipyramid needs at least 3 sides")
     apex_top, apex_bot = sides, sides + 1
     ring = [(i, (i + 1) % sides) for i in range(sides)]
     up = [(i, apex_top) for i in range(sides)]

@@ -10,22 +10,22 @@ the log-cotangent coordinates K where both are gradient flows:
                                              potential; equivalently
                                              dr/dt = (L-Lhat)/2 sin 2r)
 
-Both converge to the same unique fixed point exactly when the
-prescription is feasible; infeasible prescriptions push some coordinate
-past the radius clamp, which the runner reports as divergence together
-with a violating-subset certificate.  Both flows are integrated by
-adaptive RKF45, except the Calabi flow at a loose ``tol_ode`` (at least
-RKC_MIN_TOL), which steps with damped Runge-Kutta-Chebyshev stages: there
-its stiffness, lambda_max^2 of J, and not the tolerance, bounds an RKF45
-step; ``integrator`` is that rule.  A damped inexact Newton iteration
-on the same fixed-point equation is provided for fast polishing; it
-solves each linear system by Jacobi-preconditioned conjugate gradients on
-the matrix-free J and never builds the dense V x V Jacobian.  Every method
-is a generator of states; ``run`` alone checks the inputs, once, applies
-the stop rule and sets every verdict.  The generators evaluate every state
-and stage with the check-free ``curvature._evaluate``.  A numerical
-failure is one more verdict: ``run`` catches the generators' errors and
-returns the message on the trace.
+Both converge to the same unique fixed point exactly when the prescription
+is feasible; infeasible prescriptions push some coordinate past the radius
+clamp, which the runner reports as divergence together with a
+violating-subset certificate.  One loop integrates both flows, stepping
+with adaptive RKF45, or with damped Runge-Kutta-Chebyshev stages for the
+Calabi flow at a loose ``tol_ode`` (at least RKC_MIN_TOL), where its
+stiffness, lambda_max^2 of J, and not the tolerance, bounds an RKF45 step;
+``integrator`` is that rule.  A damped inexact Newton iteration on the
+same fixed-point equation is provided for fast polishing; it solves each
+linear system by Jacobi-preconditioned conjugate gradients on the
+matrix-free J and never builds the dense V x V Jacobian.  Every method is
+a generator of states; ``run`` alone checks the inputs, once, applies the
+stop rule and sets every verdict.  The generators evaluate every state and
+stage with the check-free ``curvature._evaluate``.  A numerical failure is
+one more verdict: ``run`` catches the generators' errors and returns the
+message on the trace.
 """
 
 from __future__ import annotations
@@ -307,57 +307,58 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
                 K0: np.ndarray, config: FlowConfig):
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
-    A run that ``integrator`` assigns to RKC steps with ``_rkc_states``.
-    The adaptive RKF45 integrator starts at FIRST_STEP and bounds each
-    step by a loose ``extreme_eigenvalue`` ceiling at the state it steps
-    from, unless a bound on the top of J's spectrum proves the proposed
-    step is already under that ceiling: first the per-complex constant
-    ``uniform_gershgorin_bound``, which costs one compare, then the
-    state's ``gershgorin_bound``.  The constant is at least the Gershgorin
-    bound, so it passes only where that bound would, and the ceilings are
-    computed at the same states either way.  The bounds are tried only
-    after a step the ceiling did not cap, so the first step and every step
-    after a capped one compute the ceiling.  A ceiling of zero or below
-    (an eigenvalue that underflowed) caps nothing.  Above LANCZOS_CUT the
-    ceiling warm-starts from the last Ritz vector it computed.
+    One loop steps both integrators, with the step function ``integrator``
+    picks: ``_rkc_step`` or ``_rkf45_step``, each evaluating through
+    ``sample`` and returning the accepted state.  Both start at FIRST_STEP
+    and clip every step to ``max_time``.  RKC bounds the stiffness by the
+    state's ``gershgorin_bound`` and computes no spectrum.  RKF45 bounds
+    each step by a loose ``extreme_eigenvalue`` ceiling at the state it
+    steps from, unless a bound on the top of J's spectrum proves the
+    proposed step is already under that ceiling: first the per-complex
+    constant ``uniform_gershgorin_bound``, which costs one compare, then
+    the state's ``gershgorin_bound``.  The constant is at least the
+    Gershgorin bound, so it passes only where that bound would, and the
+    ceilings are computed at the same states either way.  The bounds are
+    tried only after a step the ceiling did not cap, so the first step and
+    every step after a capped one compute the ceiling.  A ceiling of zero
+    or below (an eigenvalue that underflowed) caps nothing.  Above
+    LANCZOS_CUT the ceiling warm-starts from the last Ritz vector it
+    computed.
     """
     lhat = prescription.lhat
-    if config.method == "calabi":
-        def direction(state: CurvatureState) -> np.ndarray:
-            return calabi_direction(state, prescription)
-    else:
-        def direction(state: CurvatureState) -> np.ndarray:
-            return lhat - state.L
+    calabi = config.method == "calabi"
+    rkc = integrator(config) == "rkc"
 
-    if integrator(config) == "rkc":
-        yield from _rkc_states(complex, direction, K0, config)
-        return
+    def sample(K: np.ndarray):
+        state = _evaluate(complex, K)
+        return state, (calabi_direction(state, prescription) if calabi
+                       else lhat - state.L)
 
     def stiffness(lam: float) -> float:
-        return lam * lam if config.method == "calabi" else lam
+        return lam * lam if calabi else lam
 
-    # h * uniform_stiffness <= _RKF_STAB implies the Gershgorin test below:
-    # the same operations on a larger bound.
-    uniform_stiffness = stiffness(
-        (1.0 + _GERSHGORIN_SLACK) * uniform_gershgorin_bound(complex))
-    t = 0.0
-    K = K0.copy()
-    h = FIRST_STEP
-    ritz = None
-    screen = False
+    if not rkc:
+        # h * uniform_stiffness <= _RKF_STAB implies the Gershgorin test
+        # below: the same operations on a larger bound.
+        uniform_stiffness = stiffness(
+            (1.0 + _GERSHGORIN_SLACK) * uniform_gershgorin_bound(complex))
+        ritz, screen = None, False
+    t, h, tol = 0.0, FIRST_STEP, config.tol_ode
+    state, f = sample(K0.copy())
     while True:
-        state = _evaluate(complex, K)
-        f0 = direction(state)
-        yield t, state, math.sqrt(f0 @ f0)
+        yield t, state, math.sqrt(f @ f)
 
-        # Linear-stability ceiling from the top of the spectrum: the
-        # flow Jacobian is about -J^2 (calabi) or -J (curvature), so
-        # holding h below the explicit stability limit keeps the local
-        # error shrinking with the residual instead of riding the
-        # boundary.  Where a Gershgorin bound already holds the proposed
-        # h under the ceiling, the ceiling is skipped; a NaN bound fails
-        # that test.
-        if not (screen and (
+        # The flow Jacobian is about -J^2 (calabi) or -J (curvature).  RKC
+        # fits its stages to a Gershgorin bound on it.  RKF45 holds h below
+        # the explicit stability limit, a ceiling from the top of the
+        # spectrum, so the local error shrinks with the residual instead
+        # of riding the boundary; where a Gershgorin bound already holds
+        # the proposed h under the ceiling, the ceiling is skipped (a NaN
+        # bound fails that test).
+        if rkc:
+            stiff = stiffness(
+                (1.0 + _GERSHGORIN_SLACK) * gershgorin_bound(state))
+        elif not (screen and (
                 h * uniform_stiffness <= _RKF_STAB
                 or h * stiffness((1.0 + _GERSHGORIN_SLACK)
                                  * gershgorin_bound(state)) <= _RKF_STAB)):
@@ -367,12 +368,15 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             screen = cap >= h
             h = min(h, cap)
         h = min(h, config.max_time - t)
-        K, t, h = _rkf45_step(complex, direction, K, f0, t, h,
-                              config.tol_ode)
+        if rkc:
+            state, f, t, h = _rkc_step(sample, state.K, f, t, h, stiff, tol)
+        else:
+            state, f, t, h = _rkf45_step(sample, state.K, f, t, h, tol)
 
 
-def _rkf45_step(complex, direction, K, f0, t, h, tol):
-    """Advance one accepted Fehlberg step, shrinking h as needed.
+def _rkf45_step(sample, K, f0, t, h, tol):
+    """Advance one accepted Fehlberg step, shrinking h as needed; return
+    the new state, its direction, t and the next proposed h.
 
     The six stage derivatives are the rows of one (6, V) array, so each
     stage input, the propagated solution and the error estimate is one
@@ -383,32 +387,30 @@ def _rkf45_step(complex, direction, K, f0, t, h, tol):
     while True:
         a = h * _RKF_A
         for i in range(1, 6):
-            k[i] = direction(_evaluate(complex, K + np.dot(a[i, :i], k[:i])))
+            k[i] = sample(K + np.dot(a[i, :i], k[:i]))[1]
         err = float(np.abs(np.dot(h * _RKF_ERR, k)).max())
         if err <= tol:
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
-            return K + np.dot(h * _RKF_B5, k), t + h, h * factor
+            state, f = sample(K + np.dot(h * _RKF_B5, k))
+            return state, f, t + h, h * factor
         h *= max(0.1, 0.9 * (tol / err) ** 0.2)
         if h < _MIN_STEP:
             raise NonConvergenceError(
                 f"step size underflow at t={t:g} (local error {err:g})")
 
 
-def _chebyshev(w0, n: int):
-    """T_j, T_j', T_j'' at w0 (a number or an array) for j = 0..n, row j
+def _chebyshev(s, n: int):
+    """w0 = 1 + eps / s^2, the damped Chebyshev argument of s stages (a
+    number or an array), and T_j, T_j', T_j'' at w0 for j = 0..n, row j
     holding degree j."""
+    w0 = 1.0 + _RKC_DAMPING / (s * s)
     T, dT, ddT = (np.zeros((n + 1,) + np.shape(w0)) for _ in range(3))
     T[0], T[1], dT[1] = 1.0, w0, 1.0
     for j in range(2, n + 1):
         T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
         dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
         ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
-    return T, dT, ddT
-
-
-def _rkc_w0(s):
-    """The damped Chebyshev argument w0 = 1 + eps / s^2 of s stages."""
-    return 1.0 + _RKC_DAMPING / (s * s)
+    return w0, T, dT, ddT
 
 
 @functools.cache
@@ -422,8 +424,7 @@ def _rkc_coefficients(s: int):
     mu_t_j = 2 b_j w1 / b_{j-1} and gamma_t_j = -(1 - b_{j-1} T_{j-1}) mu_t_j;
     mu_t_1 = b_1 w1.
     """
-    w0 = _rkc_w0(s)
-    T, dT, ddT = _chebyshev(w0, s)
+    w0, T, dT, ddT = _chebyshev(s, s)
     w1 = dT[s] / ddT[s]
     b = np.empty(s + 1)
     b[2:] = ddT[2:] / dT[2:] ** 2
@@ -444,11 +445,10 @@ def _rkc_limits() -> list[float]:
     s = 2.._RKC_MAX_STAGES: _RKC_SAFETY times the real stability extent
     beta(s) = (w0 + 1) T_s'' / T_s' of the damped s-stage method, whose
     stability polynomial is at most 1 in modulus on [-beta(s), 0]."""
-    s = np.arange(2, _RKC_MAX_STAGES + 1)
-    w0 = _rkc_w0(s)
-    _, dT, ddT = _chebyshev(w0, _RKC_MAX_STAGES)
-    column = np.arange(len(s))
-    beta = (w0 + 1.0) * ddT[s, column] / dT[s, column]
+    w0, _, dT, ddT = _chebyshev(np.arange(2, _RKC_MAX_STAGES + 1),
+                                _RKC_MAX_STAGES)
+    # T_s' and T_s'' of s stages sit in row s, column s - 2.
+    beta = (w0 + 1.0) * ddT.diagonal(-2) / dT.diagonal(-2)
     return (_RKC_SAFETY * beta).tolist()
 
 
@@ -466,38 +466,18 @@ def _rkc_stages(f, K, f0, h, s):
     return Y
 
 
-def _rkc_states(complex, direction, K0, config):
-    """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted
-    damped RKC step.
-
-    Each step takes the fewest stages s >= 2 whose stability extent holds
-    h * g^2, g the state's ``gershgorin_bound`` (the flow Jacobian is about
-    -J^2), so no spectrum is computed per step.  The local error estimate
-    0.8 (K - Y_s) + 0.4 h (f0 + f(Y_s)) must be at most tol_ode and at most
-    0.05 h ||f0||_inf, so the error stays small against the step itself as
-    the flow slows down; without the relative clause the energy of the
-    pinned planted runs decays at 0.1-3.5% of its linearized rate.  f(Y_s)
-    and its state are the next sample, so a step of s stages costs s
-    evaluations.
-    """
-    def sample(K):
-        state = _evaluate(complex, K)
-        return state, direction(state)
-
-    t = 0.0
-    h = FIRST_STEP
-    state, f0 = sample(K0.copy())
-    while True:
-        yield t, state, math.sqrt(f0 @ f0)
-        g = (1.0 + _GERSHGORIN_SLACK) * gershgorin_bound(state)
-        h = min(h, config.max_time - t)
-        state, f0, t, h = _rkc_step(sample, state.K, f0, t, h, g * g,
-                                    config.tol_ode)
-
-
 def _rkc_step(sample, K, f0, t, h, stiff, tol):
     """Advance one accepted damped RKC step, shrinking h as needed; return
-    the new state, its direction, t and the next proposed h."""
+    the new state, its direction, t and the next proposed h.
+
+    The step takes the fewest stages s >= 2 whose stability extent holds
+    h * stiff.  The local error estimate 0.8 (K - Y_s) + 0.4 h (f0 + f(Y_s))
+    must be at most ``tol`` and at most 0.05 h ||f0||_inf, so the error
+    stays small against the step itself as the flow slows down; without
+    the relative clause the energy of the pinned planted runs decays at
+    0.1-3.5% of its linearized rate.  f(Y_s) and its state are the
+    accepted sample, so a step of s stages costs s evaluations.
+    """
     scale = 0.05 * float(np.abs(f0).max())
     while True:
         s = 2 + bisect.bisect_left(_RKC_LIMITS, h * stiff)

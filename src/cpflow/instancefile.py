@@ -154,26 +154,15 @@ def parse_instance(text: str) -> Instance:
 
     presc = None
     if prescription:
-        unknown = set(prescription) - seen_vertices
-        if unknown:
-            raise ParseError(f"prescription names unknown vertex {sorted(unknown)[0]!r}")
-        missing = seen_vertices - set(prescription)
-        if missing:
-            raise ParseError(f"prescription missing vertex {sorted(missing)[0]!r}")
+        lhat = _vertex_values(prescription, vertices, "prescription", "names")
         try:
-            presc = Prescription(np.array([prescription[v] for v in vertices]))
+            presc = Prescription(lhat)
         except Exception as exc:
             raise ParseError(str(exc)) from exc
 
     initial_k = None
     if initial:
-        unknown = set(initial) - seen_vertices
-        if unknown:
-            raise ParseError(f"initial values name unknown vertex {sorted(unknown)[0]!r}")
-        missing = seen_vertices - set(initial)
-        if missing:
-            raise ParseError(f"initial values missing vertex {sorted(missing)[0]!r}")
-        vals = np.array([initial[v] for v in vertices])
+        vals = _vertex_values(initial, vertices, "initial values", "name")
         if initial_kind == "initial_r":
             try:
                 initial_k = np.asarray(geometry.r_to_k(vals), dtype=float)
@@ -183,6 +172,20 @@ def parse_instance(text: str) -> Instance:
             initial_k = vals
 
     return Instance(complex=complex, prescription=presc, initial_k=initial_k)
+
+
+def _vertex_values(values: dict[str, float], vertices: list[str],
+                   subject: str, verb: str) -> np.ndarray:
+    """The values of a per-vertex section in vertex order; raises
+    ParseError, worded with ``subject`` and ``verb``, when the section
+    names a vertex the document does not declare or misses one it does."""
+    unknown = set(values).difference(vertices)
+    if unknown:
+        raise ParseError(f"{subject} {verb} unknown vertex {sorted(unknown)[0]!r}")
+    missing = set(vertices).difference(values)
+    if missing:
+        raise ParseError(f"{subject} missing vertex {sorted(missing)[0]!r}")
+    return np.array([values[v] for v in vertices])
 
 
 def serialize_instance(complex: SurfaceComplex,

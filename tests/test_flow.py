@@ -567,6 +567,37 @@ class TestRKC:
         # no step ceiling; one spectrum, for min_eig at the solution
         assert ceilings == [] and len(spectra) == 1
 
+    @pytest.mark.parametrize("config,rkc", [
+        (ACCEPTANCE_CONFIG, True),
+        (dataclasses.replace(ACCEPTANCE_CONFIG, tol_ode=1e-6), False),
+    ], ids=["rkc", "rkf45"])
+    def test_rkc_computes_no_rkf45_bound(self, monkeypatch, config, rkc):
+        # The loop both integrators share runs the RKF45 ceiling and its
+        # uniform screen only for RKF45; the RKF45 run shows the spies see.
+        calls = []
+
+        def spy(name):
+            real = getattr(cpflow.flow, name)
+
+            def recorded(*args):
+                calls.append((name,) + args[1:2])
+                return real(*args)
+
+            monkeypatch.setattr(cpflow.flow, name, recorded)
+
+        for name in ("uniform_gershgorin_bound", "extreme_eigenvalue",
+                     "gershgorin_bound"):
+            spy(name)
+        trace = run(*self.planted_tetrahedron(), config)
+        assert trace.verdict == "converged"
+        rkf45_only = {("uniform_gershgorin_bound",),
+                      ("extreme_eigenvalue", "max")}
+        assert rkf45_only.isdisjoint(calls) == rkc
+        if rkc:
+            # one Gershgorin bound per step taken
+            assert (calls.count(("gershgorin_bound",))
+                    == len(trace.samples) - 1)
+
     def test_a_step_of_s_stages_costs_s_evaluations(self, monkeypatch):
         states = record_states(monkeypatch)
         stages = []

@@ -38,6 +38,17 @@ class TestFixtures:
         c = make()
         assert int(np.sum(c.degrees)) == 2 * c.n_edges
 
+    @pytest.mark.parametrize("make", [
+        lambda: fixtures.torus_grid(2, 3),
+        lambda: fixtures.necklace(1),
+        lambda: fixtures.prism(2),
+        lambda: fixtures.bipyramid(2),
+        lambda: fixtures.tetrahedron(phi=[1.0, 2.0]),
+    ], ids=["torus_grid", "necklace", "prism", "bipyramid", "phi_shape"])
+    def test_bad_input_raises_input_error(self, make):
+        with pytest.raises(InputError):
+            make()
+
 
 class TestValidate:
     def test_loop_rejected(self):
