@@ -31,7 +31,8 @@ from .errors import InputError, ParseError
 # because the benchmark's tracer counts calls through this name.
 from .feasibility import (FeasibilityVerdict, check_bruteforce,  # noqa: F401
                           check_mincut)
-from .flow import VERDICT_CONVERGED, VERDICT_DIVERGED, FlowConfig, run
+from .flow import (METHODS, VERDICT_CONVERGED, VERDICT_DIVERGED, FlowConfig,
+                   run)
 from .instancefile import Instance, parse_instance, write_solution, write_trace
 from .oracle import rng_for
 from .surface import SurfaceComplex
@@ -226,12 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a flow (or all *.icp in a directory)")
     p.add_argument("instance")
-    p.add_argument("--method", choices=("calabi", "curvature", "newton"),
-                   default="calabi")
-    p.add_argument("--tol", type=float, default=1e-10,
+    defaults = FlowConfig()
+    p.add_argument("--method", choices=METHODS, default=defaults.method)
+    p.add_argument("--tol", type=float, default=defaults.tol_curvature,
                    help="termination threshold on ||L - Lhat||_inf")
-    p.add_argument("--max-time", type=float, default=1e4, dest="max_time",
-                   help="flow-time budget")
+    p.add_argument("--max-time", type=float, default=defaults.max_time,
+                   dest="max_time", help="flow-time budget")
     p.add_argument("--trace", help="write the step-by-step trace here")
     p.add_argument("--solution",
                    help="write the solution report (radii, cone angles) here")

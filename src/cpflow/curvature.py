@@ -82,9 +82,9 @@ class _EdgeForm:
 class CurvatureState:
     """All curvature data of one coordinate vector K on a fixed complex.
 
-    ``theta_sides`` stacks the quadrilateral center angles at the first
-    (row 0, ``theta_v``) and second (row 1, ``theta_w``) endpoint of each
-    edge; ``sin_r_sides``, ``cos_r_sides`` and ``half_sides`` (= theta / 2)
+    ``theta_sides`` stacks the quadrilateral center angles theta_v at the
+    first endpoint of each edge (row 0) over theta_w at the second (row
+    1); ``sin_r_sides``, ``cos_r_sides`` and ``half_sides`` (= theta / 2)
     stack the trigonometry of the radii and the half angles the same way.
     K, theta and L are computed by ``evaluate``.  The symmetric Jacobian
     ``J[i, j] = dL_i/dK_j`` is kept in edge form: its diagonal ``diag``
@@ -108,14 +108,6 @@ class CurvatureState:
     sin_r_sides: np.ndarray
     cos_r_sides: np.ndarray
     half_sides: np.ndarray
-
-    @property
-    def theta_v(self) -> np.ndarray:
-        return self.theta_sides[0]
-
-    @property
-    def theta_w(self) -> np.ndarray:
-        return self.theta_sides[1]
 
     @cached_property
     def r(self) -> np.ndarray:

@@ -52,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SizeError
-from .surface import Prescription, SurfaceComplex, check_instance
+from .surface import (Prescription, SurfaceComplex, check_instance,
+                      edge_neighborhood)
 
 BRUTEFORCE_LIMIT = 24
 # Margins this close to zero sit on the boundary where the strict
@@ -86,8 +87,7 @@ def _margin_of(complex: SurfaceComplex, prescription: Prescription,
     angles of the edges it touches in edge order.  ``touched`` lists those
     edges in ascending order, when the caller knows them."""
     if touched is None:
-        touched = [e for e, (v, w) in enumerate(complex.edges)
-                   if v in subset or w in subset]
+        touched = sorted(edge_neighborhood(complex, subset))
     lhat_sum = float(sum(prescription.lhat[v] for v in subset))
     phi, phi_sum = complex.phi, 0.0
     for e in touched:

@@ -39,15 +39,9 @@ def bigon(phi=np.pi / 2) -> SurfaceComplex:
 
 
 def cube_graph(phi=np.pi / 2) -> SurfaceComplex:
-    """The 1-skeleton of the cube with its 6 quadrilateral faces."""
-    bottom = [(i, (i + 1) % 4) for i in range(4)]            # edges 0..3
-    top = [(4 + i, 4 + (i + 1) % 4) for i in range(4)]       # edges 4..7
-    pillars = [(i, 4 + i) for i in range(4)]                 # edges 8..11
-    edges = tuple(bottom + top + pillars)
-    faces = [tuple(range(4)), tuple(range(4, 8))]
-    for i in range(4):
-        faces.append((i, 8 + (i + 1) % 4, 4 + i, 8 + i))
-    return SurfaceComplex(8, edges, tuple(faces), _phi_array(phi, 12))
+    """The 1-skeleton of the cube with its 6 quadrilateral faces: the
+    square prism."""
+    return prism(4, phi)
 
 
 def torus_grid(rows: int = 3, cols: int = 3, phi=np.pi / 2) -> SurfaceComplex:

@@ -146,10 +146,10 @@ def calabi_direction(state: CurvatureState, prescription: Prescription) -> np.nd
 
 
 def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.ndarray:
-    """dr_v/dt = (L_v - Lhat_v)/2 * sin(2 r_v), the radius-space flow."""
+    """dr_v/dt = (L_v - Lhat_v)/2 * sin(2 r_v), the radius-space flow.
+
+    ``r_to_k`` rejects radii outside (0, pi/2) with InputError."""
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0.0) or np.any(r >= 0.5 * np.pi):
-        raise InputError("radii must lie in (0, pi/2)")
     state = evaluate(complex, geometry.r_to_k(r))
     return 0.5 * (state.L - prescription.lhat) * np.sin(2.0 * r)
 
@@ -193,58 +193,62 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
         raise InputError("K0 lies past the radius clamp")
     check_instance(complex, prescription)
 
-    trace = FlowTrace(method=config.method)
-    if config.method == "newton":
-        states = _newton_states(complex, prescription, K0)
-        budget, max_time = NEWTON_MAX_ITERS, math.inf
-    else:
-        states = _ode_states(complex, prescription, K0, config)
-        budget, max_time = MAX_ITERS, config.max_time
-    try:
-        for steps, (t, state, speed) in enumerate(states):
-            d = state.L - prescription.lhat
-            err_inf = float(np.abs(d).max())
-            clamped = state.clamped
-            if err_inf < config.tol_curvature:
-                verdict = VERDICT_CONVERGED
-            elif clamped:
-                verdict = VERDICT_DIVERGED
-            elif steps >= budget or t >= max_time:
-                verdict = VERDICT_BUDGET
-            else:
-                verdict = None
-            trace.samples.append(FlowSample(
-                t=t, K=state.K.copy(), err_inf=err_inf,
-                energy=0.5 * float(np.dot(d, d)),
-                speed=speed, clamped=clamped,
-            ))
-            if verdict is not None:
-                break
-        if verdict == VERDICT_CONVERGED and config.method != "newton":
-            # Exact up to LANCZOS_CUT vertices, to a relative 1e-14 above.
-            lam = trace.min_eig = extreme_eigenvalue(state, "min", 1e-14)[0]
-            trace.predicted_rate = -2.0 * (
-                lam * lam if config.method == "calabi" else lam)
-    except (NonConvergenceError, np.linalg.LinAlgError) as exc:
-        verdict, trace.failure = VERDICT_FAILED, str(exc)
-    trace.verdict = verdict
-    if verdict == VERDICT_CONVERGED:
-        window = max(10, int(np.ceil(0.3 * len(trace.samples))))
+    # Overflow and invalid values (say a target near 1e308, or an angle so
+    # small that 1 / sin phi overflows) end as verdicts, not warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        trace = FlowTrace(method=config.method)
+        if config.method == "newton":
+            states = _newton_states(complex, prescription, K0)
+            budget, max_time = NEWTON_MAX_ITERS, math.inf
+        else:
+            states = _ode_states(complex, prescription, K0, config)
+            budget, max_time = MAX_ITERS, config.max_time
         try:
-            trace.fitted_rate = fit_decay_rate(trace, window).slope
-        except InputError:
-            trace.fitted_rate = None
+            for steps, (t, state, speed) in enumerate(states):
+                d = state.L - prescription.lhat
+                err_inf = float(np.abs(d).max())
+                clamped = state.clamped
+                if err_inf < config.tol_curvature:
+                    verdict = VERDICT_CONVERGED
+                elif clamped:
+                    verdict = VERDICT_DIVERGED
+                elif steps >= budget or t >= max_time:
+                    verdict = VERDICT_BUDGET
+                else:
+                    verdict = None
+                trace.samples.append(FlowSample(
+                    t=t, K=state.K.copy(), err_inf=err_inf,
+                    energy=0.5 * float(np.dot(d, d)),
+                    speed=speed, clamped=clamped,
+                ))
+                if verdict is not None:
+                    break
+            if verdict == VERDICT_CONVERGED and config.method != "newton":
+                # Exact up to LANCZOS_CUT vertices, to a relative 1e-14 above.
+                lam = trace.min_eig = extreme_eigenvalue(
+                    state, "min", 1e-14)[0]
+                trace.predicted_rate = -2.0 * (
+                    lam * lam if config.method == "calabi" else lam)
+        except (NonConvergenceError, np.linalg.LinAlgError) as exc:
+            verdict, trace.failure = VERDICT_FAILED, str(exc)
+        trace.verdict = verdict
+        if verdict == VERDICT_CONVERGED:
+            try:
+                trace.fitted_rate = fit_decay_rate(trace).slope
+            except InputError:
+                trace.fitted_rate = None
+            return trace
+        cert = check_mincut(complex, prescription)
+        if not cert.feasible:
+            trace.certificate = cert
+        elif verdict == VERDICT_DIVERGED:
+            # Only infeasibility can make the exact flow diverge, so this is
+            # the integrator failing, not a certificate of infeasibility.
+            trace.verdict = VERDICT_FAILED
+            trace.failure = (
+                "flow diverged although the prescription is feasible "
+                f"(worst margin {cert.worst_margin:.12g})")
         return trace
-    cert = check_mincut(complex, prescription)
-    if not cert.feasible:
-        trace.certificate = cert
-    elif verdict == VERDICT_DIVERGED:
-        # Only infeasibility can make the exact flow diverge, so this is the
-        # integrator failing, not a certificate of infeasibility.
-        trace.verdict = VERDICT_FAILED
-        trace.failure = ("flow diverged although the prescription is "
-                         f"feasible (worst margin {cert.worst_margin:.12g})")
-    return trace
 
 
 # Fehlberg 4(5) tableau; the fifth-order solution is propagated.  Row i
@@ -579,8 +583,9 @@ def _newton_step(state: CurvatureState, b: np.ndarray, eta: float) -> np.ndarray
 # Diagnostics
 # ----------------------------------------------------------------------
 
-def fit_decay_rate(trace: FlowTrace, window: int) -> RateFit:
-    """Least-squares slope of ln(energy) over the trailing ``window`` samples.
+def fit_decay_rate(trace: FlowTrace) -> RateFit:
+    """Least-squares slope of ln(energy) over the trailing samples: the
+    last 30% of them, rounded up, and at least the last 10.
 
     Only samples with strictly positive energy enter the fit; at least 10
     must remain.  A negative slope measures the exponential decay rate of
@@ -588,9 +593,7 @@ def fit_decay_rate(trace: FlowTrace, window: int) -> RateFit:
     """
     if trace.verdict != VERDICT_CONVERGED:
         raise InputError("decay rate is only fitted on converged traces")
-    if window < 10:
-        raise InputError("window must cover at least 10 samples")
-    tail = trace.samples[-window:]
+    tail = trace.samples[-max(10, math.ceil(0.3 * len(trace.samples))):]
     pts = [(s.t, s.energy) for s in tail if s.energy > 0.0]
     if len(pts) < 10:
         raise InputError(f"only {len(pts)} usable samples in the window")

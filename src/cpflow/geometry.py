@@ -66,8 +66,8 @@ class EdgeSideGeometry:
     """Angles, arc curvatures, and K-derivatives for one edge quadrilateral.
 
     Per-side quantities are stacked along a leading axis of length 2: row 0
-    is the side of the first endpoint v, row 1 the side of w; properties
-    such as ``theta_v`` or ``L_w_side`` name single rows.
+    is the side of the first endpoint v, row 1 the side of w, so
+    ``theta[0]`` is theta_v and ``L_side[1]`` is L_w_side.
     ``d_cross`` is the mixed partial dL_v/dK_w (equal to dL_w/dK_v and
     always negative); ``d_pair[0]`` is d(L_v + L_w)/dK_v (always positive),
     likewise ``d_pair[1]``.  The own-coordinate derivatives follow as
@@ -79,30 +79,6 @@ class EdgeSideGeometry:
     L_side: np.ndarray
     d_cross: float | np.ndarray
     d_pair: np.ndarray
-
-    @property
-    def theta_v(self):
-        return self.theta[0]
-
-    @property
-    def theta_w(self):
-        return self.theta[1]
-
-    @property
-    def L_v_side(self):
-        return self.L_side[0]
-
-    @property
-    def L_w_side(self):
-        return self.L_side[1]
-
-    @property
-    def d_pair_v(self):
-        return self.d_pair[0]
-
-    @property
-    def d_pair_w(self):
-        return self.d_pair[1]
 
     @property
     def d_own(self) -> np.ndarray:

@@ -73,15 +73,10 @@ class Instance:
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; raises ParseError with a line number."""
     section: str | None = None
-    vertices: list[str] = []
-    edges: list[tuple[str, str, float]] = []
-    edge_names: list[str] = []
-    faces: list[list[str]] = []
-    face_names: list[str] = []
-    # The names seen so far, for the duplicate checks.
-    seen_vertices: set[str] = set()
-    seen_edges: set[str] = set()
-    seen_faces: set[str] = set()
+    # Each section's entries by name, in document order.
+    vertices: dict[str, None] = {}
+    edges: dict[str, tuple[str, str, float]] = {}
+    faces: dict[str, list[str]] = {}
     prescription: dict[str, float] = {}
     initial: dict[str, float] = {}
     initial_kind: str | None = None
@@ -108,31 +103,25 @@ def parse_instance(text: str) -> Instance:
         tokens = line.split()
         if section == "vertices":
             for name in tokens:
-                if name in seen_vertices:
+                if name in vertices:
                     raise ParseError(f"duplicate vertex name {name!r}", lineno)
-                seen_vertices.add(name)
-                vertices.append(name)
+                vertices[name] = None
         elif section == "edges":
             if len(tokens) != 4:
                 raise ParseError("edge lines need: name endpoint endpoint angle", lineno)
             name, a, b, angle = tokens
-            if name in seen_edges:
+            if name in edges:
                 raise ParseError(f"duplicate edge name {name!r}", lineno)
             try:
-                phi = parse_angle(angle)
+                edges[name] = (a, b, parse_angle(angle))
             except ValueError:
                 raise ParseError(f"bad angle {angle!r}", lineno) from None
-            seen_edges.add(name)
-            edge_names.append(name)
-            edges.append((a, b, phi))
         elif section == "faces":
             if len(tokens) < 2:
                 raise ParseError("face lines need: name followed by edge names", lineno)
-            if tokens[0] in seen_faces:
+            if tokens[0] in faces:
                 raise ParseError(f"duplicate face name {tokens[0]!r}", lineno)
-            seen_faces.add(tokens[0])
-            face_names.append(tokens[0])
-            faces.append(tokens[1:])
+            faces[tokens[0]] = tokens[1:]
         else:
             if len(tokens) != 2:
                 raise ParseError(f"{section} lines need: vertex value", lineno)
@@ -147,8 +136,8 @@ def parse_instance(text: str) -> Instance:
     if not vertices:
         raise ParseError("no [vertices] section")
     try:
-        complex = build_complex(vertices, edges, faces,
-                                edge_names=edge_names, face_names=face_names)
+        complex = build_complex(vertices, edges.values(), faces.values(),
+                                edge_names=edges, face_names=faces)
     except Exception as exc:
         raise ParseError(str(exc)) from exc
 
@@ -174,7 +163,7 @@ def parse_instance(text: str) -> Instance:
     return Instance(complex=complex, prescription=presc, initial_k=initial_k)
 
 
-def _vertex_values(values: dict[str, float], vertices: list[str],
+def _vertex_values(values: dict[str, float], vertices: dict[str, None],
                    subject: str, verb: str) -> np.ndarray:
     """The values of a per-vertex section in vertex order; raises
     ParseError, worded with ``subject`` and ``verb``, when the section

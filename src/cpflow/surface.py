@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-
-HALF_PI = 0.5 * np.pi
+from .geometry import HALF_PI
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -330,8 +329,9 @@ def build_complex(vertex_names: Sequence[str],
     """Assemble a SurfaceComplex from named parts, assigning dense indices.
 
     ``edges`` holds (endpoint, endpoint, phi) triples; ``faces`` holds
-    cyclic walks of edge names.  Raises InputError on duplicate or unknown
-    names.
+    cyclic walks of edge names.  Unnamed edges are called e0, e1, ...;
+    unnamed faces take ``SurfaceComplex``'s names.  Raises InputError on
+    duplicate or unknown names.
     """
     vnames = list(vertex_names)
     if len(set(vnames)) != len(vnames):
@@ -364,9 +364,6 @@ def build_complex(vertex_names: Sequence[str],
             ids.append(eidx[name])
         walks.append(tuple(ids))
 
-    if face_names is None:
-        face_names = [f"f{i}" for i in range(len(walks))]
-
     return SurfaceComplex(
         n_vertices=len(vnames),
         edges=tuple(pairs),
@@ -374,5 +371,5 @@ def build_complex(vertex_names: Sequence[str],
         phi=np.array(phis, dtype=float),
         vertex_names=tuple(vnames),
         edge_names=tuple(enames),
-        face_names=tuple(face_names),
+        face_names=() if face_names is None else tuple(face_names),
     )

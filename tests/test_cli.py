@@ -426,6 +426,18 @@ class TestOneParser:
         assert solve_defaults(tmp_path / "after") == fresh
         assert b"# method calabi\n" in fresh[1]
 
+    def test_solve_defaults_are_the_flow_defaults(self):
+        parser = cpflow.cli.build_parser()
+        subcommands = next(a for a in parser._actions
+                           if isinstance(a, argparse._SubParsersAction))
+        method = next(a for a in subcommands.choices["solve"]._actions
+                      if a.dest == "method")
+        assert tuple(method.choices) == cpflow.flow.METHODS
+        args = parser.parse_args(["solve", "x.icp"])
+        defaults = cpflow.flow.FlowConfig()
+        assert (args.method, args.tol, args.max_time) == (
+            defaults.method, defaults.tol_curvature, defaults.max_time)
+
     def test_check_unchanged_by_usage_error_and_help(self, tetra_file, capsys):
         assert main(["check", tetra_file]) == 0
         before = capsys.readouterr().out
@@ -454,17 +466,55 @@ a 1e-6
 b 1e-6
 """
 
-    @pytest.mark.parametrize("method", ["calabi", "curvature", "newton"])
-    def test_tiny_angles_end_without_a_traceback(self, tmp_path, method):
+    # A target near the largest double overflows the energy and J's
+    # products.
+    HUGE_TARGET_BIGON = """\
+[vertices]
+a b
+[edges]
+ab a b pi/2
+ba a b pi/2
+[faces]
+f0 ab ba
+f1 ab ba
+[prescription]
+a 1e308
+b 2
+"""
+
+    # 1 / sin phi overflows at a subnormal angle.
+    SUBNORMAL_ANGLE_BIGON = """\
+[vertices]
+a b
+[edges]
+ab a b 1e-320
+ba a b pi/2
+[faces]
+f0 ab ba
+f1 ab ba
+[prescription]
+a 2
+b 2
+"""
+
+    @pytest.mark.parametrize("text, method", [
+        pytest.param(text, method, id=prefix + method)
+        for prefix, text in (("", TINY_BIGON),
+                             ("huge-target-", HUGE_TARGET_BIGON),
+                             ("subnormal-angle-", SUBNORMAL_ANGLE_BIGON))
+        for method in ("calabi", "curvature", "newton")])
+    def test_tiny_angles_end_without_a_traceback(self, tmp_path, text, method):
         # Below an angle of about 1e-162, lambda_max^2 of J underflows to
-        # 0; a zero step ceiling caps nothing.
+        # 0; a zero step ceiling caps nothing.  Overflow ends as a verdict,
+        # not as a warning.
         path = tmp_path / "tiny.icp"
-        path.write_text(self.TINY_BIGON)
+        path.write_text(text)
         proc = subprocess.run(
             [sys.executable, "-m", "cpflow", "solve", str(path),
              "--method", method], capture_output=True, text=True)
         assert 0 <= proc.returncode <= 4
         assert "Traceback" not in proc.stderr
+        assert "Warning" not in proc.stderr
 
     @pytest.fixture(params=[
         NonConvergenceError("step size underflow at t=0.5 (local error 1e-3)"),

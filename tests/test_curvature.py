@@ -45,8 +45,8 @@ def tetra_state(tetra):
 class TestEvaluate:
     def test_symmetric_tetrahedron(self, tetra_state):
         st = tetra_state
-        assert np.allclose(st.theta_v, THETA_REF, atol=1e-14)
-        assert np.allclose(st.theta_w, THETA_REF, atol=1e-14)
+        assert np.allclose(st.theta_sides[0], THETA_REF, atol=1e-14)
+        assert np.allclose(st.theta_sides[1], THETA_REF, atol=1e-14)
         assert np.allclose(st.L, L_REF, atol=1e-13)
         assert np.allclose(st.alpha_v, ALPHA_REF, atol=1e-13)
         assert np.allclose(st.complex.face_cone_angles, 3 * np.pi / 2, atol=1e-14)
@@ -56,10 +56,10 @@ class TestEvaluate:
         assert not st.clamped
 
     def test_theta_lookup(self, tetra_state):
-        # theta_v[e] is the side of edge e's first endpoint, theta_w[e] the
-        # side of its second.
-        assert tetra_state.theta_v[0] == pytest.approx(THETA_REF, abs=1e-14)
-        assert tetra_state.theta_w[0] == pytest.approx(THETA_REF, abs=1e-14)
+        # theta_sides[0, e] is the side of edge e's first endpoint,
+        # theta_sides[1, e] the side of its second.
+        assert tetra_state.theta_sides[0, 0] == pytest.approx(THETA_REF, abs=1e-14)
+        assert tetra_state.theta_sides[1, 0] == pytest.approx(THETA_REF, abs=1e-14)
 
     def test_parallel_edges_accumulate(self):
         big = fixtures.bigon()
@@ -187,11 +187,11 @@ def dense_incidence_assembly(complex, K):
     sw = np.zeros((n, m))
     sv[ev, np.arange(m)] = 1.0
     sw[ew, np.arange(m)] = 1.0
-    L = sv @ g.L_v_side + sw @ g.L_w_side
+    L = sv @ g.L_side[0] + sw @ g.L_side[1]
     half = (sv * g.d_cross) @ sw.T
     J = half + half.T
-    J.ravel()[:: n + 1] += sv @ (g.d_pair_v - g.d_cross) + sw @ (g.d_pair_w - g.d_cross)
-    alpha_v = sv @ g.theta_v + sw @ g.theta_w
+    J.ravel()[:: n + 1] += sv @ (g.d_pair[0] - g.d_cross) + sw @ (g.d_pair[1] - g.d_cross)
+    alpha_v = sv @ g.theta[0] + sw @ g.theta[1]
     return L, J, alpha_v
 
 

@@ -226,6 +226,15 @@ class TestRun:
         assert len(trace.samples) >= 1
         assert trace.certificate is None
 
+    @pytest.mark.parametrize("method", ["calabi", "curvature", "newton"])
+    def test_overflow_ends_as_a_verdict(self, method):
+        # A target near the largest double overflows the energy and J's
+        # products; the run still returns, without a RuntimeWarning.
+        trace = run(fixtures.bigon(), Prescription(np.array([1e308, 2.0])),
+                    np.zeros(2), FlowConfig(method=method))
+        assert trace.verdict == "numerical-failure"
+        assert trace.certificate.worst_subset == {0, 1}
+
     def test_budget_verdict(self, tetra, planted, monkeypatch):
         monkeypatch.setattr(cpflow.flow, "MAX_ITERS", 3)
         trace = run(tetra, planted, np.array([1.0, 0.0, 0.0, 0.0]))
@@ -820,7 +829,7 @@ class TestDecayRate:
         inst = make_synthetic(tetra, seed=61)
         k0 = inst.kbar + rng_for(62).uniform(-1, 1, 4)
         trace = run(tetra, inst.prescription, k0, FlowConfig(tol_ode=1e-6))
-        fit = fit_decay_rate(trace, max(10, int(0.3 * len(trace.samples))))
+        fit = fit_decay_rate(trace)
         assert fit.slope < 0
         assert fit.r_squared >= 0.99
         assert not fit.degenerate
@@ -830,18 +839,16 @@ class TestDecayRate:
                               energy=0.5, speed=0.0, clamped=False)
                    for i in range(15)]
         trace = FlowTrace(method="calabi", samples=samples, verdict="converged")
-        fit = fit_decay_rate(trace, 15)
+        fit = fit_decay_rate(trace)
         assert fit.degenerate
         assert fit.slope == 0.0
 
     def test_requires_convergence_and_samples(self, tetra, planted):
         trace = FlowTrace(method="calabi", samples=[], verdict="budget-exhausted")
         with pytest.raises(InputError):
-            fit_decay_rate(trace, 10)
+            fit_decay_rate(trace)
         short = FlowTrace(method="calabi", verdict="converged", samples=[
             FlowSample(t=float(i), K=np.zeros(1), err_inf=0.1, energy=0.1,
                        speed=0.0, clamped=False) for i in range(5)])
         with pytest.raises(InputError):
-            fit_decay_rate(short, 10)
-        with pytest.raises(InputError):
-            fit_decay_rate(short, 5)
+            fit_decay_rate(short)

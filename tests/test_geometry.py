@@ -63,7 +63,7 @@ class TestCoordinateChange:
 
 
 def theta_v(r_v, r_w, phi):
-    return edge_side_geometry(r_v, r_w, phi).theta_v
+    return edge_side_geometry(r_v, r_w, phi).theta[0]
 
 
 class TestQuadAngle:
@@ -78,7 +78,7 @@ class TestQuadAngle:
     def test_equal_radii_both_sides_agree(self):
         for r, phi in [(0.3, 1.0), (1.2, math.pi / 2), (0.7, 0.4)]:
             g = edge_side_geometry(r, r, phi)
-            assert g.theta_v == g.theta_w
+            assert g.theta[0] == g.theta[1]
 
     def test_far_circle_limit(self):
         # r_w -> pi/2 at phi = pi/2 closes up the angle to pi
@@ -114,10 +114,10 @@ class TestSideCurvature:
 
     def test_reference(self):
         g = edge_side_geometry(math.pi / 4, math.pi / 4, math.pi / 2)
-        assert g.L_v_side == pytest.approx(L_SIDE_REF, abs=1e-14)
+        assert g.L_side[0] == pytest.approx(L_SIDE_REF, abs=1e-14)
 
     def test_vanishes_at_equator(self):
-        assert edge_side_geometry(math.pi / 2 - 1e-9, 0.3, 1.0).L_v_side < 1e-8
+        assert edge_side_geometry(math.pi / 2 - 1e-9, 0.3, 1.0).L_side[0] < 1e-8
 
     def test_positive(self):
         rng = rng_for(13)
@@ -138,13 +138,13 @@ def _fd_in_k(f, k, h=1e-5):
 class TestEdgeSideGeometry:
     def test_reference_corner(self):
         g = edge_side_geometry(math.pi / 4, math.pi / 4, math.pi / 2)
-        assert g.theta_v == pytest.approx(THETA_REF, abs=1e-15)
-        assert g.theta_w == pytest.approx(THETA_REF, abs=1e-15)
-        assert g.L_v_side == pytest.approx(L_SIDE_REF, abs=1e-14)
+        assert g.theta[0] == pytest.approx(THETA_REF, abs=1e-15)
+        assert g.theta[1] == pytest.approx(THETA_REF, abs=1e-15)
+        assert g.L_side[0] == pytest.approx(L_SIDE_REF, abs=1e-14)
         assert g.d_cross == pytest.approx(D_CROSS_REF, abs=1e-12)
-        assert g.d_pair_v == pytest.approx(D_PAIR_REF, abs=1e-12)
-        assert g.d_pair_w == pytest.approx(D_PAIR_REF, abs=1e-12)
-        assert g.d_own[0] == g.d_pair_v - g.d_cross
+        assert g.d_pair[0] == pytest.approx(D_PAIR_REF, abs=1e-12)
+        assert g.d_pair[1] == pytest.approx(D_PAIR_REF, abs=1e-12)
+        assert g.d_own[0] == g.d_pair[0] - g.d_cross
 
     def test_cross_partial_symmetry(self):
         rng = rng_for(14)
@@ -154,7 +154,7 @@ class TestEdgeSideGeometry:
             a = edge_side_geometry(rv, rw, phi)
             b = edge_side_geometry(rw, rv, phi)
             assert abs(a.d_cross - b.d_cross) <= 1e-13
-            assert a.theta_v == b.theta_w
+            assert a.theta[0] == b.theta[1]
 
     def test_signs_and_sine_law(self):
         rng = rng_for(15)
@@ -163,12 +163,12 @@ class TestEdgeSideGeometry:
         phi = rng.uniform(0.05, math.pi / 2, 1000)
         g = edge_side_geometry(rv, rw, phi)
         assert np.all(g.d_cross < 0.0)
-        assert np.all(g.d_pair_v > 0.0)
-        assert np.all(g.d_pair_w > 0.0)
+        assert np.all(g.d_pair[0] > 0.0)
+        assert np.all(g.d_pair[1] > 0.0)
         # 2x2 block strict diagonal dominance
         assert np.all(g.d_own[0] > np.abs(g.d_cross))
-        residual = (np.sin(g.theta_v / 2) / np.sin(rw)
-                    - np.sin(g.theta_w / 2) / np.sin(rv))
+        residual = (np.sin(g.theta[0] / 2) / np.sin(rw)
+                    - np.sin(g.theta[1] / 2) / np.sin(rv))
         assert np.max(np.abs(residual)) <= 1e-12
 
     def test_derivatives_match_finite_differences(self):
@@ -182,15 +182,15 @@ class TestEdgeSideGeometry:
             kv, kw = r_to_k(rv), r_to_k(rw)
 
             fd_cross = _fd_in_k(
-                lambda k: edge_side_geometry(rv, k_to_r(k), phi).L_v_side, kw)
+                lambda k: edge_side_geometry(rv, k_to_r(k), phi).L_side[0], kw)
             fd_pair = _fd_in_k(
-                lambda k: (lambda h: h.L_v_side + h.L_w_side)(
+                lambda k: (lambda h: h.L_side[0] + h.L_side[1])(
                     edge_side_geometry(k_to_r(k), rw, phi)), kv)
             fd_own = _fd_in_k(
-                lambda k: edge_side_geometry(k_to_r(k), rw, phi).L_v_side, kv)
+                lambda k: edge_side_geometry(k_to_r(k), rw, phi).L_side[0], kv)
 
             worst_cross = max(worst_cross, abs(fd_cross - g.d_cross) / abs(g.d_cross))
-            worst_pair = max(worst_pair, abs(fd_pair - g.d_pair_v) / abs(g.d_pair_v))
+            worst_pair = max(worst_pair, abs(fd_pair - g.d_pair[0]) / abs(g.d_pair[0]))
             worst_own = max(worst_own, abs(fd_own - g.d_own[0]) / abs(g.d_own[0]))
         assert worst_cross <= 1e-6
         assert worst_pair <= 1e-6
@@ -199,10 +199,10 @@ class TestEdgeSideGeometry:
     def test_array_broadcast(self):
         rv = np.array([0.3, 0.5, 1.0])
         g = edge_side_geometry(rv, 0.4, 1.2)
-        assert g.theta_v.shape == (3,)
+        assert g.theta[0].shape == (3,)
         scalar = edge_side_geometry(0.5, 0.4, 1.2)
-        assert isinstance(scalar.theta_v, float)
-        assert scalar.theta_v == pytest.approx(g.theta_v[1], abs=0)
+        assert isinstance(scalar.theta[0], float)
+        assert scalar.theta[0] == pytest.approx(g.theta[0, 1], abs=0)
 
 
 # Kernel outputs at r_v = k_to_r(K_v), r_w = k_to_r(K_w), evaluated once
@@ -210,22 +210,22 @@ class TestEdgeSideGeometry:
 # points theta_v is so small that theta_v - sin(theta_v) cancels in doubles.
 SMALL_ANGLE_REFS = [
     (1.5707963247337429, 2.061153622438558e-09, math.pi / 2, {  # K = (-20, 20)
-        "theta_v": 4.1223072448771157e-9,
-        "theta_w": 3.1415926535897931,
-        "L_v_side": 8.49670905044685e-18,
-        "L_w_side": 3.1415926535897931,
-        "d_cross": -8.49670905044685e-18,
-        "d_pair_v": 2.4064686700293622e-35,
-        "d_pair_w": 1.3346598518270992e-17,
+        ("theta", 0): 4.1223072448771157e-9,
+        ("theta", 1): 3.1415926535897931,
+        ("L_side", 0): 8.49670905044685e-18,
+        ("L_side", 1): 3.1415926535897931,
+        ("d_cross", None): -8.49670905044685e-18,
+        ("d_pair", 0): 2.4064686700293622e-35,
+        ("d_pair", 1): 1.3346598518270992e-17,
     }),
     (1.5640584817604737, 0.006737845034422798, 0.05, {  # K = (-5, 5)
-        "theta_v": 6.7349871173802387e-4,
-        "theta_w": 9.9997728190921885e-2,
-        "L_v_side": 4.5378956147412843e-6,
-        "L_w_side": 9.9995458323292328e-2,
-        "d_cross": -4.5376895183504149e-6,
-        "d_pair_v": 3.4304971554619674e-13,
-        "d_pair_w": 7.5618423085316906e-9,
+        ("theta", 0): 6.7349871173802387e-4,
+        ("theta", 1): 9.9997728190921885e-2,
+        ("L_side", 0): 4.5378956147412843e-6,
+        ("L_side", 1): 9.9995458323292328e-2,
+        ("d_cross", None): -4.5376895183504149e-6,
+        ("d_pair", 0): 3.4304971554619674e-13,
+        ("d_pair", 1): 7.5618423085316906e-9,
     }),
 ]
 
@@ -234,8 +234,9 @@ class TestSmallAngles:
     @pytest.mark.parametrize("rv, rw, phi, ref", SMALL_ANGLE_REFS)
     def test_high_precision_reference(self, rv, rw, phi, ref):
         g = edge_side_geometry(rv, rw, phi)
-        for name, value in ref.items():
-            assert getattr(g, name) == pytest.approx(value, rel=1e-13), name
+        for (name, row), value in ref.items():
+            got = getattr(g, name) if row is None else getattr(g, name)[row]
+            assert got == pytest.approx(value, rel=1e-13), (name, row)
 
     def test_series_meets_direct_difference_at_switch(self):
         from cpflow.geometry import _TMS_SERIES_BELOW, _theta_minus_sin
