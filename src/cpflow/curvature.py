@@ -7,15 +7,17 @@ gradient is L - Lhat, and the a-priori bound on the flow velocity.  The
 Calabi energy 0.5 ||L - Lhat||^2 has one formula, in ``flow.run``, which
 records it on every ``FlowSample``.  Vertex quantities are assembled
 over the edge list in O(E).  The public ``evaluate`` checks its inputs
-and runs the check-free ``_evaluate``, the one evaluator, which the flows
-and ``potential`` call.
-Each evaluation computes the center angles theta and L; J's edge form (its
-diagonal and the per-edge mixed partials) is computed on its first read,
-which the curvature flow's RKF45 stages, Newton's backtracking trials,
-``potential`` and ``instancefile.write_solution`` never make.  The dense
-Jacobian and its spectrum are likewise computed only when a caller reads
-them.  ``gershgorin_bound`` bounds the top of J's spectrum at one state,
-and ``uniform_gershgorin_bound`` bounds that bound at every K.
+and runs the check-free ``_evaluate``, which the flows and ``potential``
+call.  Each quantity has one body, shared by states and by the flow's
+integrator stages, which need only a direction and build no state:
+``_sides`` (the center angles theta and L), ``_edge_form`` (J's edge form,
+its diagonal and the per-edge mixed partials) and ``_apply`` (J x).  A
+state computes theta and L when it is built, and J's edge form on its
+first read, which Newton's backtracking trials, ``potential`` and
+``instancefile.write_solution`` never make.  The dense Jacobian and its
+spectrum are likewise computed only when a caller reads them.
+``gershgorin_bound`` bounds the top of J's spectrum at one state, and
+``uniform_gershgorin_bound`` bounds that bound at every K.
 The exact Cl_2 series behind ``potential`` is computed on its first call,
 not at import: no CLI command needs it.
 """
@@ -54,11 +56,11 @@ class _EdgeForm:
     """``CurvatureState.diag`` and ``d_cross``, J's edge form.
 
     The first read of either computes both from the state's stored
-    trigonometry and stores them in the instance dict.  This descriptor
-    has no ``__set__``, so later reads find the stored value and never
-    reach ``__get__``.  Unlike ``functools.cached_property`` before Python
-    3.12 it takes no lock, which every Calabi stage would pay for: each
-    one reads J's edge form once, through ``jvp``.
+    trigonometry, by ``_edge_form``, and stores them in the instance dict.
+    This descriptor has no ``__set__``, so later reads find the stored
+    value and never reach ``__get__``.  Unlike ``functools.cached_property``
+    before Python 3.12 it takes no lock, which every accepted Calabi state
+    would pay for: each one reads J's edge form, through ``jvp``.
     """
 
     def __set_name__(self, owner, name):
@@ -67,14 +69,10 @@ class _EdgeForm:
     def __get__(self, state, owner=None):
         if state is None:
             return self
-        c = state.complex
-        d_cross, d_pair = geometry._edge_derivatives(
-            c.cross_scale, state.sin_r_sides, state.cos_r_sides,
+        diag, d_cross = _edge_form(
+            state.complex, state.sin_r_sides, state.cos_r_sides,
             state.half_sides, state.theta_sides)
-        # Row s of a stacked per-side quantity belongs at the vertices ends[s].
-        state.__dict__.update(diag=np.bincount(
-            c.flat_ends, (d_pair - d_cross).ravel(), c.n_vertices),
-            d_cross=d_cross)
+        state.__dict__.update(diag=diag, d_cross=d_cross)
         return state.__dict__[self.name]
 
 
@@ -92,9 +90,9 @@ class CurvatureState:
     sits at (v, w) and (w, v) for edge e = (v, w) and accumulates over
     parallel edges.  Both are computed together from the stored
     trigonometry on the first read of either; only ``jvp``, ``J``,
-    ``gershgorin_bound`` and Newton's preconditioner read them, so the
-    curvature flow's RKF45 stages, Newton's backtracking trials,
-    ``potential`` and ``instancefile.write_solution`` never compute them.
+    ``gershgorin_bound`` and Newton's preconditioner read them, so
+    Newton's backtracking trials, ``potential`` and
+    ``instancefile.write_solution`` never compute them.
     ``jvp`` applies J in O(E); the dense ``J`` and the radii ``r`` are
     likewise computed only when read.  ``clamped`` records whether any
     radius had to be pulled back from the boundary of (0, pi/2), that is,
@@ -135,10 +133,7 @@ class CurvatureState:
 
     def jvp(self, x: np.ndarray) -> np.ndarray:
         """The product J @ x, without forming J."""
-        c = self.complex
-        return self.diag * x + np.bincount(
-            c.flat_ends, (self.d_cross * x.take(c.opposite_endpoints)).ravel(),
-            c.n_vertices)
+        return _apply(self.complex, self.diag, self.d_cross, x)
 
     @cached_property
     def alpha_v(self) -> np.ndarray:
@@ -224,11 +219,13 @@ def gershgorin_bound(state: CurvatureState) -> float:
     largest right end J_ii + sum_{j != i} |J_ij| of a Gershgorin disc.
 
     Every off-diagonal entry of J is negative, so that end is
-    2 J_ii - (J 1)_i, and the bound costs one ``jvp``, plus J's edge form
-    where the state has not computed it yet (a curvature-flow state).
+    2 J_ii - (J 1)_i, where (J 1)_i is J_ii plus the mixed partials of the
+    edges at i.  The bound costs one ``bincount``, plus J's edge form where
+    the state has not computed it yet (a curvature-flow state).
     """
-    ones = np.ones(state.complex.n_vertices)
-    return float((2.0 * state.diag - state.jvp(ones)).max())
+    c, diag, d_cross = state.complex, state.diag, state.d_cross
+    return float((2.0 * diag - (diag + np.bincount(
+        c.flat_ends, np.concatenate((d_cross, d_cross)), c.n_vertices))).max())
 
 
 # The largest value of sin^2 r cos r on (0, pi/2), at tan^2 r = 2, times pi.
@@ -280,7 +277,17 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
 def _evaluate(complex: SurfaceComplex, K: np.ndarray) -> CurvatureState:
     """Check-free ``evaluate`` for a valid complex and a finite float
     array K of length V, which the state keeps without a copy."""
-    n = complex.n_vertices
+    return CurvatureState(complex, K, *_sides(complex, K))
+
+
+def _sides(complex: SurfaceComplex, K: np.ndarray):
+    """theta, L, sin r, cos r and theta / 2 at K, in the field order of
+    ``CurvatureState``, with the per-side quantities stacked as there.
+
+    The one body of theta and L, shared by ``_evaluate`` and the flow
+    stages, which build no state; it calls the kernel through the
+    ``geometry`` module, so that a wrapped kernel sees every evaluation.
+    """
     cot_r = np.exp(np.minimum(np.maximum(K, -K_CLAMP), K_CLAMP))
     sin_r = np.hypot(1.0, cot_r)
     np.reciprocal(sin_r, out=sin_r)
@@ -290,9 +297,28 @@ def _evaluate(complex: SurfaceComplex, K: np.ndarray) -> CurvatureState:
     half, theta, L_side = geometry._edge_kernel(
         complex.sin_phi, complex.cos_phi,
         cot_r.take(complex.opposite_endpoints), sin_sides, cos_sides)
-    return CurvatureState(complex, K, theta,
-                          np.bincount(complex.flat_ends, L_side.ravel(), n),
-                          sin_sides, cos_sides, half)
+    return (theta, np.bincount(complex.flat_ends, L_side.ravel(),
+                               complex.n_vertices),
+            sin_sides, cos_sides, half)
+
+
+def _edge_form(complex: SurfaceComplex, sin_r: np.ndarray, cos_r: np.ndarray,
+               half: np.ndarray, theta: np.ndarray):
+    """J's edge form (``diag``, ``d_cross``) from the stacked trigonometry
+    and angles of ``_sides``."""
+    d_cross, d_pair = geometry._edge_derivatives(
+        complex.cross_scale, sin_r, cos_r, half, theta)
+    # Row s of a stacked per-side quantity belongs at the vertices ends[s].
+    return np.bincount(complex.flat_ends, (d_pair - d_cross).ravel(),
+                       complex.n_vertices), d_cross
+
+
+def _apply(complex: SurfaceComplex, diag: np.ndarray, d_cross: np.ndarray,
+           x: np.ndarray) -> np.ndarray:
+    """J @ x from J's edge form, without forming J."""
+    return diag * x + np.bincount(
+        complex.flat_ends, (d_cross * x.take(complex.opposite_endpoints)).ravel(),
+        complex.n_vertices)
 
 
 def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float:

@@ -22,10 +22,12 @@ same fixed-point equation is provided for fast polishing; it solves each
 linear system by Jacobi-preconditioned conjugate gradients on the
 matrix-free J and never builds the dense V x V Jacobian.  Every method is
 a generator of states; ``run`` alone checks the inputs, once, applies the
-stop rule and sets every verdict.  The generators evaluate every state and
-stage with the check-free ``curvature._evaluate``.  A numerical failure is
-one more verdict: ``run`` catches the generators' errors and returns the
-message on the trace.
+stop rule and sets every verdict.  The generators evaluate every state with
+the check-free ``curvature._evaluate``.  An integrator stage needs only the
+flow direction, so ``_calabi_stage`` and ``_curvature_stage`` compute it
+from the same curvature bodies without building a state.  A numerical
+failure is one more verdict: ``run`` catches the generators' errors and
+returns the message on the trace.
 """
 
 from __future__ import annotations
@@ -39,9 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .curvature import (K_CLAMP, CurvatureState, _evaluate, evaluate,
-                        extreme_eigenvalue, gershgorin_bound,
-                        uniform_gershgorin_bound)
+from .curvature import (K_CLAMP, CurvatureState, _apply, _edge_form,
+                        _evaluate, _sides, evaluate, extreme_eigenvalue,
+                        gershgorin_bound, uniform_gershgorin_bound)
 from .errors import InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -145,6 +147,21 @@ def calabi_direction(state: CurvatureState, prescription: Prescription) -> np.nd
     return -state.jvp(state.L - prescription.lhat)
 
 
+def _calabi_stage(complex: SurfaceComplex, lhat: np.ndarray,
+                  K: np.ndarray) -> np.ndarray:
+    """``calabi_direction`` at K, bit for bit, without building a state."""
+    theta, L, sin_r, cos_r, half = _sides(complex, K)
+    return -_apply(complex, *_edge_form(complex, sin_r, cos_r, half, theta),
+                   L - lhat)
+
+
+def _curvature_stage(complex: SurfaceComplex, lhat: np.ndarray,
+                     K: np.ndarray) -> np.ndarray:
+    """The curvature flow's dK/dt = Lhat - L at K, without building a
+    state."""
+    return lhat - _sides(complex, K)[1]
+
+
 def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.ndarray:
     """dr_v/dt = (L_v - Lhat_v)/2 * sin(2 r_v), the radius-space flow.
 
@@ -178,8 +195,10 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     a feasible prescription.  A run that does not converge carries a
     violating-subset certificate exactly when the prescription is
     infeasible.  Raises only InputError, on bad input or a K0 past the
-    clamp.  The inputs are checked here, once; every state and stage
-    after that is evaluated by the check-free ``curvature._evaluate``.
+    clamp.  The inputs are checked here, once; every state after that is
+    evaluated by the check-free ``curvature._evaluate``, and every
+    integrator stage by the check-free ``_calabi_stage`` or
+    ``_curvature_stage``.
     """
     if config is None:
         config = FlowConfig()
@@ -312,9 +331,10 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     """Yield (t, state, ||dK/dt||) at t = 0 and after every accepted step.
 
     One loop steps both integrators, with the step function ``integrator``
-    picks: ``_rkc_step`` or ``_rkf45_step``, each evaluating through
-    ``sample`` and returning the accepted state.  Both start at FIRST_STEP
-    and clip every step to ``max_time``.  RKC bounds the stiffness by the
+    picks: ``_rkc_step`` or ``_rkf45_step``.  Each evaluates its inner
+    stages through ``stage``, which builds no state, and the end of each
+    step through ``sample``, and returns the accepted state.  Both start at
+    FIRST_STEP and clip every step to ``max_time``.  RKC bounds the stiffness by the
     state's ``gershgorin_bound`` and computes no spectrum.  RKF45 bounds
     each step by a loose ``extreme_eigenvalue`` ceiling at the state it
     steps from, unless a bound on the top of J's spectrum proves the
@@ -332,6 +352,8 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     lhat = prescription.lhat
     calabi = config.method == "calabi"
     rkc = integrator(config) == "rkc"
+    stage = functools.partial(_calabi_stage if calabi else _curvature_stage,
+                              complex, lhat)
 
     def sample(K: np.ndarray):
         state = _evaluate(complex, K)
@@ -373,12 +395,13 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             h = min(h, cap)
         h = min(h, config.max_time - t)
         if rkc:
-            state, f, t, h = _rkc_step(sample, state.K, f, t, h, stiff, tol)
+            state, f, t, h = _rkc_step(sample, stage, state.K, f, t, h, stiff,
+                                       tol)
         else:
-            state, f, t, h = _rkf45_step(sample, state.K, f, t, h, tol)
+            state, f, t, h = _rkf45_step(sample, stage, state.K, f, t, h, tol)
 
 
-def _rkf45_step(sample, K, f0, t, h, tol):
+def _rkf45_step(sample, stage, K, f0, t, h, tol):
     """Advance one accepted Fehlberg step, shrinking h as needed; return
     the new state, its direction, t and the next proposed h.
 
@@ -391,7 +414,7 @@ def _rkf45_step(sample, K, f0, t, h, tol):
     while True:
         a = h * _RKF_A
         for i in range(1, 6):
-            k[i] = sample(K + np.dot(a[i, :i], k[:i]))[1]
+            k[i] = stage(K + np.dot(a[i, :i], k[:i]))
         err = float(np.abs(np.dot(h * _RKF_ERR, k)).max())
         if err <= tol:
             factor = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
@@ -470,7 +493,7 @@ def _rkc_stages(f, K, f0, h, s):
     return Y
 
 
-def _rkc_step(sample, K, f0, t, h, stiff, tol):
+def _rkc_step(sample, stage, K, f0, t, h, stiff, tol):
     """Advance one accepted damped RKC step, shrinking h as needed; return
     the new state, its direction, t and the next proposed h.
 
@@ -490,7 +513,7 @@ def _rkc_step(sample, K, f0, t, h, stiff, tol):
             if not h >= _MIN_STEP:
                 raise NonConvergenceError(
                     f"step size underflow at t={t:g} (stiffness {stiff:g})")
-        Y = _rkc_stages(lambda Y: sample(Y)[1], K, f0, h, s)
+        Y = _rkc_stages(stage, K, f0, h, s)
         state, f = sample(Y)
         err = float(np.abs(0.8 * (K - Y) + (0.4 * h) * (f0 + f)).max())
         target = min(tol, scale * h)

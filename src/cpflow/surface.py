@@ -122,8 +122,12 @@ class SurfaceComplex:
 
     @cached_property
     def cross_scale(self) -> np.ndarray:
-        """-2 / sin phi per edge, the factor of the mixed partial dL_v/dK_w."""
-        return _frozen(-2.0 / self.sin_phi)
+        """-2 / sin phi per edge, the factor of the mixed partial dL_v/dK_w,
+        held at -DBL_MAX where a subnormal angle makes it overflow, so that
+        a mixed partial whose sines underflow is 0 and not -inf * 0 = NaN."""
+        with np.errstate(over="ignore"):
+            scale = -2.0 / self.sin_phi
+        return _frozen(np.maximum(scale, -np.finfo(float).max))
 
     @cached_property
     def face_cone_angles(self) -> np.ndarray:

@@ -516,6 +516,20 @@ b 2
         assert "Traceback" not in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("method", ["calabi", "curvature", "newton"])
+    def test_feasible_subnormal_angle_converges(self, tmp_path, method):
+        # The mixed partial of the 1e-320 edge stays finite, so every
+        # method solves the feasible prescription.
+        path = tmp_path / "subnormal.icp"
+        path.write_text(self.SUBNORMAL_ANGLE_BIGON.replace(
+            "a 2\nb 2\n", "a 1\nb 1\n"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpflow", "solve", str(path),
+             "--method", method], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "converged" in proc.stdout
+        assert proc.stderr == ""
+
     @pytest.fixture(params=[
         NonConvergenceError("step size underflow at t=0.5 (local error 1e-3)"),
         NonConvergenceError("linear solve failed"),

@@ -352,6 +352,16 @@ class TestGershgorinBound:
             lam = np.linalg.eigvalsh(state.J)[-1]
             assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
 
+    def test_is_twice_the_diagonal_less_the_row_sums(self):
+        # The row sums J 1, bit for bit as jvp computes them.
+        c = fixtures.torus_grid(4, 5, phi=1.2)
+        rng = rng_for(92)
+        for _ in range(20):
+            state = evaluate(c, rng.uniform(-5.0, 5.0, c.n_vertices))
+            ones = np.ones(c.n_vertices)
+            assert gershgorin_bound(state) == float(
+                (2.0 * state.diag - state.jvp(ones)).max())
+
     def test_tight_on_the_symmetric_bigon(self):
         # J = [[d, c], [c, d]] has lambda_max = d - c, the bound itself,
         # so only the slack covers rounding here.

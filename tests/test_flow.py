@@ -14,9 +14,12 @@ from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     calabi_direction, curvature_rhs, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run,
                     velocity_bound)
-from cpflow.curvature import LANCZOS_CUT, extreme_eigenvalue, gershgorin_bound
+from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, _evaluate,
+                               extreme_eigenvalue, gershgorin_bound)
 from cpflow.errors import NonConvergenceError
-from cpflow.flow import RKC_MIN_TOL, integrator
+from cpflow.flow import (RKC_MIN_TOL, _calabi_stage, _curvature_stage,
+                         integrator)
+from cpflow.geometry import _TMS_SERIES_BELOW
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
 
@@ -55,6 +58,20 @@ def count_edge_forms(monkeypatch) -> list:
         return real(*args)
 
     monkeypatch.setattr(cpflow.geometry, "_edge_derivatives", counted)
+    return calls
+
+
+def count_kernels(monkeypatch) -> list:
+    """Counts every evaluation of the edge kernel while the test runs: one
+    per state or flow stage evaluated."""
+    calls = []
+    real = cpflow.geometry._edge_kernel
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cpflow.geometry, "_edge_kernel", counted)
     return calls
 
 
@@ -608,7 +625,9 @@ class TestRKC:
                     == len(trace.samples) - 1)
 
     def test_a_step_of_s_stages_costs_s_evaluations(self, monkeypatch):
-        states = record_states(monkeypatch)
+        # Planted before counting: planting evaluates too.
+        problem = self.planted_tetrahedron()
+        kernels = count_kernels(monkeypatch)
         stages = []
         real = cpflow.flow._rkc_stages
 
@@ -617,10 +636,10 @@ class TestRKC:
             return real(f, K, f0, h, s)
 
         monkeypatch.setattr(cpflow.flow, "_rkc_stages", counted)
-        trace = run(*self.planted_tetrahedron(), ACCEPTANCE_CONFIG)
+        trace = run(*problem, ACCEPTANCE_CONFIG)
         assert trace.verdict == "converged"
         assert max(stages) > 2
-        assert len(states) == 1 + sum(stages)
+        assert len(kernels) == 1 + sum(stages)
 
     def test_max_time_clips_the_last_step(self):
         config = dataclasses.replace(ACCEPTANCE_CONFIG, max_time=1.0)
@@ -746,6 +765,54 @@ class TestMatrixFreeNewton:
         assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
 
 
+class TestStages:
+    """A flow stage, evaluated without a state, is the direction of the
+    state at its K, bit for bit."""
+
+    FAMILIES = {
+        "tetrahedron": fixtures.tetrahedron,
+        "bigon": fixtures.bigon,
+        "cube": fixtures.cube_graph,
+        "torus3x3": fixtures.torus_grid,
+        "torus9x9": lambda phi=0.5 * math.pi: fixtures.torus_grid(9, 9, phi),
+        "necklace4": lambda phi=0.5 * math.pi: fixtures.necklace(4, phi),
+        "prism5": lambda phi=0.5 * math.pi: fixtures.prism(5, phi),
+        "bipyramid5": lambda phi=0.5 * math.pi: fixtures.bipyramid(5, phi),
+    }
+
+    @staticmethod
+    def coordinates(kind: str, c, rng) -> np.ndarray:
+        n = c.n_vertices
+        if kind == "random":
+            return rng.uniform(-3.0, 3.0, n)
+        if kind == "clamped":
+            # Every coordinate past the clamp, on either side.
+            return rng.choice((-1.0, 1.0), n) * (K_CLAMP + rng.uniform(0.0, 5.0, n))
+        # A tiny circle at w closes the quadrilateral of edge (v, w) to a
+        # small center angle at v.
+        K = rng.uniform(-8.0, 8.0, n)
+        v, w = c.edges[0]
+        K[v], K[w] = -8.0, 8.0
+        return K
+
+    @pytest.mark.parametrize("kind", ["random", "clamped", "small-theta"])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_stage_equals_state(self, family, kind):
+        rng = rng_for(97)
+        m = len(self.FAMILIES[family]().edges)
+        c = self.FAMILIES[family](phi=rng.uniform(0.3, 0.5 * math.pi, m))
+        p = Prescription(evaluate(c, rng.uniform(-1.0, 1.0, c.n_vertices)).L.copy())
+        for _ in range(20):
+            K = self.coordinates(kind, c, rng)
+            state = _evaluate(c, K)
+            if kind == "small-theta":
+                assert (state.theta_sides < _TMS_SERIES_BELOW).any()
+            assert np.array_equal(_calabi_stage(c, p.lhat, K),
+                                  calabi_direction(state, p))
+            assert np.array_equal(_curvature_stage(c, p.lhat, K),
+                                  p.lhat - state.L)
+
+
 class TestLazyEdgeForm:
     """J's edge form is computed only at the states that read it."""
 
@@ -777,14 +844,18 @@ class TestLazyEdgeForm:
             lhat, k0 = Prescription(target), inst.kbar
             config = FlowConfig(method="curvature")
         calls = count_edge_forms(monkeypatch)
+        kernels = count_kernels(monkeypatch)
         states = record_states(monkeypatch)
         trace = run(c, lhat, k0, config)
         assert trace.verdict == ("converged" if case == "converges"
                                  else "diverged")
-        assert len(calls) <= len(trace.samples) < len(states)
-        accepted, stages = self._accepted(trace, states)
+        assert len(calls) <= len(trace.samples) < len(kernels)
+        accepted, _ = self._accepted(trace, states)
         assert len(accepted) == len(trace.samples)
-        assert not any("diag" in st.__dict__ for st in stages)
+        # No stage derives: each derivation reads the trigonometry stored
+        # on an accepted state.
+        assert all(any(args[4] is st.theta_sides for st in accepted)
+                   for args in calls)
 
     def test_newton_trials_never_derive(self, monkeypatch):
         c = fixtures.tetrahedron()
@@ -805,10 +876,11 @@ class TestLazyEdgeForm:
         inst = make_synthetic(c, seed=95)
         k0 = inst.kbar + rng_for(96).uniform(-1.0, 1.0, 4)
         calls = count_edge_forms(monkeypatch)
+        kernels = count_kernels(monkeypatch)
         states = record_states(monkeypatch)
         trace = run(c, inst.prescription, k0)
         assert trace.verdict == "converged"
-        assert len(calls) == len(states) > len(trace.samples)
+        assert len(calls) == len(kernels) > len(trace.samples)
         assert all("diag" in st.__dict__ for st in states)
 
     def test_potential_and_solution_file_never_derive(self, monkeypatch):

@@ -195,6 +195,14 @@ class TestQueries:
         big = fixtures.bigon()
         assert big.degrees[0] == big.degrees[1] == 2
 
+    def test_cross_scale_stays_finite(self):
+        # -2 / sin phi overflows below an angle of about 1e-308.
+        c = fixtures.bigon(np.array([1e-320, 0.7]))
+        with np.errstate(over="raise"):
+            scale = c.cross_scale
+        assert scale[0] == -np.finfo(float).max
+        assert scale[1] == -2.0 / np.sin(0.7)
+
     def test_parallel_edge_bumps_degree(self, tetra):
         edges = tetra.edges + ((0, 1),)
         faces = tetra.faces  # coverage now wrong, but degrees don't care
