@@ -59,6 +59,17 @@ def _report_violations(inst: Instance) -> bool:
     return not violations
 
 
+def _load_problem(path: Path) -> Instance | None:
+    """The instance at ``path``, which needs a [prescription] section, or
+    None once the violations of its complex are printed."""
+    inst = _load(path)
+    if not _report_violations(inst):
+        return None
+    if inst.prescription is None:
+        raise ParseError("instance has no [prescription] section")
+    return inst
+
+
 def cmd_validate(args) -> int:
     inst = _load(Path(args.instance))
     if _report_violations(inst):
@@ -72,11 +83,9 @@ def _subset_text(verdict: FeasibilityVerdict, complex: SurfaceComplex) -> str:
 
 
 def cmd_check(args) -> int:
-    inst = _load(Path(args.instance))
-    if not _report_violations(inst):
+    inst = _load_problem(Path(args.instance))
+    if inst is None:
         return EXIT_NEGATIVE
-    if inst.prescription is None:
-        raise ParseError("instance has no [prescription] section")
     verdict = check_mincut(inst.complex, inst.prescription)
     flag = " (boundary)" if verdict.boundary else ""
     word = "feasible" if verdict.feasible else "infeasible"
@@ -87,11 +96,9 @@ def cmd_check(args) -> int:
 
 def _solve_one(path: Path, args, trace_path: Path | None,
                solution_path: Path | None) -> int:
-    inst = _load(path)
-    if not _report_violations(inst):
+    inst = _load_problem(path)
+    if inst is None:
         return EXIT_NEGATIVE
-    if inst.prescription is None:
-        raise ParseError("instance has no [prescription] section")
 
     config = FlowConfig(
         method=args.method,

@@ -52,30 +52,6 @@ LANCZOS_CUT = 64
 LANCZOS_STEPS = 6
 
 
-class _EdgeForm:
-    """``CurvatureState.diag`` and ``d_cross``, J's edge form.
-
-    The first read of either computes both from the state's stored
-    trigonometry, by ``_edge_form``, and stores them in the instance dict.
-    This descriptor has no ``__set__``, so later reads find the stored
-    value and never reach ``__get__``.  Unlike ``functools.cached_property``
-    before Python 3.12 it takes no lock, which every accepted Calabi state
-    would pay for: each one reads J's edge form, through ``jvp``.
-    """
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, state, owner=None):
-        if state is None:
-            return self
-        diag, d_cross = _edge_form(
-            state.complex, state.sin_r_sides, state.cos_r_sides,
-            state.half_sides, state.theta_sides)
-        state.__dict__.update(diag=diag, d_cross=d_cross)
-        return state.__dict__[self.name]
-
-
 @dataclass(frozen=True)
 class CurvatureState:
     """All curvature data of one coordinate vector K on a fixed complex.
@@ -118,8 +94,17 @@ class CurvatureState:
     def clamped(self) -> bool:
         return bool(np.abs(self.K).max() > K_CLAMP)
 
-    diag = _EdgeForm()
-    d_cross = _EdgeForm()
+    @cached_property
+    def diag(self) -> np.ndarray:
+        diag, self.__dict__["d_cross"] = _edge_form(
+            self.complex, self.sin_r_sides, self.cos_r_sides,
+            self.half_sides, self.theta_sides)
+        return diag
+
+    @cached_property
+    def d_cross(self) -> np.ndarray:
+        self.diag  # stores d_cross
+        return self.__dict__["d_cross"]
 
     @cached_property
     def J(self) -> np.ndarray:
@@ -241,8 +226,12 @@ def uniform_gershgorin_bound(complex: SurfaceComplex) -> float:
     nonnegative), and |d_cross| is at most 2 / sin phi, so
 
         G = max_v sum_{e at v} (2 pi / (3 sqrt 3) + 4 / sin phi_e).
+
+    An angle so small that 4 / sin phi overflows makes G inf: valid, if
+    vacuous.
     """
-    per_end = _D_PAIR_MAX + 4.0 / complex.sin_phi
+    with np.errstate(over="ignore"):
+        per_end = _D_PAIR_MAX + 4.0 / complex.sin_phi
     return float(np.bincount(complex.flat_ends,
                              np.concatenate((per_end, per_end)),
                              complex.n_vertices).max())
@@ -329,9 +318,13 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
 
         4 sqrt(|V|) max_v(d_v pi + sum_{e at v} 1/sin phi_e)
                     max_v(2 d_v pi + Lhat_v)
+
+    An angle so small that 1 / sin phi overflows makes it inf: valid, if
+    vacuous.
     """
     check_instance(complex, prescription)
-    inv_sin = 1.0 / complex.sin_phi
+    with np.errstate(over="ignore"):
+        inv_sin = 1.0 / complex.sin_phi
     s = np.bincount(complex.flat_ends, np.concatenate((inv_sin, inv_sin)),
                     complex.n_vertices)
     d = complex.degrees

@@ -92,7 +92,7 @@ def _margin_of(complex: SurfaceComplex, prescription: Prescription,
     phi, phi_sum = complex.phi, 0.0
     for e in touched:
         phi_sum += phi[e]
-    return lhat_sum - 2.0 * phi_sum
+    return float(lhat_sum - 2.0 * phi_sum)
 
 
 def _verdict(subset: frozenset[int], margin: float,

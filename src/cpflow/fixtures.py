@@ -55,23 +55,13 @@ def torus_grid(rows: int = 3, cols: int = 3, phi=np.pi / 2) -> SurfaceComplex:
     def vid(i: int, j: int) -> int:
         return (i % rows) * cols + (j % cols)
 
-    edges = []
-    h_id = {}
-    v_id = {}
-    for i in range(rows):
-        for j in range(cols):
-            h_id[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i, j + 1)))
-    for i in range(rows):
-        for j in range(cols):
-            v_id[(i, j)] = len(edges)
-            edges.append((vid(i, j), vid(i + 1, j)))
-
-    faces = []
-    for i in range(rows):
-        for j in range(cols):
-            faces.append((h_id[(i, j)], v_id[(i, (j + 1) % cols)],
-                          h_id[((i + 1) % rows, j)], v_id[(i, j)]))
+    # Edge vid(i, j) runs right from vertex (i, j), edge rows * cols +
+    # vid(i, j) down from it.
+    edges = [(vid(i, j), vid(i, j + 1)) for i in range(rows) for j in range(cols)]
+    edges += [(vid(i, j), vid(i + 1, j)) for i in range(rows) for j in range(cols)]
+    down = rows * cols
+    faces = [(vid(i, j), down + vid(i, j + 1), vid(i + 1, j), down + vid(i, j))
+             for i in range(rows) for j in range(cols)]
     return SurfaceComplex(rows * cols, tuple(edges), tuple(faces),
                           _phi_array(phi, len(edges)))
 

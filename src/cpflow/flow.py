@@ -202,7 +202,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     """
     if config is None:
         config = FlowConfig()
-    check_instance(complex)
+    check_instance(complex, prescription)
     K0 = np.asarray(K0, dtype=float)
     if K0.shape != (complex.n_vertices,):
         raise InputError(f"K0 must have length {complex.n_vertices}")
@@ -210,7 +210,6 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
         raise InputError("K0 must be finite")
     if np.any(np.abs(K0) > K_CLAMP):
         raise InputError("K0 lies past the radius clamp")
-    check_instance(complex, prescription)
 
     # Overflow and invalid values (say a target near 1e308, or an angle so
     # small that 1 / sin phi overflows) end as verdicts, not warnings.

@@ -132,11 +132,19 @@ def _edge_kernel(sin_phi, cos_phi, cot_across, sin_r, cos_r):
     return half, theta, theta * cos_r
 
 
+def _cross_scale(sin_phi):
+    """-2 / sin phi, the factor of the mixed partial dL_v/dK_w, held at
+    -DBL_MAX where a subnormal angle makes it overflow, so that a mixed
+    partial whose sines underflow is 0 and not -inf * 0 = NaN."""
+    with np.errstate(over="ignore"):
+        return np.maximum(-2.0 / sin_phi, -np.finfo(float).max)
+
+
 def _edge_derivatives(cross_scale, sin_r, cos_r, half, theta):
     """Check-free derivative half of the kernel: ``d_cross`` and
     ``d_pair`` of ``EdgeSideGeometry`` from the inputs and outputs of
-    ``_edge_kernel``; ``cross_scale`` = -2 / sin phi broadcasts against
-    one row.
+    ``_edge_kernel``; ``cross_scale`` (``_cross_scale``) broadcasts
+    against one row.
     """
     cos_sin_half = cos_r * np.sin(half)
     d_cross = cross_scale * cos_sin_half[0] * cos_sin_half[1]
@@ -168,4 +176,4 @@ def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
     half, theta, L_side = _edge_kernel(sin_phi, np.cos(phi),
                                        (cos_r / sin_r)[::-1], sin_r, cos_r)
     return EdgeSideGeometry(theta, L_side, *_edge_derivatives(
-        -2.0 / sin_phi, sin_r, cos_r, half, theta))
+        _cross_scale(sin_phi), sin_r, cos_r, half, theta))

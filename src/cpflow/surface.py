@@ -9,6 +9,7 @@ closed face walks that together cover every edge exactly twice.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -16,7 +17,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InputError
-from .geometry import HALF_PI
+from .geometry import HALF_PI, _cross_scale
+
+
+# A name the instance format reads back as written: one token that does not
+# open a comment or, at the start of a line, a section header.
+_NAME = re.compile(r"[^\s#\[][^\s#]*")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -28,11 +34,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class SurfaceComplex:
     """A finite loopless multigraph with face boundary walks and edge angles.
 
-    Vertices and edges are dense integer indices; ``vertex_names`` and
-    ``edge_names`` carry the user-facing labels.  ``edges[e]`` is the
-    endpoint pair of edge ``e``; ``faces[f]`` the cyclic walk of edge ids
-    bounding face ``f``; ``phi[e]`` the intersection angle in radians.
-    Instances are immutable and safe to share between threads.
+    Vertices and edges are dense integer indices; the name tuples carry
+    the user-facing labels (by default v0, v1, ..., e0, ..., f0, ...),
+    unique within each tuple and each one token of the instance format.
+    ``edges[e]`` is the endpoint pair of edge ``e``; ``faces[f]`` the
+    cyclic walk of edge ids bounding face ``f``; ``phi[e]`` the
+    intersection angle in radians.  Instances are immutable and safe to
+    share between threads.
     """
 
     n_vertices: int
@@ -60,15 +68,21 @@ class SurfaceComplex:
             for e in walk:
                 if not 0 <= e < len(self.edges):
                     raise InputError("face walk references unknown edge")
-        if not self.vertex_names:
-            object.__setattr__(self, "vertex_names", tuple(f"v{i}" for i in range(self.n_vertices)))
-        if not self.edge_names:
-            object.__setattr__(self, "edge_names", tuple(f"e{i}" for i in range(len(self.edges))))
-        if not self.face_names:
-            object.__setattr__(self, "face_names", tuple(f"f{i}" for i in range(len(self.faces))))
-        if len(self.vertex_names) != self.n_vertices or len(self.edge_names) != len(self.edges) \
-                or len(self.face_names) != len(self.faces):
-            raise InputError("name lists must match element counts")
+        for kind, count in (("vertex", self.n_vertices), ("edge", len(self.edges)),
+                            ("face", len(self.faces))):
+            names = getattr(self, f"{kind}_names")
+            names = tuple(names) if names else tuple(f"{kind[0]}{i}" for i in range(count))
+            if len(names) != count:
+                raise InputError("name lists must match element counts")
+            seen = set()
+            for name in names:
+                if not (isinstance(name, str) and _NAME.fullmatch(name)):
+                    raise InputError(f"bad {kind} name {name!r}: a name is a nonempty string "
+                                     f"with no whitespace or '#' that does not start with '['")
+                if name in seen:
+                    raise InputError(f"duplicate {kind} name {name!r}")
+                seen.add(name)
+            object.__setattr__(self, f"{kind}_names", names)
 
     # -- basic counts -------------------------------------------------
 
@@ -122,12 +136,8 @@ class SurfaceComplex:
 
     @cached_property
     def cross_scale(self) -> np.ndarray:
-        """-2 / sin phi per edge, the factor of the mixed partial dL_v/dK_w,
-        held at -DBL_MAX where a subnormal angle makes it overflow, so that
-        a mixed partial whose sines underflow is 0 and not -inf * 0 = NaN."""
-        with np.errstate(over="ignore"):
-            scale = -2.0 / self.sin_phi
-        return _frozen(np.maximum(scale, -np.finfo(float).max))
+        """``geometry._cross_scale`` per edge."""
+        return _frozen(_cross_scale(self.sin_phi))
 
     @cached_property
     def face_cone_angles(self) -> np.ndarray:
@@ -335,20 +345,12 @@ def build_complex(vertex_names: Sequence[str],
     ``edges`` holds (endpoint, endpoint, phi) triples; ``faces`` holds
     cyclic walks of edge names.  Unnamed edges are called e0, e1, ...;
     unnamed faces take ``SurfaceComplex``'s names.  Raises InputError on
-    duplicate or unknown names.
+    an unknown name, and ``SurfaceComplex`` on a repeated or malformed one.
     """
     vnames = list(vertex_names)
-    if len(set(vnames)) != len(vnames):
-        raise InputError("duplicate vertex name")
     vidx = {name: i for i, name in enumerate(vnames)}
-
-    if edge_names is None:
-        edge_names = [f"e{i}" for i in range(len(edges))]
-    enames = list(edge_names)
-    if len(enames) != len(edges):
-        raise InputError("edge_names must match edges")
-    if len(set(enames)) != len(enames):
-        raise InputError("duplicate edge name")
+    enames = ([f"e{i}" for i in range(len(edges))] if edge_names is None
+              else list(edge_names))
     eidx = {name: i for i, name in enumerate(enames)}
 
     pairs = []

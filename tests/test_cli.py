@@ -299,6 +299,24 @@ class TestSolve:
         assert "argument --seed: seed " + seed + " lies outside [0, 2**64)" \
             in capsys.readouterr().err
 
+    def test_seed_that_is_not_an_integer_rejected(self, tetra_file, capsys):
+        assert main(["solve", tetra_file, "--seed", "abc"]) == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: invalid seed 'abc'" in err
+        assert "Traceback" not in err
+
+    def test_missing_prescription(self, tmp_path, capsys):
+        path = write_instance(tmp_path / "bare.icp", fixtures.tetrahedron())
+        assert main(["solve", path]) == 2
+        assert capsys.readouterr() == (
+            "", "error: instance has no [prescription] section\n")
+
+    def test_directory_without_instances(self, tmp_path, capsys):
+        (tmp_path / "notes.txt").write_text("not an instance\n")
+        assert main(["solve", str(tmp_path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: no *.icp instances in {tmp_path}\n")
+
     def test_largest_seed_accepted(self, tetra_file):
         assert main(["solve", tetra_file, "--seed", str(2 ** 64 - 1)]) == 0
 

@@ -397,6 +397,11 @@ class TestUniformGershgorinBound:
             assert bound >= g
             assert (1.0 + 1e-10) * g >= state.max_eigenvalue
 
+    def test_subnormal_angle_gives_an_infinite_bound(self):
+        # 4 / sin phi overflows: the bound is vacuous, and no warning.
+        c = fixtures.bigon(np.array([1e-320, 0.5 * math.pi]))
+        assert uniform_gershgorin_bound(c) == math.inf
+
     def test_value_on_the_tetrahedron(self):
         # Three edges at each vertex, each 2 pi / (3 sqrt 3) + 4 / sin phi.
         expected = 3.0 * (2.0 * math.pi / (3.0 * math.sqrt(3.0)) + 4.0)
@@ -539,6 +544,13 @@ class TestPotential:
             with pytest.raises(InputError, match="finite"):
                 potential(tetra, p, np.zeros(4), base=np.full(4, np.inf))
 
+    @pytest.mark.parametrize("K, base", [
+        (np.zeros(3), None), (np.zeros(4), np.zeros(3)),
+        (np.zeros((4, 1)), None)], ids=["K", "base", "K-2d"])
+    def test_shape_mismatch_rejected(self, tetra, K, base):
+        with pytest.raises(InputError, match="coordinate vectors"):
+            potential(tetra, Prescription(np.ones(4)), K, base)
+
     def test_quadrature_budget_error(self, tetra):
         p = Prescription(np.full(4, 3.0))
         with pytest.raises(QuadratureError) as exc_info:
@@ -597,6 +609,11 @@ class TestVelocityBound:
         direct = 4 * math.sqrt(4) * (3 * math.pi + 3) * (6 * math.pi + L_REF)
         assert velocity_bound(tetra, p) == pytest.approx(direct, rel=1e-14)
         assert velocity_bound(tetra, p) == pytest.approx(VELOCITY_BOUND_REF, rel=1e-12)
+
+    def test_subnormal_angle_gives_an_infinite_bound(self):
+        # 1 / sin phi overflows: the bound is vacuous, and no warning.
+        c = fixtures.bigon(np.array([1e-320, 0.5 * math.pi]))
+        assert velocity_bound(c, Prescription(np.ones(2))) == math.inf
 
     def test_halving_angles_increases_bound(self, tetra):
         p = Prescription(np.full(4, L_REF))

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import sys
 
@@ -338,3 +339,17 @@ class TestMonotonicity:
         assert check_bruteforce(base, inst.prescription).feasible
         wider = with_phi(base, np.full(base.n_edges, 1.4))
         assert check_bruteforce(wider, inst.prescription).feasible
+
+
+class TestVerdictFields:
+    @pytest.mark.parametrize("check", [check_mincut, check_bruteforce])
+    @pytest.mark.parametrize("lhat, feasible", [
+        (np.full(4, L_REF), True), (np.array([10.0, 1.0, 1.0, 1.0]), False),
+    ], ids=["feasible", "infeasible"])
+    def test_fields_are_plain_python_values(self, tetra, check, lhat,
+                                            feasible):
+        v = check(tetra, Prescription(lhat))
+        assert v.feasible is feasible and v.boundary is False
+        assert type(v.worst_margin) is float
+        json.dumps([v.feasible, v.boundary, v.worst_margin, v.method,
+                    sorted(v.worst_subset)])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cpflow import InputError, edge_side_geometry, k_to_r, r_to_k
+from cpflow import (InputError, edge_side_geometry, evaluate, fixtures,
+                    k_to_r, r_to_k)
 from cpflow.oracle import rng_for
 
 # Reference values for r_v = r_w = pi/4, phi = pi/2, frozen from direct
@@ -245,3 +246,13 @@ class TestSmallAngles:
         # the direct form is off by its rounding of sin(theta), about
         # half an ulp of theta; the series adds no more than that
         assert np.all(gap <= np.spacing(theta))
+
+    def test_subnormal_angle_keeps_the_mixed_partial_finite(self):
+        # -2 / sin phi overflows below an angle of about 1e-308; the kernel
+        # holds it at -DBL_MAX, as ``evaluate`` does on the same edge.
+        g = edge_side_geometry(0.7, 0.8, 1e-320)
+        assert all(np.all(np.isfinite(x))
+                   for x in (g.theta, g.L_side, g.d_cross, g.d_pair))
+        state = evaluate(fixtures.bigon(np.array([1e-320, 0.5 * np.pi])),
+                         r_to_k(np.array([0.7, 0.8])))
+        assert g.d_cross == state.d_cross[0] == 0.0

@@ -5,10 +5,11 @@ import time
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, ParseError, Prescription, evaluate, fixtures,
-                    instance_digest, make_synthetic, parse_instance, run,
-                    serialize_instance)
+from cpflow import (FlowConfig, ParseError, Prescription, build_complex,
+                    evaluate, fixtures, instance_digest, make_synthetic,
+                    parse_instance, run, serialize_instance)
 from cpflow.instancefile import fmt, parse_angle, write_solution, write_trace
+from cpflow.oracle import rng_for
 
 TETRA_DOC = """\
 # four circles, all crossings orthogonal
@@ -146,6 +147,29 @@ class TestParse:
                         for k in (16, 64))
         assert best_of_3(large) / best_of_3(small) < 45
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("[edges]", "[edges", "unterminated section header"),
+        ("bcd bc cd bd", "bcd", "face lines need"),
+        ("a 4.05306515313624", "a", "prescription lines need"),
+        ("b 4.05306515313624", "a 4.05306515313624", "duplicate entry for 'a'"),
+        ("a 4.05306515313624", "a x", "bad number 'x'"),
+    ], ids=["header", "empty-face", "per-vertex-line", "repeated-entry",
+            "number"])
+    def test_line_rejections(self, old, new, message):
+        line = TETRA_DOC.splitlines().index(old) + 1
+        with pytest.raises(ParseError, match=message) as exc_info:
+            parse_instance(TETRA_DOC.replace(old, new))
+        assert exc_info.value.line == line
+
+    @pytest.mark.parametrize("doc, message", [
+        (TETRA_DOC.replace("a 4.05306515313624", "a 0"), "> 0"),
+        (TETRA_DOC + "[initial_r]\na 2\nb 0.5\nc 0.5\nd 0.5\n",
+         "initial radii out of range"),
+    ], ids=["target", "radius"])
+    def test_value_rejections(self, doc, message):
+        with pytest.raises(ParseError, match=message):
+            parse_instance(doc)
+
     def test_unknown_references(self):
         with pytest.raises(ParseError):
             parse_instance(TETRA_DOC.replace("ab a b pi/2", "ab a z pi/2"))
@@ -171,6 +195,35 @@ class TestParse:
         head = TETRA_DOC.split("[prescription]")[0]
         inst = parse_instance(head)
         assert inst.prescription is None
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
+        lambda phi: fixtures.torus_grid(3, 4, phi),
+        lambda phi: fixtures.necklace(4, phi),
+        lambda phi: fixtures.prism(5, phi),
+        lambda phi: fixtures.bipyramid(5, phi), None,
+    ], ids=["tetrahedron", "bigon", "cube", "torus3x4", "necklace4",
+            "prism5", "bipyramid5", "build_complex"])
+    def test_parse_reproduces_the_serialized_instance(self, make):
+        rng = rng_for(281)
+        if make is None:
+            c = build_complex(
+                ["north", "south"],
+                [("north", "south", 0.7), ("south", "north", 1.2)],
+                [["m]", "é"], ["é", "m]"]], edge_names=["m]", "é"],
+                face_names=["east", "west["])
+            assert not c.violations
+        else:
+            n_edges = make(1.0).n_edges
+            c = make(rng.uniform(0.1, 0.5 * np.pi, n_edges))
+        p = Prescription(rng.uniform(0.5, 3.0, c.n_vertices))
+        k = rng.uniform(-2.0, 2.0, c.n_vertices)
+        again = parse_instance(serialize_instance(c, p, initial_k=k))
+        assert again.complex == c
+        assert again.prescription == p
+        assert np.array_equal(again.initial_k, k)
 
 
 class TestReports:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cpflow import (InputError, Prescription, SurfaceComplex, build_complex,
-                    edge_neighborhood, fixtures, potential, validate)
+                    edge_neighborhood, fixtures, parse_instance, potential,
+                    serialize_instance, validate)
 from cpflow.surface import check_instance
 from conftest import wedge
 
@@ -258,3 +259,67 @@ class TestConstruction:
             Prescription(np.array([1.0, np.inf]))
         p = Prescription(np.array([1.0, 2.0]))
         assert len(p) == 2
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SurfaceComplex(0, (), (), np.zeros(0)), "at least one vertex"),
+        (lambda: SurfaceComplex(2, ((0, 1),), (), np.ones(2)),
+         "one angle per edge"),
+        (lambda: SurfaceComplex(2, ((0, 2),), (), np.ones(1)),
+         "edge endpoint out of range"),
+        (lambda: SurfaceComplex(2, ((0, 1),), ((0, 1),), np.ones(1)),
+         "face walk references unknown edge"),
+        (lambda: SurfaceComplex(2, ((0, 1),), (), np.ones(1),
+                                vertex_names=("a",)),
+         "name lists must match element counts"),
+        (lambda: build_complex(["a", "b"], [("a", "b", 1.0)], [],
+                               edge_names=["e0", "e1"]),
+         "name lists must match element counts"),
+        (lambda: Prescription(np.ones((2, 2))), "flat vector"),
+    ], ids=["no-vertex", "phi-shape", "endpoint", "walk", "name-count",
+            "edge-name-count", "lhat-shape"])
+    def test_constructor_rejections(self, make, message):
+        with pytest.raises(InputError, match=message):
+            make()
+
+
+def bigon_named(kind, names):
+    """The bigon with ``names`` for its vertices, edges or faces."""
+    return SurfaceComplex(2, ((0, 1), (0, 1)), ((0, 1), (0, 1)),
+                          np.full(2, np.pi / 2), **{f"{kind}_names": names})
+
+
+class TestNames:
+    """A complex's names are unique in each list and each one is a token
+    that an instance file reads back as written."""
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
+    def test_repeated_name_rejected(self, kind):
+        with pytest.raises(InputError, match=f"^duplicate {kind} name 'a'$"):
+            bigon_named(kind, ("a", "a"))
+
+    def test_build_complex_rejects_a_repeated_face_name(self):
+        with pytest.raises(InputError, match="^duplicate face name 'f'$"):
+            build_complex(["a", "b"], [("a", "b", np.pi / 2)] * 2,
+                          [["e0", "e1"]] * 2, face_names=["f", "f"])
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
+    @pytest.mark.parametrize("name", [
+        "", "a b", "a\tb", "a\u2028b", "a\x1cb", "#", "a#b", "[a", 7, None,
+    ], ids=["empty", "space", "tab", "line-separator", "file-separator",
+            "hash", "inner-hash", "bracket", "int", "none"])
+    def test_name_the_format_cannot_read_back_rejected(self, kind, name):
+        with pytest.raises(InputError, match=f"^bad {kind} name "):
+            bigon_named(kind, (name, "z"))
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
+    def test_a_name_list_is_kept_as_a_tuple(self, kind):
+        # A list would compare unequal to the parsed tuple, and could be
+        # changed after the checks.
+        c = bigon_named(kind, ["a", "b"])
+        assert getattr(c, f"{kind}_names") == ("a", "b")
+        assert parse_instance(serialize_instance(c)).complex == c
+
+    @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
+    def test_tokens_accepted(self, kind):
+        names = ("a[", "b]-é")
+        assert getattr(bigon_named(kind, names), f"{kind}_names") == names
