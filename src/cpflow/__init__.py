@@ -7,10 +7,10 @@ feasibility certification of the prescription.
 """
 
 from .curvature import CurvatureState, evaluate, potential, velocity_bound
-from .errors import InputError, ParseError, SizeError
-from .feasibility import FeasibilityVerdict, check_bruteforce, check_mincut
+from .errors import InputError, ParseError
+from .feasibility import FeasibilityVerdict, check_mincut
 from .flow import (FlowConfig, FlowSample, FlowTrace, RateFit,
-                   calabi_direction, curvature_rhs, fit_decay_rate, run)
+                   calabi_direction, fit_decay_rate, run)
 from .geometry import EdgeSideGeometry, edge_side_geometry, k_to_r, r_to_k
 from .instancefile import (Instance, instance_digest, parse_instance,
                            serialize_instance)
@@ -24,9 +24,9 @@ __all__ = [
     "CurvatureState", "EdgeSideGeometry", "FeasibilityVerdict",
     "FlowConfig", "FlowSample", "FlowTrace", "InputError",
     "Instance", "ParseError", "Prescription",
-    "RateFit", "SizeError", "SurfaceComplex",
+    "RateFit", "SurfaceComplex",
     "SyntheticInstance", "build_complex", "calabi_direction",
-    "check_bruteforce", "check_mincut", "curvature_rhs",
+    "check_mincut",
     "edge_neighborhood", "edge_side_geometry", "evaluate",
     "fit_decay_rate", "k_to_r", "make_synthetic",
     "potential", "r_to_k", "rng_for", "run",

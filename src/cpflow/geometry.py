@@ -70,20 +70,15 @@ class EdgeSideGeometry:
     ``theta[0]`` is theta_v and ``L_side[1]`` is L_w_side.
     ``d_cross`` is the mixed partial dL_v/dK_w (equal to dL_w/dK_v and
     always negative); ``d_pair[0]`` is d(L_v + L_w)/dK_v (always positive),
-    likewise ``d_pair[1]``.  The own-coordinate derivatives follow as
-    ``d_pair - d_cross``, which is what makes the per-edge 2x2 derivative
-    block strictly diagonally dominant.
+    likewise ``d_pair[1]``.  The own-coordinate derivatives, not stored,
+    are ``d_pair - d_cross``; ``d_pair > 0`` makes the per-edge 2x2
+    derivative block strictly diagonally dominant.
     """
 
     theta: np.ndarray
     L_side: np.ndarray
     d_cross: float | np.ndarray
     d_pair: np.ndarray
-
-    @property
-    def d_own(self) -> np.ndarray:
-        """dL_v/dK_v and dL_w/dK_w, stacked."""
-        return self.d_pair - self.d_cross
 
 
 # Below _TMS_SERIES_BELOW, theta - sin(theta) is summed from its Taylor

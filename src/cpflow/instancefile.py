@@ -36,9 +36,9 @@ import numpy as np
 
 from . import geometry
 from .curvature import evaluate
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .flow import FIRST_STEP, FlowConfig, FlowTrace, integrator
-from .surface import Prescription, SurfaceComplex, build_complex
+from .surface import Prescription, SurfaceComplex, build_complex, check_names
 
 SECTIONS = ("vertices", "edges", "faces", "prescription", "initial_k", "initial_r")
 
@@ -102,6 +102,10 @@ def parse_instance(text: str) -> Instance:
 
         tokens = line.split()
         if section == "vertices":
+            try:
+                check_names("vertex", tokens)
+            except InputError as exc:
+                raise ParseError(str(exc), lineno) from None
             for name in tokens:
                 if name in vertices:
                     raise ParseError(f"duplicate vertex name {name!r}", lineno)
@@ -134,7 +138,7 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"bad number {tokens[1]!r}", lineno) from None
 
     if not vertices:
-        raise ParseError("no [vertices] section")
+        raise ParseError("[vertices] is missing or names no vertex")
     try:
         complex = build_complex(vertices, edges.values(), faces.values(),
                                 edge_names=edges, face_names=faces)

@@ -25,6 +25,16 @@ from .geometry import HALF_PI, _cross_scale
 _NAME = re.compile(r"[^\s#\[][^\s#]*")
 
 
+def check_names(kind: str, names: Iterable) -> None:
+    """Raise InputError unless every name in ``names`` is a ``kind`` name
+    ("vertex", "edge" or "face") that the instance format reads back as
+    written."""
+    for name in names:
+        if not (isinstance(name, str) and _NAME.fullmatch(name)):
+            raise InputError(f"bad {kind} name {name!r}: a name is a nonempty string "
+                             f"with no whitespace or '#' that does not start with '['")
+
+
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -74,11 +84,9 @@ class SurfaceComplex:
             names = tuple(names) if names else tuple(f"{kind[0]}{i}" for i in range(count))
             if len(names) != count:
                 raise InputError("name lists must match element counts")
+            check_names(kind, names)
             seen = set()
             for name in names:
-                if not (isinstance(name, str) and _NAME.fullmatch(name)):
-                    raise InputError(f"bad {kind} name {name!r}: a name is a nonempty string "
-                                     f"with no whitespace or '#' that does not start with '['")
                 if name in seen:
                     raise InputError(f"duplicate {kind} name {name!r}")
                 seen.add(name)

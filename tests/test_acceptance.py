@@ -11,10 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, Prescription, check_bruteforce, check_mincut,
-                    evaluate, fit_decay_rate, fixtures, k_to_r, parse_instance,
+from cpflow import (FlowConfig, Prescription, check_mincut, evaluate,
+                    fit_decay_rate, fixtures, k_to_r, parse_instance,
                     potential, r_to_k, run, serialize_instance, velocity_bound)
 from cpflow.cli import main
+from cpflow.feasibility import check_bruteforce
 from cpflow.geometry import edge_side_geometry
 from cpflow.oracle import rng_for
 from conftest import (ACCEPTANCE_CONFIG, random_instance, random_prescription,
@@ -184,7 +185,7 @@ def test_criterion_06_exponential_decay(planted_runs):
             fit = fit_decay_rate(trace)
             worst_slope = max(worst_slope, fit.slope)
             worst_r2 = min(worst_r2, fit.r_squared)
-            E = trace.energies()
+            E = np.array([s.energy for s in trace.samples])
             if len(E) > 1:
                 worst_increase = max(worst_increase, float(np.max(np.diff(E))))
     ok = worst_slope < 0.0 and worst_r2 >= 0.99 and worst_increase <= 1e-9

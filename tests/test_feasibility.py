@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import cpflow.feasibility
-from cpflow import (Prescription, SizeError, check_bruteforce, check_mincut,
-                    evaluate, fixtures, make_synthetic)
+from cpflow import (Prescription, check_mincut, evaluate, fixtures,
+                    make_synthetic)
+from cpflow.errors import SizeError
+from cpflow.feasibility import check_bruteforce
 from cpflow.oracle import rng_for
 from conftest import random_instance, random_prescription, with_phi
 from mincut_rounds import check_mincut_rounds

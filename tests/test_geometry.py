@@ -145,7 +145,6 @@ class TestEdgeSideGeometry:
         assert g.d_cross == pytest.approx(D_CROSS_REF, abs=1e-12)
         assert g.d_pair[0] == pytest.approx(D_PAIR_REF, abs=1e-12)
         assert g.d_pair[1] == pytest.approx(D_PAIR_REF, abs=1e-12)
-        assert g.d_own[0] == g.d_pair[0] - g.d_cross
 
     def test_cross_partial_symmetry(self):
         rng = rng_for(14)
@@ -167,7 +166,7 @@ class TestEdgeSideGeometry:
         assert np.all(g.d_pair[0] > 0.0)
         assert np.all(g.d_pair[1] > 0.0)
         # 2x2 block strict diagonal dominance
-        assert np.all(g.d_own[0] > np.abs(g.d_cross))
+        assert np.all(g.d_pair[0] - g.d_cross > np.abs(g.d_cross))
         residual = (np.sin(g.theta[0] / 2) / np.sin(rw)
                     - np.sin(g.theta[1] / 2) / np.sin(rv))
         assert np.max(np.abs(residual)) <= 1e-12
@@ -192,7 +191,8 @@ class TestEdgeSideGeometry:
 
             worst_cross = max(worst_cross, abs(fd_cross - g.d_cross) / abs(g.d_cross))
             worst_pair = max(worst_pair, abs(fd_pair - g.d_pair[0]) / abs(g.d_pair[0]))
-            worst_own = max(worst_own, abs(fd_own - g.d_own[0]) / abs(g.d_own[0]))
+            d_own = g.d_pair[0] - g.d_cross
+            worst_own = max(worst_own, abs(fd_own - d_own) / abs(d_own))
         assert worst_cross <= 1e-6
         assert worst_pair <= 1e-6
         assert worst_own <= 1e-6

@@ -153,8 +153,9 @@ class TestParse:
         ("a 4.05306515313624", "a", "prescription lines need"),
         ("b 4.05306515313624", "a 4.05306515313624", "duplicate entry for 'a'"),
         ("a 4.05306515313624", "a x", "bad number 'x'"),
+        ("a b c d", "a [b c d", r"bad vertex name '\[b'"),
     ], ids=["header", "empty-face", "per-vertex-line", "repeated-entry",
-            "number"])
+            "number", "vertex-name"])
     def test_line_rejections(self, old, new, message):
         line = TETRA_DOC.splitlines().index(old) + 1
         with pytest.raises(ParseError, match=message) as exc_info:
@@ -190,6 +191,15 @@ class TestParse:
     def test_empty_document(self):
         with pytest.raises(ParseError):
             parse_instance("# nothing here\n")
+
+    @pytest.mark.parametrize("doc", [
+        "[edges]\nab a b pi/2\n",
+        "[vertices]\n[edges]\nab a b pi/2\n",
+    ], ids=["missing", "empty"])
+    def test_no_vertex_names(self, doc):
+        with pytest.raises(ParseError,
+                           match=r"^\[vertices\] is missing or names no vertex$"):
+            parse_instance(doc)
 
     def test_prescription_optional(self):
         head = TETRA_DOC.split("[prescription]")[0]

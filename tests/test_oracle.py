@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, InputError, check_bruteforce, evaluate,
-                    fixtures, make_synthetic, potential, run)
+from cpflow import (FlowConfig, InputError, evaluate, fixtures,
+                    make_synthetic, potential, run)
+from cpflow.feasibility import check_bruteforce
 from cpflow.oracle import rng_for
 from fd_oracle import fd_gradient, fd_jacobian, relative_error
 
