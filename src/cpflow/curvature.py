@@ -6,9 +6,10 @@ the symmetric Jacobian dL/dK, the closed-form convex potential whose
 gradient is L - Lhat, and the a-priori bound on the flow velocity.  The
 Calabi energy 0.5 ||L - Lhat||^2 has one formula, in ``flow.run``, which
 records it on every ``FlowSample``.  Vertex quantities are assembled
-over the edge list in O(E).  The public ``evaluate`` checks its inputs
-and runs the check-free ``_evaluate``, which the flows and ``potential``
-call.  Each quantity has one body, shared by states and by the flow's
+over the edge list in O(E).  ``evaluate``, ``flow.run`` and ``potential``
+check K with the one ``_coordinates``; the public ``evaluate`` then runs
+the check-free ``_evaluate``, which the flows and ``potential`` call.
+Each quantity has one body, shared by states and by the flow's
 integrator stages, which need only a direction and build no state:
 ``_sides`` (the center angles theta and L), ``_edge_form`` (J's edge form,
 its diagonal and the per-edge mixed partials) and ``_apply`` (J x).  A
@@ -254,13 +255,21 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
     Checks the complex and K, then runs the check-free ``_evaluate``.
     """
     check_instance(complex)
+    return _evaluate(complex, _coordinates(complex, K))
+
+
+def _coordinates(complex: SurfaceComplex, K, name: str = "K",
+                 limit: float = math.inf) -> np.ndarray:
+    """K as a new float vector; InputError unless it has length V, is
+    finite and keeps every |K_v| <= ``limit``."""
     K = np.array(K, dtype=float)
-    n = complex.n_vertices
-    if K.shape != (n,):
-        raise InputError(f"K must have length {n}")
+    if K.shape != (complex.n_vertices,):
+        raise InputError(f"{name} must have length {complex.n_vertices}")
     if not np.isfinite(K).all():
-        raise InputError("K must be finite")
-    return _evaluate(complex, K)
+        raise InputError(f"{name} must be finite")
+    if (np.abs(K) > limit).any():
+        raise InputError(f"{name} lies past the radius clamp")
+    return K
 
 
 def _evaluate(complex: SurfaceComplex, K: np.ndarray) -> CurvatureState:
@@ -389,14 +398,9 @@ def potential(complex: SurfaceComplex, prescription: Prescription, K,
     Past the radius clamp L stops depending on K, so the form is not closed
     and no potential exists: a |K_v| or |base_v| > K_CLAMP is an InputError.
     """
-    K = np.asarray(K, dtype=float)
-    base = np.zeros_like(K) if base is None else np.asarray(base, dtype=float)
-    if K.shape != base.shape or K.shape != (complex.n_vertices,):
-        raise InputError("K and base must be coordinate vectors on the complex")
-    # NaN fails the comparison too.
-    if not np.abs((K, base)).max() <= K_CLAMP:
-        raise InputError(f"K and base must be finite and within the radius "
-                         f"clamp |K| <= {K_CLAMP:.6g}")
+    K = _coordinates(complex, K, "K", K_CLAMP)
+    base = (np.zeros_like(K) if base is None
+            else _coordinates(complex, base, "base", K_CLAMP))
     check_instance(complex, prescription)
     lhat = prescription.lhat
     return (_convex_potential(_evaluate(complex, K), lhat)

@@ -43,7 +43,7 @@ import numpy as np
 # evaluate is not called here; it stays importable from this module because
 # the benchmark's tracer counts calls through this name.
 from .curvature import (K_CLAMP, CurvatureState, _apply,  # noqa: F401
-                        _edge_form, _evaluate, _sides, evaluate,
+                        _coordinates, _edge_form, _evaluate, _sides, evaluate,
                         extreme_eigenvalue, gershgorin_bound,
                         uniform_gershgorin_bound)
 from .errors import InputError, NonConvergenceError
@@ -200,13 +200,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
     if config is None:
         config = FlowConfig()
     check_instance(complex, prescription)
-    K0 = np.asarray(K0, dtype=float)
-    if K0.shape != (complex.n_vertices,):
-        raise InputError(f"K0 must have length {complex.n_vertices}")
-    if not np.all(np.isfinite(K0)):
-        raise InputError("K0 must be finite")
-    if np.any(np.abs(K0) > K_CLAMP):
-        raise InputError("K0 lies past the radius clamp")
+    K0 = _coordinates(complex, K0, "K0", K_CLAMP)
 
     # Overflow and invalid values (say a target near 1e308, or an angle so
     # small that 1 / sin phi overflows) end as verdicts, not warnings.
@@ -361,7 +355,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             (1.0 + _GERSHGORIN_SLACK) * uniform_gershgorin_bound(complex))
         ritz, screen = None, False
     t, h, tol = 0.0, FIRST_STEP, config.tol_ode
-    state, f = sample(K0.copy())
+    state, f = sample(K0)
     while True:
         yield t, state, math.sqrt(f @ f)
 
@@ -392,6 +386,14 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
             state, f, t, h = _rkf45_step(sample, stage, state.K, f, t, h, tol)
 
 
+def _check_step(h: float, t: float, cause: str, value: float) -> None:
+    """Raise NonConvergenceError, naming the ``cause`` and its ``value``,
+    when the step h at time t is below _MIN_STEP or NaN."""
+    if not h >= _MIN_STEP:
+        raise NonConvergenceError(
+            f"step size underflow at t={t:g} ({cause} {value:g})")
+
+
 def _rkf45_step(sample, stage, K, f0, t, h, tol):
     """Advance one accepted Fehlberg step, shrinking h as needed; return
     the new state, its direction, t and the next proposed h.
@@ -412,9 +414,7 @@ def _rkf45_step(sample, stage, K, f0, t, h, tol):
             state, f = sample(K + np.dot(h * _RKF_B5, k))
             return state, f, t + h, h * factor
         h *= max(0.1, 0.9 * (tol / err) ** 0.2)
-        if h < _MIN_STEP:
-            raise NonConvergenceError(
-                f"step size underflow at t={t:g} (local error {err:g})")
+        _check_step(h, t, "local error", err)
 
 
 def _chebyshev(s, n: int):
@@ -501,9 +501,7 @@ def _rkc_step(sample, stage, K, f0, t, h, stiff, tol):
         s = 2 + bisect.bisect_left(_RKC_LIMITS, h * stiff)
         if s > _RKC_MAX_STAGES:
             s, h = _RKC_MAX_STAGES, _RKC_LIMITS[-1] / stiff
-            if not h >= _MIN_STEP:
-                raise NonConvergenceError(
-                    f"step size underflow at t={t:g} (stiffness {stiff:g})")
+            _check_step(h, t, "stiffness", stiff)
         Y = _rkc_stages(stage, K, f0, h, s)
         state, f = sample(Y)
         err = float(np.abs(0.8 * (K - Y) + (0.4 * h) * (f0 + f)).max())
@@ -513,9 +511,7 @@ def _rkc_step(sample, stage, K, f0, t, h, stiff, tol):
         if err <= target:
             return state, f, t + h, h * factor
         h *= factor
-        if h < _MIN_STEP:
-            raise NonConvergenceError(
-                f"step size underflow at t={t:g} (local error {err:g})")
+        _check_step(h, t, "local error", err)
 
 
 # ----------------------------------------------------------------------

@@ -58,6 +58,6 @@ def make_synthetic(complex: SurfaceComplex, seed: int,
     return SyntheticInstance(
         complex=complex,
         kbar=kbar,
-        prescription=Prescription(state.L.copy()),
+        prescription=Prescription(state.L),
         seed=seed,
     )

@@ -49,8 +49,8 @@ class SurfaceComplex:
     unique within each tuple and each one token of the instance format.
     ``edges[e]`` is the endpoint pair of edge ``e``; ``faces[f]`` the
     cyclic walk of edge ids bounding face ``f``; ``phi[e]`` the
-    intersection angle in radians.  Instances are immutable and safe to
-    share between threads.
+    intersection angle in radians, kept as a read-only copy.  Instances
+    are immutable and safe to share between threads.
     """
 
     n_vertices: int
@@ -64,10 +64,9 @@ class SurfaceComplex:
     def __post_init__(self):
         if self.n_vertices <= 0:
             raise InputError("complex needs at least one vertex")
-        phi = np.asarray(self.phi, dtype=float)
+        phi = _frozen(np.array(self.phi, dtype=float))
         if phi.shape != (len(self.edges),):
             raise InputError("phi must hold one angle per edge")
-        phi.flags.writeable = False
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "edges", tuple((int(v), int(w)) for v, w in self.edges))
         object.__setattr__(self, "faces", tuple(tuple(int(e) for e in walk) for walk in self.faces))
@@ -177,17 +176,17 @@ class SurfaceComplex:
 
 @dataclass(frozen=True, eq=False)
 class Prescription:
-    """Target total geodesic curvature per vertex, all strictly positive."""
+    """Target total geodesic curvature per vertex, all strictly positive,
+    kept as a read-only copy: immutable and safe to share."""
 
     lhat: np.ndarray
 
     def __post_init__(self):
-        lhat = np.asarray(self.lhat, dtype=float)
+        lhat = _frozen(np.array(self.lhat, dtype=float))
         if lhat.ndim != 1:
             raise InputError("lhat must be a flat vector")
         if np.any(~np.isfinite(lhat)) or np.any(lhat <= 0.0):
             raise InputError("prescribed curvatures must be finite and > 0")
-        lhat.flags.writeable = False
         object.__setattr__(self, "lhat", lhat)
 
     def __len__(self) -> int:

@@ -95,6 +95,34 @@ class TestEvaluate:
             evaluate(loopy, np.zeros(2))
 
 
+# Each caller of the one coordinate check, with the name it reports and
+# whether it holds K within the radius clamp.
+COORDINATE_CALLERS = {
+    "evaluate": ("K", False, lambda c, p, K: evaluate(c, K)),
+    "run": ("K0", True, lambda c, p, K: run(c, p, K)),
+    "potential-K": ("K", True, lambda c, p, K: potential(c, p, K)),
+    "potential-base": ("base", True,
+                       lambda c, p, K: potential(c, p, np.zeros(4), K)),
+}
+COORDINATE_DEFECTS = {
+    "length": (np.zeros(3), "{} must have length 4"),
+    "nan": (np.array([0.0, np.nan, 0.0, 0.0]), "{} must be finite"),
+    "clamp": (np.array([0.0, 0.0, -1.5 * K_CLAMP, 0.0]),
+              "{} lies past the radius clamp"),
+}
+
+
+@pytest.mark.parametrize("caller, defect", [
+    (caller, defect) for caller, (_, clamps, _) in COORDINATE_CALLERS.items()
+    for defect in COORDINATE_DEFECTS if clamps or defect != "clamp"])
+def test_coordinate_rejections_share_one_wording(tetra, caller, defect):
+    name, _, call = COORDINATE_CALLERS[caller]
+    K, message = COORDINATE_DEFECTS[defect]
+    with pytest.raises(InputError) as exc_info:
+        call(tetra, Prescription(np.full(4, 3.0)), K)
+    assert str(exc_info.value) == message.format(name)
+
+
 # L and diag(J) at points whose radii lie within 1e-12 of 0 or pi/2 at
 # some vertices, evaluated once with mpmath at 50 digits from the
 # closed-form kernel (the angle phi taken as the exact double) and rounded
@@ -548,7 +576,7 @@ class TestPotential:
         (np.zeros(3), None), (np.zeros(4), np.zeros(3)),
         (np.zeros((4, 1)), None)], ids=["K", "base", "K-2d"])
     def test_shape_mismatch_rejected(self, tetra, K, base):
-        with pytest.raises(InputError, match="coordinate vectors"):
+        with pytest.raises(InputError, match="must have length 4"):
             potential(tetra, Prescription(np.ones(4)), K, base)
 
     def test_quadrature_budget_error(self, tetra):

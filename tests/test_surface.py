@@ -242,6 +242,16 @@ class TestConstruction:
         c = fixtures.tetrahedron()
         with pytest.raises(ValueError):
             c.phi[0] = 1.0
+        # The complex keeps a copy: the caller's array stays writable, and
+        # a write through it leaves phi, its cached sines and the hash as
+        # they were.
+        base = np.array([1.0, 1.2, 1.4])
+        bigon = SurfaceComplex(2, ((0, 1), (0, 1)), ((0, 1), (0, 1)), base[:2])
+        sin_phi, digest = bigon.sin_phi.copy(), hash(bigon)
+        base[0] = 0.3
+        assert bigon.phi.tolist() == [1.0, 1.2]
+        assert np.array_equal(bigon.sin_phi, sin_phi) and sin_phi[0] == np.sin(1.0)
+        assert hash(bigon) == digest
 
     def test_structural_equality(self):
         a = fixtures.tetrahedron()
@@ -259,6 +269,14 @@ class TestConstruction:
             Prescription(np.array([1.0, np.inf]))
         p = Prescription(np.array([1.0, 2.0]))
         assert len(p) == 2
+
+    def test_prescription_keeps_a_copy(self):
+        a = np.array([1.0, 2.0])
+        p = Prescription(a)
+        a[0] = 3.0
+        assert p.lhat.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError):
+            p.lhat[0] = 3.0
 
     @pytest.mark.parametrize("make, message", [
         (lambda: SurfaceComplex(0, (), (), np.zeros(0)), "at least one vertex"),
