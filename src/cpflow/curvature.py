@@ -2,13 +2,13 @@
 
 Everything downstream of the per-edge kernel lives here: the total
 geodesic curvature vector L(K), the cone angles at the vertices,
-the symmetric Jacobian dL/dK, the closed-form convex potential whose
-gradient is L - Lhat, and the a-priori bound on the flow velocity.  The
-Calabi energy 0.5 ||L - Lhat||^2 has one formula, in ``flow.run``, which
-records it on every ``FlowSample``.  Vertex quantities are assembled
-over the edge list in O(E).  ``evaluate``, ``flow.run`` and ``potential``
-check K with the one ``_coordinates``; the public ``evaluate`` then runs
-the check-free ``_evaluate``, which the flows and ``potential`` call.
+the symmetric Jacobian dL/dK and the closed-form convex potential whose
+gradient is L - Lhat.  The Calabi energy 0.5 ||L - Lhat||^2 has one
+formula, in ``flow.run``, which records it on every ``FlowSample``.
+Vertex quantities are assembled over the edge list in O(E).
+``evaluate``, ``flow.run`` and ``potential`` check K with the one
+``_coordinates``; the public ``evaluate`` then runs the check-free
+``_evaluate``, which the flows and ``potential`` call.
 Each quantity has one body, shared by states and by the flow's
 integrator stages, which need only a direction and build no state:
 ``_sides`` (the center angles theta and L), ``_edge_form`` (J's edge form,
@@ -260,11 +260,11 @@ def evaluate(complex: SurfaceComplex, K) -> CurvatureState:
 
 def _coordinates(complex: SurfaceComplex, K, name: str = "K",
                  limit: float = math.inf) -> np.ndarray:
-    """K as a new float vector; InputError unless it has length V, is
-    finite and keeps every |K_v| <= ``limit``."""
+    """K as a new float vector; InputError unless it is a vector of length
+    V, is finite and keeps every |K_v| <= ``limit``."""
     K = np.array(K, dtype=float)
     if K.shape != (complex.n_vertices,):
-        raise InputError(f"{name} must have length {complex.n_vertices}")
+        raise InputError(f"{name} must be a vector of length {complex.n_vertices}")
     if not np.isfinite(K).all():
         raise InputError(f"{name} must be finite")
     if (np.abs(K) > limit).any():
@@ -317,29 +317,6 @@ def _apply(complex: SurfaceComplex, diag: np.ndarray, d_cross: np.ndarray,
     return diag * x + np.bincount(
         complex.flat_ends, (d_cross * x.take(complex.opposite_endpoints)).ravel(),
         complex.n_vertices)
-
-
-def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float:
-    """Closed-form ceiling on ||dK/dt|| along the Calabi flow.
-
-    Depends only on the graph structure, the intersection angles, and the
-    prescription:
-
-        4 sqrt(|V|) max_v(d_v pi + sum_{e at v} 1/sin phi_e)
-                    max_v(2 d_v pi + Lhat_v)
-
-    An angle so small that 1 / sin phi overflows makes it inf: valid, if
-    vacuous.
-    """
-    check_instance(complex, prescription)
-    with np.errstate(over="ignore"):
-        inv_sin = 1.0 / complex.sin_phi
-    s = np.bincount(complex.flat_ends, np.concatenate((inv_sin, inv_sin)),
-                    complex.n_vertices)
-    d = complex.degrees
-    return float(4.0 * np.sqrt(complex.n_vertices)
-                 * np.max(d * np.pi + s)
-                 * np.max(2.0 * d * np.pi + prescription.lhat))
 
 
 # ----------------------------------------------------------------------

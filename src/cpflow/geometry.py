@@ -1,23 +1,22 @@
 """Spherical-trigonometry kernel for a single edge quadrilateral.
 
 Every edge of the embedded graph carries a spherical quadrilateral spanned
-by the two circle centers v, w and the two adjacent face centers.
-``edge_side_geometry`` computes the center angles of that quadrilateral,
-the total geodesic curvature contributed by each circular arc, and the
-analytic partial derivatives with respect to the log-cotangent
-coordinates K = ln cot r, all in one ``EdgeSideGeometry``.  It composes
-two check-free halves: ``_edge_kernel`` (angles and arc curvatures) and
-``_edge_derivatives`` (the partials).
+by the two circle centers v, w and the two adjacent face centers.  The
+kernel has two check-free halves, which ``curvature`` runs over the whole
+edge list: ``_edge_kernel`` gives the center angles of that quadrilateral
+and the total geodesic curvature contributed by each circular arc, and
+``_edge_derivatives`` their analytic partial derivatives with respect to
+the log-cotangent coordinates K = ln cot r.  ``r_to_k`` is the coordinate
+change, which the instance parser applies to given radii, and ``_k_to_r``
+its check-free inverse.
 
-All functions accept scalars or numpy arrays (broadcasting elementwise)
-and work in radians.  Radii live in (0, pi/2), intersection angles in
-(0, pi/2].
+The kernel works elementwise on numpy arrays, in radians.  Radii live in
+(0, pi/2), intersection angles in (0, pi/2].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,51 +33,11 @@ def _check_radius(r, name: str) -> np.ndarray:
     return r
 
 
-def _check_phi(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    if not bool(np.all((phi > 0.0) & (phi <= HALF_PI))):
-        raise InputError("intersection angle must lie in (0, pi/2]")
-    return phi
-
-
 def r_to_k(r):
     """Log-cotangent coordinate K = ln cot r, strictly decreasing on (0, pi/2)."""
     r = _check_radius(r, "r")
     out = np.log(np.cos(r)) - np.log(np.sin(r))
     return float(out) if out.ndim == 0 else out
-
-
-def k_to_r(k):
-    """Inverse coordinate change r = arccot(exp K).
-
-    Evaluated as arctan(exp(-|K|)) on the matching side so that no
-    intermediate exp overflows; accurate for |K| up to ~700.
-    """
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)):
-        raise InputError("K must be finite")
-    out = _k_to_r(k)
-    return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class EdgeSideGeometry:
-    """Angles, arc curvatures, and K-derivatives for one edge quadrilateral.
-
-    Per-side quantities are stacked along a leading axis of length 2: row 0
-    is the side of the first endpoint v, row 1 the side of w, so
-    ``theta[0]`` is theta_v and ``L_side[1]`` is L_w_side.
-    ``d_cross`` is the mixed partial dL_v/dK_w (equal to dL_w/dK_v and
-    always negative); ``d_pair[0]`` is d(L_v + L_w)/dK_v (always positive),
-    likewise ``d_pair[1]``.  The own-coordinate derivatives, not stored,
-    are ``d_pair - d_cross``; ``d_pair > 0`` makes the per-edge 2x2
-    derivative block strictly diagonally dominant.
-    """
-
-    theta: np.ndarray
-    L_side: np.ndarray
-    d_cross: float | np.ndarray
-    d_pair: np.ndarray
 
 
 # Below _TMS_SERIES_BELOW, theta - sin(theta) is summed from its Taylor
@@ -106,7 +65,9 @@ def _theta_minus_sin(theta: np.ndarray) -> np.ndarray:
 
 
 def _k_to_r(k: np.ndarray) -> np.ndarray:
-    """Check-free ``k_to_r`` for a finite float array."""
+    """The inverse coordinate change r = arccot(exp K) of a finite float
+    array, evaluated as arctan(exp(-|K|)) on the matching side so that no
+    intermediate exp overflows; accurate for |K| up to ~700."""
     small = np.arctan(np.exp(-np.abs(k)))
     return np.where(k >= 0.0, small, HALF_PI - small)
 
@@ -136,39 +97,20 @@ def _cross_scale(sin_phi):
 
 
 def _edge_derivatives(cross_scale, sin_r, cos_r, half, theta):
-    """Check-free derivative half of the kernel: ``d_cross`` and
-    ``d_pair`` of ``EdgeSideGeometry`` from the inputs and outputs of
-    ``_edge_kernel``; ``cross_scale`` (``_cross_scale``) broadcasts
-    against one row.
+    """Check-free derivative half of the kernel, from the inputs and
+    outputs of ``_edge_kernel``; ``cross_scale`` (``_cross_scale``)
+    broadcasts against one row.  Returns the mixed partial dL_v/dK_w =
+    dL_w/dK_v and, stacked like ``sin_r``, d(L_v + L_w)/dK_v over its
+    mirror d(L_v + L_w)/dK_w:
+
+        d_cross = -2 cos r_v cos r_w sin(theta_v/2) sin(theta_w/2) / sin phi
+        d_pair  = sin^2 r cos r (theta - sin theta)
+
+    with theta - sin theta summed from its Taylor series at small theta.
+    d_cross < 0 (0 once its sines underflow) and d_pair > 0, so the
+    per-edge 2x2 derivative block, own derivatives d_pair - d_cross on its
+    diagonal, is strictly diagonally dominant.
     """
     cos_sin_half = cos_r * np.sin(half)
     d_cross = cross_scale * cos_sin_half[0] * cos_sin_half[1]
     return d_cross, sin_r * sin_r * cos_r * _theta_minus_sin(theta)
-
-
-def edge_side_geometry(r_v, r_w, phi) -> EdgeSideGeometry:
-    """Evaluate both side angles and all analytic partials for one edge.
-
-    The center angle theta_v = 2 atan2(sin phi, cot r_w sin r_v + cos r_v
-    cos phi) is the cotangent four-part relation of the quadrilateral, and
-    L_v_side = theta_v cos r_v; the w side mirrors both.  The derivatives:
-
-        dL_v/dK_w          = -2 cos r_v cos r_w sin(theta_v/2) sin(theta_w/2) / sin phi
-        d(L_v + L_w)/dK_v  = sin^2 r_v cos r_v (theta_v - sin theta_v)
-
-    with theta - sin theta summed from its Taylor series at small theta.
-    The trigonometry of the radii is taken from ``r_v`` and ``r_w`` here;
-    ``curvature`` runs the same two halves from K directly, the
-    derivative half only when J is read.
-    """
-    r_v = _check_radius(r_v, "r_v")
-    r_w = _check_radius(r_w, "r_w")
-    phi = _check_phi(phi)
-    r_v, r_w, phi = np.broadcast_arrays(r_v, r_w, phi)
-    r = np.array((r_v, r_w))
-    sin_r, cos_r = np.sin(r), np.cos(r)
-    sin_phi = np.sin(phi)
-    half, theta, L_side = _edge_kernel(sin_phi, np.cos(phi),
-                                       (cos_r / sin_r)[::-1], sin_r, cos_r)
-    return EdgeSideGeometry(theta, L_side, *_edge_derivatives(
-        _cross_scale(sin_phi), sin_r, cos_r, half, theta))

@@ -129,11 +129,6 @@ class SurfaceComplex:
         return _frozen(self.endpoint_arrays[::-1].copy())
 
     @cached_property
-    def degrees(self) -> np.ndarray:
-        """Edge-ends per vertex (parallel edges counted separately)."""
-        return _frozen(np.bincount(self.flat_ends, minlength=self.n_vertices))
-
-    @cached_property
     def sin_phi(self) -> np.ndarray:
         return _frozen(np.sin(self.phi))
 
@@ -171,7 +166,8 @@ class SurfaceComplex:
                 and self.face_names == other.face_names)
 
     def __hash__(self):
-        return hash((self.n_vertices, self.edges, self.faces, self.phi.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ holds equal.
+        return hash((self.n_vertices, self.edges, self.faces, (self.phi + 0.0).tobytes()))
 
 
 @dataclass(frozen=True, eq=False)

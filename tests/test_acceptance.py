@@ -12,15 +12,16 @@ import numpy as np
 import pytest
 
 from cpflow import (FlowConfig, Prescription, check_mincut, evaluate,
-                    fit_decay_rate, fixtures, k_to_r, parse_instance,
-                    potential, r_to_k, run, serialize_instance, velocity_bound)
+                    fit_decay_rate, fixtures, parse_instance,
+                    potential, r_to_k, run, serialize_instance)
 from cpflow.cli import main
 from cpflow.feasibility import check_bruteforce
-from cpflow.geometry import edge_side_geometry
 from cpflow.oracle import rng_for
 from conftest import (ACCEPTANCE_CONFIG, random_instance, random_prescription,
                       single_vertex_violator)
+from edge_geometry import edge_side_geometry, k_to_r
 from fd_oracle import fd_jacobian
+from velocity_bound import velocity_bound
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:

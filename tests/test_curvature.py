@@ -9,9 +9,8 @@ import pytest
 
 import cpflow.curvature
 
-from cpflow import (FlowConfig, InputError, Prescription, edge_side_geometry,
-                    evaluate, fixtures, k_to_r, make_synthetic, potential, run,
-                    velocity_bound)
+from cpflow import (FlowConfig, InputError, Prescription, evaluate, fixtures,
+                    make_synthetic, potential, run)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
                                extreme_eigenvalue, gershgorin_bound,
                                uniform_gershgorin_bound)
@@ -19,8 +18,10 @@ from cpflow.geometry import _edge_derivatives
 from cpflow.instancefile import fmt, write_solution
 from cpflow.oracle import rng_for
 from conftest import random_instance
+from edge_geometry import edge_side_geometry, k_to_r
 from fd_oracle import fd_jacobian
 from potential_quadrature import QuadratureError, potential_quadrature
+from velocity_bound import degrees, velocity_bound
 
 # Tetrahedron with phi = pi/2 at K = 0, frozen from direct evaluation of
 # the edge kernel (theta = arccos(-1/3)) and confirmed by finite
@@ -105,7 +106,8 @@ COORDINATE_CALLERS = {
                        lambda c, p, K: potential(c, p, np.zeros(4), K)),
 }
 COORDINATE_DEFECTS = {
-    "length": (np.zeros(3), "{} must have length 4"),
+    "length": (np.zeros(3), "{} must be a vector of length 4"),
+    "shape": (np.zeros((4, 1)), "{} must be a vector of length 4"),
     "nan": (np.array([0.0, np.nan, 0.0, 0.0]), "{} must be finite"),
     "clamp": (np.array([0.0, 0.0, -1.5 * K_CLAMP, 0.0]),
               "{} lies past the radius clamp"),
@@ -201,7 +203,7 @@ class TestJacobianStructure:
         assert np.max(np.abs(J - fd)) / np.max(np.abs(J)) <= 1e-6
         # curvature bounds
         assert np.all(st.L > 0.0)
-        assert np.all(st.L <= 2.0 * c.degrees * np.pi)
+        assert np.all(st.L <= 2.0 * degrees(c) * np.pi)
 
 
 def dense_incidence_assembly(complex, K):
@@ -325,7 +327,7 @@ class TestEdgeFormAssembly:
             # Doubles hold that surplus only to the rounding of the diagonal
             # (one rounding per summed term); where it exceeds that
             # rounding, the stored rows must show it.
-            slack = (2 * c.degrees + 1) * np.spacing(diag)
+            slack = (2 * degrees(c) + 1) * np.spacing(diag)
             assert np.all(np.abs(dominance - surplus) <= slack)
             assert np.all(dominance[surplus > slack] > 0.0)
 
@@ -576,7 +578,7 @@ class TestPotential:
         (np.zeros(3), None), (np.zeros(4), np.zeros(3)),
         (np.zeros((4, 1)), None)], ids=["K", "base", "K-2d"])
     def test_shape_mismatch_rejected(self, tetra, K, base):
-        with pytest.raises(InputError, match="must have length 4"):
+        with pytest.raises(InputError, match="must be a vector of length 4"):
             potential(tetra, Prescription(np.ones(4)), K, base)
 
     def test_quadrature_budget_error(self, tetra):

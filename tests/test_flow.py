@@ -12,8 +12,7 @@ import cpflow.geometry
 from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     InputError, Prescription,
                     calabi_direction, evaluate, fit_decay_rate,
-                    fixtures, make_synthetic, potential, r_to_k, run,
-                    velocity_bound)
+                    fixtures, make_synthetic, potential, r_to_k, run)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, _evaluate,
                                extreme_eigenvalue, gershgorin_bound)
 from cpflow.errors import NonConvergenceError
@@ -23,6 +22,7 @@ from cpflow.geometry import _TMS_SERIES_BELOW
 from cpflow.oracle import rng_for
 from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
 from radius_flow import curvature_rhs
+from velocity_bound import velocity_bound
 
 
 @pytest.fixture

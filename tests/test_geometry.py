@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cpflow import (InputError, edge_side_geometry, evaluate, fixtures,
-                    k_to_r, r_to_k)
+from cpflow import InputError, evaluate, fixtures, r_to_k
 from cpflow.oracle import rng_for
+from edge_geometry import edge_side_geometry, k_to_r
 
 # Reference values for r_v = r_w = pi/4, phi = pi/2, frozen from direct
 # high-precision evaluation (theta = 2 atan sqrt(2) = arccos(-1/3)) and

@@ -1,16 +1,28 @@
 """The public API: ``cpflow.__all__`` names the solver, not its test oracles."""
 
 import cpflow
+import cpflow.curvature
+import cpflow.geometry
 
 # Test oracles, importable from their modules but not part of the API.
 ORACLES = ("check_bruteforce", "SizeError", "curvature_rhs")
+# Test oracles that live under tests/, not in the package at all.
+TEST_ORACLES = ("edge_side_geometry", "EdgeSideGeometry", "k_to_r",
+                "velocity_bound")
 
 
 def test_every_public_name_resolves_once():
-    assert len(set(cpflow.__all__)) == len(cpflow.__all__)
+    assert len(set(cpflow.__all__)) == len(cpflow.__all__) == 27
     for name in cpflow.__all__:
         getattr(cpflow, name)   # raises AttributeError for a stale name
 
 
 def test_oracles_are_not_public():
-    assert not set(ORACLES) & set(cpflow.__all__)
+    assert not set(ORACLES + TEST_ORACLES) & set(cpflow.__all__)
+
+
+def test_test_oracles_left_the_package():
+    for module in (cpflow, cpflow.geometry, cpflow.curvature):
+        for name in TEST_ORACLES + ("_check_phi",):
+            assert not hasattr(module, name), (module.__name__, name)
+    assert not hasattr(cpflow.SurfaceComplex, "degrees")
