@@ -124,8 +124,8 @@ class CurvatureState:
     @cached_property
     def alpha_v(self) -> np.ndarray:
         """Cone angle at each vertex: sum of incident center angles."""
-        c = self.complex
-        return np.bincount(c.flat_ends, self.theta_sides.ravel(), c.n_vertices)
+        ends = self.complex.endpoint_arrays.ravel()
+        return np.bincount(ends, self.theta_sides.ravel(), self.complex.n_vertices)
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -211,7 +211,8 @@ def gershgorin_bound(state: CurvatureState) -> float:
     """
     c, diag, d_cross = state.complex, state.diag, state.d_cross
     return float((2.0 * diag - (diag + np.bincount(
-        c.flat_ends, np.concatenate((d_cross, d_cross)), c.n_vertices))).max())
+        c.endpoint_arrays.ravel(), np.concatenate((d_cross, d_cross)),
+        c.n_vertices))).max())
 
 
 # The largest value of sin^2 r cos r on (0, pi/2), at tan^2 r = 2, times pi.
@@ -233,7 +234,7 @@ def uniform_gershgorin_bound(complex: SurfaceComplex) -> float:
     """
     with np.errstate(over="ignore"):
         per_end = _D_PAIR_MAX + 4.0 / complex.sin_phi
-    return float(np.bincount(complex.flat_ends,
+    return float(np.bincount(complex.endpoint_arrays.ravel(),
                              np.concatenate((per_end, per_end)),
                              complex.n_vertices).max())
 
@@ -295,7 +296,7 @@ def _sides(complex: SurfaceComplex, K: np.ndarray):
     half, theta, L_side = geometry._edge_kernel(
         complex.sin_phi, complex.cos_phi,
         cot_r.take(complex.opposite_endpoints), sin_sides, cos_sides)
-    return (theta, np.bincount(complex.flat_ends, L_side.ravel(),
+    return (theta, np.bincount(ends.ravel(), L_side.ravel(),
                                complex.n_vertices),
             sin_sides, cos_sides, half)
 
@@ -306,16 +307,16 @@ def _edge_form(complex: SurfaceComplex, sin_r: np.ndarray, cos_r: np.ndarray,
     and angles of ``_sides``."""
     d_cross, d_pair = geometry._edge_derivatives(
         complex.cross_scale, sin_r, cos_r, half, theta)
-    # Row s of a stacked per-side quantity belongs at the vertices ends[s].
-    return np.bincount(complex.flat_ends, (d_pair - d_cross).ravel(),
-                       complex.n_vertices), d_cross
+    return np.bincount(complex.endpoint_arrays.ravel(),
+                       (d_pair - d_cross).ravel(), complex.n_vertices), d_cross
 
 
 def _apply(complex: SurfaceComplex, diag: np.ndarray, d_cross: np.ndarray,
            x: np.ndarray) -> np.ndarray:
     """J @ x from J's edge form, without forming J."""
     return diag * x + np.bincount(
-        complex.flat_ends, (d_cross * x.take(complex.opposite_endpoints)).ravel(),
+        complex.endpoint_arrays.ravel(),
+        (d_cross * x.take(complex.opposite_endpoints)).ravel(),
         complex.n_vertices)
 
 

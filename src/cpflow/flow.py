@@ -17,10 +17,12 @@ violating-subset certificate.  One loop integrates both flows, stepping
 with adaptive RKF45, or with damped Runge-Kutta-Chebyshev stages for the
 Calabi flow at a loose ``tol_ode`` (at least RKC_MIN_TOL), where its
 stiffness, lambda_max^2 of J, and not the tolerance, bounds an RKF45 step;
-``integrator`` is that rule.  A damped inexact Newton iteration on the
-same fixed-point equation is provided for fast polishing; it solves each
-linear system by Jacobi-preconditioned conjugate gradients on the
-matrix-free J and never builds the dense V x V Jacobian.  Every method is
+``integrator`` is that rule.  The step limits and coefficients of every
+RKC stage count come from one Chebyshev table, built at import
+(``_rkc_table``).  A damped inexact Newton iteration on the same
+fixed-point equation is provided for fast polishing; it solves each linear
+system by Jacobi-preconditioned conjugate gradients on the matrix-free J
+and never builds the dense V x V Jacobian.  Every method is
 a generator of states; ``run`` alone checks the inputs, once, applies the
 stop rule and sets every verdict.  The generators evaluate every state with
 the check-free ``curvature._evaluate``.  An integrator stage needs only the
@@ -417,66 +419,55 @@ def _rkf45_step(sample, stage, K, f0, t, h, tol):
         _check_step(h, t, "local error", err)
 
 
-def _chebyshev(s, n: int):
-    """w0 = 1 + eps / s^2, the damped Chebyshev argument of s stages (a
-    number or an array), and T_j, T_j', T_j'' at w0 for j = 0..n, row j
-    holding degree j."""
-    w0 = 1.0 + _RKC_DAMPING / (s * s)
-    T, dT, ddT = (np.zeros((n + 1,) + np.shape(w0)) for _ in range(3))
-    T[0], T[1], dT[1] = 1.0, w0, 1.0
-    for j in range(2, n + 1):
-        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
-        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
-        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
-    return w0, T, dT, ddT
+def _rkc_table():
+    """The step limits (a list, index s - 2) and coefficients (a dict, key
+    s) of damped RKC for s = 2.._RKC_MAX_STAGES stages, from one table of
+    T_j, T_j', T_j'' at w0 = 1 + eps / s^2 for j = 0.._RKC_MAX_STAGES.
 
-
-@functools.cache
-def _rkc_coefficients(s: int):
-    """(mu, nu, mu_t, gamma_t) of the damped s-stage RKC method
-    (Sommeijer, Shampine & Verwer 1998), indexed by stage.
-
-    With T_j, T_j', T_j'' the Chebyshev values at w0: w1 = T_s' / T_s'',
-    b_j = T_j'' / T_j'^2 for j >= 2 (b0 = b1 = b2), and for j >= 2
-    mu_j = 2 b_j w0 / b_{j-1}, nu_j = -b_j / b_{j-2},
+    The limit of s stages is the largest h * stiffness a step may take:
+    _RKC_SAFETY times the real stability extent beta(s) = (w0 + 1) T_s'' /
+    T_s' of the damped method, whose stability polynomial is at most 1 in
+    modulus on [-beta(s), 0].  The coefficients of s stages are (mu, nu,
+    mu_t, gamma_t), indexed by stage (Sommeijer, Shampine & Verwer 1998):
+    with w1 = T_s' / T_s'', b_j = T_j'' / T_j'^2 for j >= 2 (b0 = b1 = b2),
+    and for j >= 2 mu_j = 2 b_j w0 / b_{j-1}, nu_j = -b_j / b_{j-2},
     mu_t_j = 2 b_j w1 / b_{j-1} and gamma_t_j = -(1 - b_{j-1} T_{j-1}) mu_t_j;
     mu_t_1 = b_1 w1.
     """
-    w0, T, dT, ddT = _chebyshev(s, s)
-    w1 = dT[s] / ddT[s]
-    b = np.empty(s + 1)
+    stages = np.arange(2, _RKC_MAX_STAGES + 1)
+    w0 = 1.0 + _RKC_DAMPING / (stages * stages)
+    # Row j holds degree j and column s - 2 the s-stage method, so T_s' and
+    # T_s'' of s stages sit on the diagonal below the main one.
+    T, dT, ddT = (np.zeros((_RKC_MAX_STAGES + 1, len(stages))) for _ in range(3))
+    T[0], T[1], dT[1] = 1.0, w0, 1.0
+    for j in range(2, _RKC_MAX_STAGES + 1):
+        T[j] = 2.0 * w0 * T[j - 1] - T[j - 2]
+        dT[j] = 2.0 * T[j - 1] + 2.0 * w0 * dT[j - 1] - dT[j - 2]
+        ddT[j] = 4.0 * dT[j - 1] + 2.0 * w0 * ddT[j - 1] - ddT[j - 2]
+    dT_s, ddT_s = dT.diagonal(-2), ddT.diagonal(-2)
+    beta = (w0 + 1.0) * ddT_s / dT_s
+    w1 = dT_s / ddT_s
+    b = np.empty_like(T)
     b[2:] = ddT[2:] / dT[2:] ** 2
     b[:2] = b[2]
-    mu, nu, mu_t, gamma_t = (np.zeros(s + 1) for _ in range(4))
+    mu, nu, mu_t, gamma_t = by_stage = np.zeros((4,) + T.shape)
     mu_t[1] = b[1] * w1
-    for j in range(2, s + 1):
-        mu[j] = 2.0 * b[j] * w0 / b[j - 1]
-        nu[j] = -b[j] / b[j - 2]
-        mu_t[j] = 2.0 * b[j] * w1 / b[j - 1]
-        gamma_t[j] = -(1.0 - b[j - 1] * T[j - 1]) * mu_t[j]
-    return (tuple(mu.tolist()), tuple(nu.tolist()), tuple(mu_t.tolist()),
-            tuple(gamma_t.tolist()))
+    mu[2:] = 2.0 * b[2:] * w0 / b[1:-1]
+    nu[2:] = -b[2:] / b[:-2]
+    mu_t[2:] = 2.0 * b[2:] * w1 / b[1:-1]
+    gamma_t[2:] = -(1.0 - b[1:-1] * T[1:-1]) * mu_t[2:]
+    return (_RKC_SAFETY * beta).tolist(), {
+        s: tuple(map(tuple, by_stage[:, :s + 1, s - 2].tolist()))
+        for s in stages.tolist()}
 
 
-def _rkc_limits() -> list[float]:
-    """The largest h * stiffness a step of s stages may take, for
-    s = 2.._RKC_MAX_STAGES: _RKC_SAFETY times the real stability extent
-    beta(s) = (w0 + 1) T_s'' / T_s' of the damped s-stage method, whose
-    stability polynomial is at most 1 in modulus on [-beta(s), 0]."""
-    w0, _, dT, ddT = _chebyshev(np.arange(2, _RKC_MAX_STAGES + 1),
-                                _RKC_MAX_STAGES)
-    # T_s' and T_s'' of s stages sit in row s, column s - 2.
-    beta = (w0 + 1.0) * ddT.diagonal(-2) / dT.diagonal(-2)
-    return (_RKC_SAFETY * beta).tolist()
-
-
-_RKC_LIMITS = _rkc_limits()
+_RKC_LIMITS, _RKC_COEFFICIENTS = _rkc_table()
 
 
 def _rkc_stages(f, K, f0, h, s):
     """The solution Y_s of one damped RKC step of s stages from K, where
     f0 = f(K); calls f at the s - 1 inner stages."""
-    mu, nu, mu_t, gamma_t = _rkc_coefficients(s)
+    mu, nu, mu_t, gamma_t = _RKC_COEFFICIENTS[s]
     prev, Y = K, K + (mu_t[1] * h) * f0
     for j in range(2, s + 1):
         prev, Y = Y, ((1.0 - mu[j] - nu[j]) * K + mu[j] * Y + nu[j] * prev

@@ -133,9 +133,16 @@ def parse_instance(text: str) -> Instance:
             if tokens[0] in target:
                 raise ParseError(f"duplicate entry for {tokens[0]!r}", lineno)
             try:
-                target[tokens[0]] = float(tokens[1])
+                value = float(tokens[1])
             except ValueError:
                 raise ParseError(f"bad number {tokens[1]!r}", lineno) from None
+            if section == "initial_r":
+                try:
+                    value = geometry.r_to_k(value)
+                except InputError as exc:
+                    raise ParseError(f"initial radii out of range: {exc}",
+                                     lineno) from None
+            target[tokens[0]] = value
 
     if not vertices:
         raise ParseError("[vertices] is missing or names no vertex")
@@ -155,14 +162,7 @@ def parse_instance(text: str) -> Instance:
 
     initial_k = None
     if initial:
-        vals = _vertex_values(initial, vertices, "initial values", "name")
-        if initial_kind == "initial_r":
-            try:
-                initial_k = np.asarray(geometry.r_to_k(vals), dtype=float)
-            except Exception as exc:
-                raise ParseError(f"initial radii out of range: {exc}") from exc
-        else:
-            initial_k = vals
+        initial_k = _vertex_values(initial, vertices, "initial values", "name")
 
     return Instance(complex=complex, prescription=presc, initial_k=initial_k)
 

@@ -111,16 +111,12 @@ class SurfaceComplex:
     def endpoint_arrays(self) -> np.ndarray:
         """Edge endpoints as a (2, E) int array: row 0 holds the first
         endpoints ev[e], row 1 the second endpoints ew[e], so
-        ``ev, ew = complex.endpoint_arrays`` unpacks them."""
+        ``ev, ew = complex.endpoint_arrays`` unpacks them.  The array is
+        C-contiguous, so ``endpoint_arrays.ravel()`` is a view: the vertex
+        of every edge end, first endpoints first, the order in which
+        stacked per-side quantities are summed onto the vertices."""
         return _frozen(np.array([[v for v, _ in self.edges],
                                  [w for _, w in self.edges]], dtype=np.intp))
-
-    @cached_property
-    def flat_ends(self) -> np.ndarray:
-        """``endpoint_arrays`` flattened: the vertex of every edge end,
-        first endpoints first, which is the index order in which stacked
-        per-side edge quantities are summed onto the vertices."""
-        return self.endpoint_arrays.ravel()
 
     @cached_property
     def opposite_endpoints(self) -> np.ndarray:
@@ -211,7 +207,9 @@ def validate(complex: SurfaceComplex) -> list[str]:
     at least one edge, loopless, connected, every edge covered exactly
     twice by face walks, every face walk closed, the faces around every
     vertex forming one cycle, all intersection angles in (0, pi/2], and
-    Euler characteristic <= 2.
+    Euler characteristic <= 2.  Orientable or not, every such closed
+    surface is accepted: no check, kernel, subset condition or flow uses a
+    global orientation (``_entries`` orients each walk on its own).
     """
     problems: list[str] = []
     if not complex.edges:

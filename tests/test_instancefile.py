@@ -154,12 +154,14 @@ class TestParse:
         ("b 4.05306515313624", "a 4.05306515313624", "duplicate entry for 'a'"),
         ("a 4.05306515313624", "a x", "bad number 'x'"),
         ("a b c d", "a [b c d", r"bad vertex name '\[b'"),
+        ("b 0.5", "b 2", "initial radii out of range"),
     ], ids=["header", "empty-face", "per-vertex-line", "repeated-entry",
-            "number", "vertex-name"])
+            "number", "vertex-name", "initial-radius"])
     def test_line_rejections(self, old, new, message):
-        line = TETRA_DOC.splitlines().index(old) + 1
+        doc = TETRA_DOC + "[initial_r]\na 0.5\nb 0.5\nc 0.5\nd 0.5\n"
+        line = doc.splitlines().index(old) + 1
         with pytest.raises(ParseError, match=message) as exc_info:
-            parse_instance(TETRA_DOC.replace(old, new))
+            parse_instance(doc.replace(old, new))
         assert exc_info.value.line == line
 
     @pytest.mark.parametrize("doc, message", [

@@ -12,7 +12,8 @@ from cpflow.surface import check_instance
 
 def degrees(complex: SurfaceComplex) -> np.ndarray:
     """Edge-ends per vertex (parallel edges counted separately)."""
-    return np.bincount(complex.flat_ends, minlength=complex.n_vertices)
+    return np.bincount(complex.endpoint_arrays.ravel(),
+                       minlength=complex.n_vertices)
 
 
 def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float:
@@ -30,8 +31,8 @@ def velocity_bound(complex: SurfaceComplex, prescription: Prescription) -> float
     check_instance(complex, prescription)
     with np.errstate(over="ignore"):
         inv_sin = 1.0 / complex.sin_phi
-    s = np.bincount(complex.flat_ends, np.concatenate((inv_sin, inv_sin)),
-                    complex.n_vertices)
+    s = np.bincount(complex.endpoint_arrays.ravel(),
+                    np.concatenate((inv_sin, inv_sin)), complex.n_vertices)
     d = degrees(complex)
     return float(4.0 * np.sqrt(complex.n_vertices)
                  * np.max(d * np.pi + s)
