@@ -15,17 +15,15 @@ from .geometry import r_to_k
 from .instancefile import (Instance, instance_digest, parse_instance,
                            serialize_instance)
 from .oracle import SyntheticInstance, make_synthetic, rng_for
-from .surface import (Prescription, SurfaceComplex, build_complex,
-                      edge_neighborhood, validate)
+from .surface import Prescription, SurfaceComplex, edge_neighborhood, validate
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CurvatureState", "FeasibilityVerdict", "FlowConfig", "FlowSample",
     "FlowTrace", "InputError", "Instance", "ParseError", "Prescription",
-    "RateFit", "SurfaceComplex", "SyntheticInstance", "build_complex",
-    "calabi_direction", "check_mincut", "edge_neighborhood", "evaluate",
-    "fit_decay_rate", "make_synthetic", "potential", "r_to_k", "rng_for",
-    "run", "validate", "instance_digest", "parse_instance",
-    "serialize_instance",
+    "RateFit", "SurfaceComplex", "SyntheticInstance", "calabi_direction",
+    "check_mincut", "edge_neighborhood", "evaluate", "fit_decay_rate",
+    "make_synthetic", "potential", "r_to_k", "rng_for", "run", "validate",
+    "instance_digest", "parse_instance", "serialize_instance",
 ]

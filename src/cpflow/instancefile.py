@@ -38,7 +38,7 @@ from . import geometry
 from .curvature import evaluate
 from .errors import InputError, ParseError
 from .flow import FIRST_STEP, FlowConfig, FlowTrace, integrator
-from .surface import Prescription, SurfaceComplex, build_complex, check_names
+from .surface import Prescription, SurfaceComplex, check_names
 
 SECTIONS = ("vertices", "edges", "faces", "prescription", "initial_k", "initial_r")
 
@@ -71,14 +71,19 @@ class Instance:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse an instance document; raises ParseError with a line number."""
+    """Parse an instance document; raises ParseError with the line of the
+    offending entry, except for a missing ``[vertices]``, a vertex missing
+    from a per-vertex section and ``Prescription``'s whole-vector check."""
     section: str | None = None
-    # Each section's entries by name, in document order.
-    vertices: dict[str, None] = {}
-    edges: dict[str, tuple[str, str, float]] = {}
-    faces: dict[str, list[str]] = {}
-    prescription: dict[str, float] = {}
-    initial: dict[str, float] = {}
+    # Names map to indices as they are declared; references keep their line
+    # and are resolved after the loop, as sections come in any order.
+    vertices: dict[str, int] = {}
+    edges: dict[str, int] = {}
+    ends: list[tuple[str, str, int]] = []
+    phi: list[float] = []
+    faces: dict[str, tuple[list[str], int]] = {}
+    prescription: dict[str, tuple[float, int]] = {}
+    initial: dict[str, tuple[float, int]] = {}
     initial_kind: str | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,7 +114,7 @@ def parse_instance(text: str) -> Instance:
             for name in tokens:
                 if name in vertices:
                     raise ParseError(f"duplicate vertex name {name!r}", lineno)
-                vertices[name] = None
+                vertices[name] = len(vertices)
         elif section == "edges":
             if len(tokens) != 4:
                 raise ParseError("edge lines need: name endpoint endpoint angle", lineno)
@@ -117,15 +122,17 @@ def parse_instance(text: str) -> Instance:
             if name in edges:
                 raise ParseError(f"duplicate edge name {name!r}", lineno)
             try:
-                edges[name] = (a, b, parse_angle(angle))
+                phi.append(parse_angle(angle))
             except ValueError:
                 raise ParseError(f"bad angle {angle!r}", lineno) from None
+            edges[name] = len(edges)
+            ends.append((a, b, lineno))
         elif section == "faces":
             if len(tokens) < 2:
                 raise ParseError("face lines need: name followed by edge names", lineno)
             if tokens[0] in faces:
                 raise ParseError(f"duplicate face name {tokens[0]!r}", lineno)
-            faces[tokens[0]] = tokens[1:]
+            faces[tokens[0]] = (tokens[1:], lineno)
         else:
             if len(tokens) != 2:
                 raise ParseError(f"{section} lines need: vertex value", lineno)
@@ -142,14 +149,27 @@ def parse_instance(text: str) -> Instance:
                 except InputError as exc:
                     raise ParseError(f"initial radii out of range: {exc}",
                                      lineno) from None
-            target[tokens[0]] = value
+            target[tokens[0]] = (value, lineno)
 
     if not vertices:
         raise ParseError("[vertices] is missing or names no vertex")
+    pairs = []
+    for a, b, lineno in ends:
+        try:
+            pairs.append((vertices[a], vertices[b]))
+        except KeyError as exc:
+            raise ParseError(f"edge endpoint {exc.args[0]!r} is not a vertex", lineno) from None
+    walks = []
+    for walk, lineno in faces.values():
+        try:
+            walks.append([edges[e] for e in walk])
+        except KeyError as exc:
+            raise ParseError(f"face walk references unknown edge {exc.args[0]!r}",
+                             lineno) from None
     try:
-        complex = build_complex(vertices, edges.values(), faces.values(),
-                                edge_names=edges, face_names=faces)
-    except Exception as exc:
+        complex = SurfaceComplex(len(vertices), pairs, walks, phi, tuple(vertices),
+                                 tuple(edges), tuple(faces))
+    except InputError as exc:
         raise ParseError(str(exc)) from exc
 
     presc = None
@@ -167,18 +187,21 @@ def parse_instance(text: str) -> Instance:
     return Instance(complex=complex, prescription=presc, initial_k=initial_k)
 
 
-def _vertex_values(values: dict[str, float], vertices: dict[str, None],
-                   subject: str, verb: str) -> np.ndarray:
+def _vertex_values(entries: dict[str, tuple[float, int]],
+                   vertices: dict[str, int], subject: str, verb: str) -> np.ndarray:
     """The values of a per-vertex section in vertex order; raises
-    ParseError, worded with ``subject`` and ``verb``, when the section
-    names a vertex the document does not declare or misses one it does."""
-    unknown = set(values).difference(vertices)
-    if unknown:
-        raise ParseError(f"{subject} {verb} unknown vertex {sorted(unknown)[0]!r}")
-    missing = set(vertices).difference(values)
-    if missing:
-        raise ParseError(f"{subject} missing vertex {sorted(missing)[0]!r}")
-    return np.array([values[v] for v in vertices])
+    ParseError, worded with ``subject`` and ``verb``, at the first entry
+    naming an undeclared vertex, or with no line when one is missing."""
+    values = [0.0] * len(vertices)
+    for name, (value, lineno) in entries.items():
+        try:
+            values[vertices[name]] = value
+        except KeyError:
+            raise ParseError(f"{subject} {verb} unknown vertex {name!r}", lineno) from None
+    if len(entries) != len(vertices):
+        missing = sorted(set(vertices).difference(entries))[0]
+        raise ParseError(f"{subject} missing vertex {missing!r}")
+    return np.array(values)
 
 
 def serialize_instance(complex: SurfaceComplex,

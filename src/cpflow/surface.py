@@ -12,7 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -335,48 +335,3 @@ def edge_neighborhood(complex: SurfaceComplex, w: Iterable[int]) -> set[int]:
         raise InputError(f"unknown vertex index {min(bad)}")
     return {e for e, (a, b) in enumerate(complex.edges) if a in members or b in members}
 
-
-def build_complex(vertex_names: Sequence[str],
-                  edges: Sequence[tuple[str, str, float]],
-                  faces: Sequence[Sequence[str]],
-                  edge_names: Sequence[str] | None = None,
-                  face_names: Sequence[str] | None = None) -> SurfaceComplex:
-    """Assemble a SurfaceComplex from named parts, assigning dense indices.
-
-    ``edges`` holds (endpoint, endpoint, phi) triples; ``faces`` holds
-    cyclic walks of edge names.  Unnamed edges are called e0, e1, ...;
-    unnamed faces take ``SurfaceComplex``'s names.  Raises InputError on
-    an unknown name, and ``SurfaceComplex`` on a repeated or malformed one.
-    """
-    vnames = list(vertex_names)
-    vidx = {name: i for i, name in enumerate(vnames)}
-    enames = ([f"e{i}" for i in range(len(edges))] if edge_names is None
-              else list(edge_names))
-    eidx = {name: i for i, name in enumerate(enames)}
-
-    pairs = []
-    phis = []
-    for (a, b, p) in edges:
-        if a not in vidx or b not in vidx:
-            raise InputError(f"edge endpoint {a if a not in vidx else b!r} is not a vertex")
-        pairs.append((vidx[a], vidx[b]))
-        phis.append(float(p))
-
-    walks = []
-    for walk in faces:
-        ids = []
-        for name in walk:
-            if name not in eidx:
-                raise InputError(f"face walk references unknown edge {name!r}")
-            ids.append(eidx[name])
-        walks.append(tuple(ids))
-
-    return SurfaceComplex(
-        n_vertices=len(vnames),
-        edges=tuple(pairs),
-        faces=tuple(walks),
-        phi=np.array(phis, dtype=float),
-        vertex_names=tuple(vnames),
-        edge_names=tuple(enames),
-        face_names=() if face_names is None else tuple(face_names),
-    )

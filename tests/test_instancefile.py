@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from cpflow import (FlowConfig, ParseError, Prescription, build_complex,
+from cpflow import (FlowConfig, ParseError, Prescription, SurfaceComplex,
                     evaluate, fixtures, instance_digest, make_synthetic,
                     parse_instance, run, serialize_instance)
 from cpflow.instancefile import fmt, parse_angle, write_solution, write_trace
@@ -155,11 +155,21 @@ class TestParse:
         ("a 4.05306515313624", "a x", "bad number 'x'"),
         ("a b c d", "a [b c d", r"bad vertex name '\[b'"),
         ("b 0.5", "b 2", "initial radii out of range"),
+        ("ab a b pi/2", "ab a z pi/2", "edge endpoint 'z' is not a vertex"),
+        ("bcd bc cd bd", "bcd bc cd zz", "face walk references unknown edge 'zz'"),
+        ("a 4.05306515313624", "z 4.05306515313624",
+         "prescription names unknown vertex 'z'"),
+        ("[initial_r]\na 0.5", "[initial_k]\nz 0.5",
+         "initial values name unknown vertex 'z'"),
+        ("c 0.5", "z 0.5", "initial values name unknown vertex 'z'"),
     ], ids=["header", "empty-face", "per-vertex-line", "repeated-entry",
-            "number", "vertex-name", "initial-radius"])
+            "number", "vertex-name", "initial-radius", "unknown-endpoint",
+            "unknown-walk-edge", "unknown-prescription-vertex",
+            "unknown-initial-k-vertex", "unknown-initial-r-vertex"])
     def test_line_rejections(self, old, new, message):
+        # the error is on the line of old's last line (new has as many lines)
         doc = TETRA_DOC + "[initial_r]\na 0.5\nb 0.5\nc 0.5\nd 0.5\n"
-        line = doc.splitlines().index(old) + 1
+        line = doc.splitlines().index(old.splitlines()[-1]) + 1
         with pytest.raises(ParseError, match=message) as exc_info:
             parse_instance(doc.replace(old, new))
         assert exc_info.value.line == line
@@ -184,6 +194,17 @@ class TestParse:
             parse_instance(TETRA_DOC.replace("d 4.05306515313624\n", ""))
         with pytest.raises(ParseError, match="unknown"):
             parse_instance(TETRA_DOC + "z 1.0\n")
+        # A missing vertex carries no line, and the alphabetically first one
+        # is named; of several unknown ones, the first in the document is.
+        with pytest.raises(ParseError,
+                           match="^prescription missing vertex 'b'$") as exc_info:
+            parse_instance(TETRA_DOC.replace("d 4.05306515313624\n", "")
+                           .replace("b 4.05306515313624\n", ""))
+        assert exc_info.value.line is None
+        line = len(TETRA_DOC.splitlines()) + 1
+        with pytest.raises(ParseError, match=f"^line {line}: prescription names "
+                           "unknown vertex 'z'$"):
+            parse_instance(TETRA_DOC + "z 1.0\ny 1.0\n")
 
     def test_initial_exclusivity(self):
         doc = TETRA_DOC + "\n[initial_k]\na 0\nb 0\nc 0\nd 0\n\n[initial_r]\na 0.7\n"
@@ -217,15 +238,13 @@ class TestRoundTrip:
         lambda phi: fixtures.prism(5, phi),
         lambda phi: fixtures.bipyramid(5, phi), None,
     ], ids=["tetrahedron", "bigon", "cube", "torus3x4", "necklace4",
-            "prism5", "bipyramid5", "build_complex"])
+            "prism5", "bipyramid5", "odd-names"])
     def test_parse_reproduces_the_serialized_instance(self, make):
         rng = rng_for(281)
         if make is None:
-            c = build_complex(
-                ["north", "south"],
-                [("north", "south", 0.7), ("south", "north", 1.2)],
-                [["m]", "é"], ["é", "m]"]], edge_names=["m]", "é"],
-                face_names=["east", "west["])
+            c = SurfaceComplex(2, ((0, 1), (1, 0)), ((0, 1), (1, 0)), [0.7, 1.2],
+                               vertex_names=("north", "south"),
+                               edge_names=("m]", "é"), face_names=("east", "west["))
             assert not c.violations
         else:
             n_edges = make(1.0).n_edges

@@ -3,6 +3,7 @@
 import cpflow
 import cpflow.curvature
 import cpflow.geometry
+import cpflow.surface
 
 # Test oracles, importable from their modules but not part of the API.
 ORACLES = ("check_bruteforce", "SizeError", "curvature_rhs")
@@ -12,7 +13,7 @@ TEST_ORACLES = ("edge_side_geometry", "EdgeSideGeometry", "k_to_r",
 
 
 def test_every_public_name_resolves_once():
-    assert len(set(cpflow.__all__)) == len(cpflow.__all__) == 27
+    assert len(set(cpflow.__all__)) == len(cpflow.__all__) == 26
     for name in cpflow.__all__:
         getattr(cpflow, name)   # raises AttributeError for a stale name
 
@@ -26,3 +27,9 @@ def test_test_oracles_left_the_package():
         for name in TEST_ORACLES + ("_check_phi",):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(cpflow.SurfaceComplex, "degrees")
+
+
+def test_names_resolve_in_the_parser_only():
+    # The parser maps names to indices; SurfaceComplex takes indices.
+    for module in (cpflow, cpflow.surface):
+        assert not hasattr(module, "build_complex"), module.__name__

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from cpflow import (InputError, Prescription, SurfaceComplex, build_complex,
+from cpflow import (InputError, ParseError, Prescription, SurfaceComplex,
                     edge_neighborhood, fixtures, parse_instance, potential,
                     serialize_instance, validate)
 from cpflow.surface import check_instance
@@ -111,9 +111,11 @@ class TestValidate:
     def test_open_walks_rejected(self, faces, open_faces):
         # an edge named "ab" runs from vertex a to vertex b
         names = sorted({e for walk in faces.values() for e in walk.split()})
-        c = build_complex("abcd", [(e[0], e[1], np.pi / 2) for e in names],
-                          [walk.split() for walk in faces.values()],
-                          edge_names=names, face_names=list(faces))
+        c = SurfaceComplex(4, [("abcd".index(v), "abcd".index(w)) for v, w in names],
+                           [[names.index(e) for e in walk.split()]
+                            for walk in faces.values()],
+                           np.full(len(names), np.pi / 2), tuple("abcd"),
+                           tuple(names), tuple(faces))
         assert validate(c) == [f"face {f} is not a closed walk" for f in open_faces]
 
     def test_empty_walk_is_not_closed(self, tetra):
@@ -215,12 +217,9 @@ class TestQueries:
 
 
 class TestConstruction:
-    def test_build_complex_round(self):
-        c = build_complex(
-            ["a", "b"],
-            [("a", "b", np.pi / 2), ("a", "b", np.pi / 3)],
-            [["e0", "e1"], ["e0", "e1"]],
-        )
+    def test_parse_builds_the_bigon(self):
+        c = parse_instance("[vertices]\na b\n[edges]\ne0 a b pi/2\ne1 a b pi/3\n"
+                           "[faces]\nf0 e0 e1\nf1 e0 e1\n").complex
         ref = fixtures.bigon(phi=np.array([np.pi / 2, np.pi / 3]))
         assert c.edges == ref.edges and c.faces == ref.faces
         assert np.all(c.phi == ref.phi)
@@ -229,15 +228,16 @@ class TestConstruction:
 
     def test_duplicate_vertex_name(self):
         with pytest.raises(InputError):
-            build_complex(["a", "a"], [], [])
+            SurfaceComplex(2, (), (), np.zeros(0), vertex_names=("a", "a"))
 
     def test_unknown_endpoint(self):
-        with pytest.raises(InputError):
-            build_complex(["a", "b"], [("a", "c", 1.0)], [])
+        with pytest.raises(ParseError, match="^line 4: edge endpoint 'c' is not a vertex$"):
+            parse_instance("[vertices]\na b\n[edges]\nab a c 1.0\n")
 
     def test_unknown_face_edge(self):
-        with pytest.raises(InputError):
-            build_complex(["a", "b"], [("a", "b", 1.0)], [["nope"]])
+        with pytest.raises(ParseError,
+                           match="^line 6: face walk references unknown edge 'nope'$"):
+            parse_instance("[vertices]\na b\n[edges]\nab a b 1.0\n[faces]\nf nope\n")
 
     def test_phi_writes_blocked(self):
         c = fixtures.tetrahedron()
@@ -295,8 +295,8 @@ class TestConstruction:
         (lambda: SurfaceComplex(2, ((0, 1),), (), np.ones(1),
                                 vertex_names=("a",)),
          "name lists must match element counts"),
-        (lambda: build_complex(["a", "b"], [("a", "b", 1.0)], [],
-                               edge_names=["e0", "e1"]),
+        (lambda: SurfaceComplex(2, ((0, 1),), (), np.ones(1),
+                                edge_names=("e0", "e1")),
          "name lists must match element counts"),
         (lambda: Prescription(np.ones((2, 2))), "flat vector"),
     ], ids=["no-vertex", "phi-shape", "endpoint", "walk", "name-count",
@@ -320,11 +320,6 @@ class TestNames:
     def test_repeated_name_rejected(self, kind):
         with pytest.raises(InputError, match=f"^duplicate {kind} name 'a'$"):
             bigon_named(kind, ("a", "a"))
-
-    def test_build_complex_rejects_a_repeated_face_name(self):
-        with pytest.raises(InputError, match="^duplicate face name 'f'$"):
-            build_complex(["a", "b"], [("a", "b", np.pi / 2)] * 2,
-                          [["e0", "e1"]] * 2, face_names=["f", "f"])
 
     @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
     @pytest.mark.parametrize("name", [
