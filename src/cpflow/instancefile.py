@@ -18,9 +18,9 @@ Instance documents are human-writable sectioned text::
     [initial_k]          # optional start coordinates ([initial_r] for radii)
     a 0
 
-Angles are plain radians or fractions of pi written as ``pi``, ``pi/2``,
-``3pi/4``.  Numbers serialize with 17 significant digits, so parse ->
-serialize -> parse is exact.  Trace files are tab-separated tables with a
+A number is whatever ``float`` reads; an angle may also be a fraction of
+pi such as ``pi``, ``pi/2``, ``3pi/4``.  Numbers serialize with 17
+significant digits, so parse -> serialize -> parse is exact.  Trace files are tab-separated tables with a
 ``#``-prefixed header block; solution reports reuse the sectioned layout.
 """
 
@@ -47,14 +47,15 @@ _PI_TOKEN = re.compile(r"^(\d+(?:\.\d+)?)?pi(?:/(\d+(?:\.\d+)?))?$")
 
 def parse_angle(token: str) -> float:
     """A radian literal or a fraction of pi such as ``pi/2`` or ``3pi/4``."""
-    m = _PI_TOKEN.match(token)
-    if m:
-        num = float(m.group(1)) if m.group(1) else 1.0
-        den = float(m.group(2)) if m.group(2) else 1.0
-        if den == 0.0:
-            raise ValueError("zero denominator in angle")
-        return num * math.pi / den
-    return float(token)
+    try:
+        return float(token)  # reads no token holding "pi", so it may go first
+    except ValueError:
+        if not (m := _PI_TOKEN.match(token)):
+            raise
+    num, den = (float(g) if g else 1.0 for g in m.groups())
+    if den == 0.0:
+        raise ValueError("zero denominator in angle")
+    return num * math.pi / den
 
 
 def fmt(x: float) -> str:
@@ -177,12 +178,11 @@ def parse_instance(text: str) -> Instance:
         lhat = _vertex_values(prescription, vertices, "prescription", "names")
         try:
             presc = Prescription(lhat)
-        except Exception as exc:
+        except InputError as exc:
             raise ParseError(str(exc)) from exc
 
-    initial_k = None
-    if initial:
-        initial_k = _vertex_values(initial, vertices, "initial values", "name")
+    initial_k = (_vertex_values(initial, vertices, "initial values", "name")
+                 if initial else None)
 
     return Instance(complex=complex, prescription=presc, initial_k=initial_k)
 
@@ -265,16 +265,12 @@ def write_trace(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,
         subset = ",".join(trace.certificate.subset_names(complex))
         out.write(f"# certificate_subset {subset}\n")
         out.write(f"# certificate_margin {fmt(trace.certificate.worst_margin)}\n")
-    cols = ["t"] + [f"K[{name}]" for name in complex.vertex_names]
-    cols += ["err_inf", "energy", "speed", "clamped"]
-    out.write("# columns " + " ".join(cols) + "\n")
+    out.write(" ".join(["# columns t", *(f"K[{name}]" for name in complex.vertex_names),
+                        "err_inf energy speed clamped\n"]))
+    # %.17g formats as ``fmt`` does; tolist() hands it Python floats.
+    row = "%.17g\t" * (complex.n_vertices + 4) + "%d\n"
     for s in trace.samples:
-        # tolist() hands over Python floats, which format as ``fmt`` does
-        # without making a numpy scalar per value.
-        row = [fmt(s.t)] + [f"{k:.17g}" for k in s.K.tolist()]
-        row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
-                "1" if s.clamped else "0"]
-        out.write("\t".join(row) + "\n")
+        out.write(row % (s.t, *s.K.tolist(), s.err_inf, s.energy, s.speed, s.clamped))
 
 
 def write_solution(out: IO[str], trace: FlowTrace, complex: SurfaceComplex,

@@ -12,7 +12,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -23,16 +23,23 @@ from .geometry import HALF_PI, _cross_scale
 # A name the instance format reads back as written: one token that does not
 # open a comment or, at the start of a line, a section header.
 _NAME = re.compile(r"[^\s#\[][^\s#]*")
+_NAME_LINES = re.compile(rf"{_NAME.pattern}(?:\n{_NAME.pattern})*")
 
 
-def check_names(kind: str, names: Iterable) -> None:
+def check_names(kind: str, names: Sequence) -> None:
     """Raise InputError unless every name in ``names`` is a ``kind`` name
     ("vertex", "edge" or "face") that the instance format reads back as
     written."""
-    for name in names:
-        if not (isinstance(name, str) and _NAME.fullmatch(name)):
-            raise InputError(f"bad {kind} name {name!r}: a name is a nonempty string "
-                             f"with no whitespace or '#' that does not start with '['")
+    try:
+        joined = "\n".join(names)
+    except TypeError:  # some name is not a str
+        joined = ""
+    # No name holds a newline, so one line per name means each one matched.
+    if not names or (_NAME_LINES.fullmatch(joined) and joined.count("\n") == len(names) - 1):
+        return
+    name = next(n for n in names if not (isinstance(n, str) and _NAME.fullmatch(n)))
+    raise InputError(f"bad {kind} name {name!r}: a name is a nonempty string "
+                     f"with no whitespace or '#' that does not start with '['")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -69,7 +76,7 @@ class SurfaceComplex:
             raise InputError("phi must hold one angle per edge")
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "edges", tuple((int(v), int(w)) for v, w in self.edges))
-        object.__setattr__(self, "faces", tuple(tuple(int(e) for e in walk) for walk in self.faces))
+        object.__setattr__(self, "faces", tuple(tuple(map(int, walk)) for walk in self.faces))
         for v, w in self.edges:
             if not (0 <= v < self.n_vertices and 0 <= w < self.n_vertices):
                 raise InputError("edge endpoint out of range")
@@ -84,11 +91,9 @@ class SurfaceComplex:
             if len(names) != count:
                 raise InputError("name lists must match element counts")
             check_names(kind, names)
-            seen = set()
-            for name in names:
-                if name in seen:
-                    raise InputError(f"duplicate {kind} name {name!r}")
-                seen.add(name)
+            if len(set(names)) != count:
+                name = next(n for i, n in enumerate(names) if n in names[:i])
+                raise InputError(f"duplicate {kind} name {name!r}")
             object.__setattr__(self, f"{kind}_names", names)
 
     # -- basic counts -------------------------------------------------
@@ -215,23 +220,19 @@ def validate(complex: SurfaceComplex) -> list[str]:
     if not complex.edges:
         problems.append("complex has no edges")
 
-    for e, (v, w) in enumerate(complex.edges):
-        if v == w:
-            problems.append(f"edge {complex.edge_names[e]} is a loop at vertex "
-                            f"{complex.vertex_names[v]}")
+    problems.extend(f"edge {complex.edge_names[e]} is a loop at vertex "
+                    f"{complex.vertex_names[v]}"
+                    for e, (v, w) in enumerate(complex.edges) if v == w)
 
     coverage = [0] * complex.n_edges
     for walk in complex.faces:
         for e in walk:
             coverage[e] += 1
-    for e, c in enumerate(coverage):
-        if c != 2:
-            problems.append(f"edge {complex.edge_names[e]} covered {c} times by "
-                            f"face walks (expected 2)")
+    problems.extend(f"edge {complex.edge_names[e]} covered {c} times by face walks "
+                    f"(expected 2)" for e, c in enumerate(coverage) if c != 2)
     entries = [_entries(complex.edges, walk) for walk in complex.faces]
-    for f, entered in enumerate(entries):
-        if entered is None:
-            problems.append(f"face {complex.face_names[f]} is not a closed walk")
+    problems.extend(f"face {complex.face_names[f]} is not a closed walk"
+                    for f, entered in enumerate(entries) if entered is None)
     # The corners are defined only once every walk is closed and every
     # edge end lies on exactly two of them.
     if not problems:
@@ -277,30 +278,33 @@ def _corner_cycles(complex: SurfaceComplex,
     """How many cycles the face corners form around each vertex.
 
     Node 2e + s is end s of edge e.  The corner where a closed walk enters
-    edge e at vertex x joins the ends at x of e and of the edge before it
-    (union-find, O(E)).  Each edge end lies on two corners, so the corners
-    at a vertex chain its edge ends into cycles; around a point of a
-    surface they form one.
+    edge e at vertex x links the ends at x of e and of the edge before it.
+    Each edge end lies on two corners, so its two links (``one``, ``two``)
+    chain the ends at a vertex into rings, each walked once (O(E)); around
+    a point of a surface they form one.
     """
     edges = complex.edges
-    parent = list(range(2 * len(edges)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    one = [-1] * (2 * len(edges))
+    two = one.copy()
     for walk, entered in zip(complex.faces, entries):
-        before = walk[-1]
-        for e, x in zip(walk, entered):
-            parent[find(2 * before + (edges[before][0] != x))] = \
-                find(2 * e + (edges[e][0] != x))
-            before = e
-    roots: list[set[int]] = [set() for _ in range(complex.n_vertices)]
-    for node in range(len(parent)):
-        roots[edges[node >> 1][node & 1]].add(find(node))
-    return [len(r) for r in roots]
+        ends = [2 * e + (edges[e][0] != x) for e, x in zip(walk, entered)]
+        # No edge is a loop, so the edge before leaves by its other end.
+        b = ends[-1] ^ 1
+        for a in ends:
+            (one if one[a] < 0 else two)[a] = b
+            (one if one[b] < 0 else two)[b] = a
+            b = a ^ 1
+    cycles = [0] * complex.n_vertices
+    seen = bytearray(len(one))
+    for start in range(len(one)):
+        if seen[start]:
+            continue
+        cycles[edges[start >> 1][start & 1]] += 1
+        before, node = -1, start
+        while not seen[node]:
+            seen[node] = 1
+            before, node = node, one[node] if one[node] != before else two[node]
+    return cycles
 
 
 def _connected(complex: SurfaceComplex) -> bool:

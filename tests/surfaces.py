@@ -1,6 +1,6 @@
 """Closed surfaces beyond the sphere and torus fixtures: connected sums of
 3x3 torus grids (genus >= 2) and a Klein bottle, with an orientability
-test for face walks.
+test for face walks and a union-find oracle for the corner cycles.
 
 They live in tests/ because the benchmark does not build them.  Their
 random draws are new ones beside conftest's ``family_pool``, so no seeded
@@ -103,3 +103,33 @@ def orientable(complex: SurfaceComplex) -> bool:
             elif sign[g] != sign[f] * link:
                 return False
     return True
+
+
+def corner_cycles_union_find(complex: SurfaceComplex,
+                             entries: list[list[int]]) -> list[int]:
+    """Oracle for ``surface._corner_cycles``: how many cycles the face
+    corners form around each vertex, by union-find over edge ends.
+
+    Node 2e + s is end s of edge e.  The corner where a closed walk enters
+    edge e at vertex x joins the ends at x of e and of the edge before it;
+    the number of classes among the ends at a vertex is its cycle count.
+    """
+    edges = complex.edges
+    parent = list(range(2 * len(edges)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for walk, entered in zip(complex.faces, entries):
+        before = walk[-1]
+        for e, x in zip(walk, entered):
+            parent[find(2 * before + (edges[before][0] != x))] = \
+                find(2 * e + (edges[e][0] != x))
+            before = e
+    roots: list[set[int]] = [set() for _ in range(complex.n_vertices)]
+    for node in range(len(parent)):
+        roots[edges[node >> 1][node & 1]].add(find(node))
+    return [len(r) for r in roots]

@@ -1,5 +1,6 @@
 import io
 import math
+import struct
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from cpflow import (FlowConfig, ParseError, Prescription, SurfaceComplex,
                     evaluate, fixtures, instance_digest, make_synthetic,
                     parse_instance, run, serialize_instance)
+from cpflow.flow import FlowSample, FlowTrace
 from cpflow.instancefile import fmt, parse_angle, write_solution, write_trace
 from cpflow.oracle import rng_for
 
@@ -55,6 +57,41 @@ class TestParseAngle:
             parse_angle("pie")
         with pytest.raises(ValueError):
             parse_angle("pi/0")
+
+    # The IEEE-754 bits each token reads as, pinned from the parser that
+    # tried the pi pattern first; float() reads no token that holds "pi",
+    # so the order of the two tries does not matter.
+    @pytest.mark.parametrize("token,bits", [
+        ("pi", "400921fb54442d18"),
+        ("pi/2", "3ff921fb54442d18"),
+        ("3pi/4", "4002d97c7f3321d2"),
+        ("0.5pi", "3ff921fb54442d18"),
+        ("pi/2.5", "3ff41b2f769cf0e0"),
+        ("1e-320", "00000000000007e8"),
+        ("-0", "8000000000000000"),
+        ("inf", "7ff0000000000000"),
+        ("nan", "7ff8000000000000"),
+        ("1_0", "4024000000000000"),
+        ("\u0967", "3ff0000000000000"),        # Devanagari digit one
+        ("\u0969pi/4", "4002d97c7f3321d2"),    # Devanagari three: any decimal digit
+    ])
+    def test_token_bits(self, token, bits):
+        assert struct.pack(">d", parse_angle(token)).hex() == bits
+
+    @pytest.mark.parametrize("token,message", [
+        (".5pi", "could not convert string to float: '.5pi'"),
+        ("pi/0", "zero denominator in angle"),
+        ("pi/0.0", "zero denominator in angle"),
+        ("2pi/", "could not convert string to float: '2pi/'"),
+        ("PI", "could not convert string to float: 'PI'"),
+        ("pi/1e3", "could not convert string to float: 'pi/1e3'"),
+        ("0x10", "could not convert string to float: '0x10'"),
+        ("\u00bd", "could not convert string to float: '\u00bd'"),  # one half
+    ])
+    def test_token_errors(self, token, message):
+        with pytest.raises(ValueError) as info:
+            parse_angle(token)
+        assert str(info.value) == message
 
 
 class TestParse:
@@ -257,6 +294,14 @@ class TestRoundTrip:
         assert np.array_equal(again.initial_k, k)
 
 
+def per_value_row(s: FlowSample) -> str:
+    """A trace row formatted one value at a time, as write_trace once did."""
+    row = [fmt(s.t)] + [f"{k:.17g}" for k in s.K.tolist()]
+    row += [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
+            "1" if s.clamped else "0"]
+    return "\t".join(row) + "\n"
+
+
 class TestReports:
     def _solved(self):
         inst = parse_instance(TETRA_DOC)
@@ -311,12 +356,30 @@ class TestReports:
         assert trace.verdict == case
         buf = io.StringIO()
         write_trace(buf, trace, complex, prescription, config)
-        rows = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
-        assert rows == ["\t".join(
-            [fmt(s.t)] + [fmt(k) for k in s.K]
-            + [fmt(s.err_inf), fmt(s.energy), fmt(s.speed),
-               "1" if s.clamped else "0"]) for s in trace.samples]
-        assert rows[-1].endswith("\t" + ("1" if case == "diverged" else "0"))
+        rows = [l for l in buf.getvalue().splitlines(True) if not l.startswith("#")]
+        assert rows == [per_value_row(s) for s in trace.samples]
+        assert rows[-1].endswith("\t" + ("1" if case == "diverged" else "0") + "\n")
+
+    def test_rows_match_per_value_formatter_at_special_values(self):
+        # The one row template writes the bytes the per-value formatter
+        # wrote, for signed zeros, subnormals, infinities, NaN and an
+        # integer t (a Newton iteration count).
+        special = [0.0, -0.0, 1e-320, -5e-324, math.inf, -math.inf, math.nan,
+                   1 / 3, -2.5e-7, 1e300, 27.631021115928547, 4.0]
+        complex = fixtures.tetrahedron()
+        samples = [FlowSample(t=i if i % 3 == 0 else special[i] * 0.5,
+                              K=np.array(np.roll(special, i)[:4]),
+                              err_inf=special[i], energy=special[-1 - i],
+                              speed=special[(5 * i) % len(special)],
+                              clamped=i % 2 == 1)
+                   for i in range(len(special))]
+        trace = FlowTrace("newton", samples, verdict="diverged")
+        buf = io.StringIO()
+        write_trace(buf, trace, complex, Prescription(np.full(4, 4.0)),
+                    FlowConfig(method="newton"))
+        rows = [l for l in buf.getvalue().splitlines(True) if not l.startswith("#")]
+        assert rows == [per_value_row(s) for s in samples]
+        assert "\t-0\t" in "".join(rows) and "\tnan\t" in "".join(rows)
 
     def test_trace_deterministic(self):
         inst, config, trace = self._solved()

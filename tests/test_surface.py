@@ -2,12 +2,14 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpflow import (InputError, ParseError, Prescription, SurfaceComplex,
                     edge_neighborhood, fixtures, parse_instance, potential,
                     serialize_instance, validate)
-from cpflow.surface import check_instance
-from conftest import wedge
+from cpflow.surface import _corner_cycles, _entries, check_instance, check_names
+from conftest import family_pool, wedge
+from surfaces import connected_sum, corner_cycles_union_find, klein_bottle
 from velocity_bound import degrees
 
 
@@ -125,6 +127,22 @@ class TestValidate:
     def test_pinched_vertex_rejected(self):
         assert validate(wedge()) == [
             "vertex v0 is not a surface point: its faces form 2 cycles"]
+
+    @pytest.mark.parametrize("make", [
+        *family_pool(14), lambda: fixtures.torus_grid(4, 4),
+        lambda: fixtures.torus_grid(10, 10), lambda: connected_sum(2),
+        lambda: connected_sum(3), lambda: klein_bottle(4, 4), fixtures.bigon,
+        lambda: fixtures.bigon(phi=np.array([1e-320, np.pi / 2])), wedge,
+        lambda: SurfaceComplex(2, ((0, 1),), ((0, 0),), np.full(1, np.pi / 2)),
+    ])
+    def test_corner_cycles_match_union_find(self, make):
+        # The bigon's vertices have degree 2; the wedge's v0 has 2 cycles;
+        # in the one-edge sphere each corner links an edge end to itself.
+        c = make()
+        entries = [_entries(c.edges, walk) for walk in c.faces]
+        cycles = _corner_cycles(c, entries)
+        assert cycles == corner_cycles_union_find(c, entries)
+        assert sum(cycles) == c.n_vertices + (make is wedge)
 
     def test_violations_cached_and_empty_for_valid(self, tetra):
         assert tetra.violations == ()
@@ -337,6 +355,25 @@ class TestNames:
         c = bigon_named(kind, ["a", "b"])
         assert getattr(c, f"{kind}_names") == ("a", "b")
         assert parse_instance(serialize_instance(c)).complex == c
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(["", "[a", "a#", "a b", "a\u00a0b", "a\nb", "\u00e9", 3,
+                         "a", "b[", "x]"]),
+        st.text(max_size=4)), max_size=6).flatmap(
+            lambda names: st.sampled_from([names, names + names[:1]])))
+    def test_check_names_flags_the_first_bad_name(self, names):
+        # The rule word by word, apart from the regex: a nonempty str with
+        # no whitespace or '#' that does not start with '['.
+        bad = [n for n in names if not (
+            isinstance(n, str) and n and not n.startswith("[")
+            and not any(ch.isspace() or ch == "#" for ch in n))]
+        if not bad:
+            check_names("edge", names)
+            return
+        with pytest.raises(InputError) as info:
+            check_names("edge", names)
+        assert str(info.value).startswith(f"bad edge name {bad[0]!r}: ")
 
     @pytest.mark.parametrize("kind", ["vertex", "edge", "face"])
     def test_tokens_accepted(self, kind):
