@@ -62,14 +62,14 @@ class CurvatureState:
     1); ``sin_r_sides``, ``cos_r_sides`` and ``half_sides`` (= theta / 2)
     stack the trigonometry of the radii and the half angles the same way.
     K, theta and L are computed by ``evaluate``.  The symmetric Jacobian
-    ``J[i, j] = dL_i/dK_j`` is kept in edge form: its diagonal ``diag``
-    and the per-edge mixed partial ``d_cross[e]`` (always negative), which
-    sits at (v, w) and (w, v) for edge e = (v, w) and accumulates over
-    parallel edges.  Both are computed together from the stored
-    trigonometry on the first read of either; only ``jvp``, ``J``,
-    ``gershgorin_bound`` and Newton's preconditioner read them, so
-    Newton's backtracking trials, ``potential`` and
-    ``instancefile.write_solution`` never compute them.
+    ``J[i, j] = dL_i/dK_j`` is kept in edge form: the cached pair
+    ``edge_form`` holds its diagonal ``diag`` and the per-edge mixed
+    partial ``d_cross[e]`` (always negative), which sits at (v, w) and
+    (w, v) for edge e = (v, w) and accumulates over parallel edges.  The
+    pair is computed from the stored trigonometry on its first read; only
+    ``jvp``, ``J``, ``gershgorin_bound`` and Newton's preconditioner read
+    it, so Newton's backtracking trials, ``potential`` and
+    ``instancefile.write_solution`` never compute it.
     ``jvp`` applies J in O(E); the dense ``J`` and the radii ``r`` are
     likewise computed only when read.  ``clamped`` records whether any
     radius had to be pulled back from the boundary of (0, pi/2), that is,
@@ -96,30 +96,25 @@ class CurvatureState:
         return bool(np.abs(self.K).max() > K_CLAMP)
 
     @cached_property
-    def diag(self) -> np.ndarray:
-        diag, self.__dict__["d_cross"] = _edge_form(
-            self.complex, self.sin_r_sides, self.cos_r_sides,
-            self.half_sides, self.theta_sides)
-        return diag
-
-    @cached_property
-    def d_cross(self) -> np.ndarray:
-        self.diag  # stores d_cross
-        return self.__dict__["d_cross"]
+    def edge_form(self) -> tuple[np.ndarray, np.ndarray]:
+        """J's edge form: the pair (diagonal, per-edge mixed partials)."""
+        return _edge_form(self.complex, self.sin_r_sides, self.cos_r_sides,
+                          self.half_sides, self.theta_sides)
 
     @cached_property
     def J(self) -> np.ndarray:
         """The Jacobian dL/dK as a dense symmetric V x V matrix."""
         n = self.complex.n_vertices
         ev, ew = self.complex.endpoint_arrays
-        half = np.bincount(ev * n + ew, self.d_cross, n * n).reshape(n, n)
+        diag, d_cross = self.edge_form
+        half = np.bincount(ev * n + ew, d_cross, n * n).reshape(n, n)
         J = half + half.T
-        J.ravel()[:: n + 1] += self.diag
+        J.ravel()[:: n + 1] += diag
         return J
 
     def jvp(self, x: np.ndarray) -> np.ndarray:
         """The product J @ x, without forming J."""
-        return _apply(self.complex, self.diag, self.d_cross, x)
+        return _apply(self.complex, *self.edge_form, x)
 
     @cached_property
     def alpha_v(self) -> np.ndarray:
@@ -209,7 +204,7 @@ def gershgorin_bound(state: CurvatureState) -> float:
     edges at i.  The bound costs one ``bincount``, plus J's edge form where
     the state has not computed it yet (a curvature-flow state).
     """
-    c, diag, d_cross = state.complex, state.diag, state.d_cross
+    c, (diag, d_cross) = state.complex, state.edge_form
     return float((2.0 * diag - (diag + np.bincount(
         c.endpoint_arrays.ravel(), np.concatenate((d_cross, d_cross)),
         c.n_vertices))).max())

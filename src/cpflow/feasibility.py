@@ -274,12 +274,10 @@ class _ClosureNetwork:
                     total += push
                     if total > limit:
                         return total
-                    # Resume from the tail of the first saturated arc.
-                    k = 0
-                    while cap[path[k]] > eps:
-                        k += 1
-                    del path[k:]
-                    u = to[path[-1]] if path else start
+                    # Each node's current arc leads back along the path
+                    # to the first saturated arc.
+                    path.clear()
+                    u = start
                     continue
                 arcs, i, lu = head[u], it[u], level[u] + 1
                 while i < len(arcs) and not (cap[arcs[i]] > eps

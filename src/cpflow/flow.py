@@ -554,9 +554,10 @@ def _newton_step(state: CurvatureState, b: np.ndarray, eta: float) -> np.ndarray
     Raises NonConvergenceError on a direction of non-positive curvature
     or when the cap is reached.
     """
+    diag = state.edge_form[0]
     x = np.zeros_like(b)
     r = b.copy()
-    p = r / state.diag
+    p = r / diag
     rz = float(r @ p)
     target = eta * float(np.linalg.norm(b))
     max_iters = 2 * len(b) + 20
@@ -571,7 +572,7 @@ def _newton_step(state: CurvatureState, b: np.ndarray, eta: float) -> np.ndarray
         r -= alpha * q
         if float(np.linalg.norm(r)) <= target:
             return x
-        z = r / state.diag
+        z = r / diag
         rz_next = float(r @ z)
         p *= rz_next / rz
         p += z

@@ -167,11 +167,8 @@ def parse_instance(text: str) -> Instance:
         except KeyError as exc:
             raise ParseError(f"face walk references unknown edge {exc.args[0]!r}",
                              lineno) from None
-    try:
-        complex = SurfaceComplex(len(vertices), pairs, walks, phi, tuple(vertices),
-                                 tuple(edges), tuple(faces))
-    except InputError as exc:
-        raise ParseError(str(exc)) from exc
+    complex = SurfaceComplex(len(vertices), pairs, walks, phi, tuple(vertices),
+                             tuple(edges), tuple(faces))
 
     presc = None
     if prescription:

@@ -51,7 +51,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 class SurfaceComplex:
     """A finite loopless multigraph with face boundary walks and edge angles.
 
-    Vertices and edges are dense integer indices; the name tuples carry
+    Vertices and edges are dense integer indices: ``n_vertices``, every
+    endpoint and every walk entry must be an integer (a Python or numpy
+    int, stored as ``int``), and anything else, such as 1.7 or "1", raises
+    TypeError, as in ``edge_neighborhood``.  The name tuples carry
     the user-facing labels (by default v0, v1, ..., e0, ..., f0, ...),
     unique within each tuple and each one token of the instance format.
     ``edges[e]`` is the endpoint pair of edge ``e``; ``faces[f]`` the
@@ -69,14 +72,16 @@ class SurfaceComplex:
     face_names: tuple[str, ...] = ()
 
     def __post_init__(self):
+        index = operator.index
+        object.__setattr__(self, "n_vertices", index(self.n_vertices))
         if self.n_vertices <= 0:
             raise InputError("complex needs at least one vertex")
         phi = _frozen(np.array(self.phi, dtype=float))
         if phi.shape != (len(self.edges),):
             raise InputError("phi must hold one angle per edge")
         object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "edges", tuple((int(v), int(w)) for v, w in self.edges))
-        object.__setattr__(self, "faces", tuple(tuple(map(int, walk)) for walk in self.faces))
+        object.__setattr__(self, "edges", tuple((index(v), index(w)) for v, w in self.edges))
+        object.__setattr__(self, "faces", tuple(tuple(map(index, walk)) for walk in self.faces))
         for v, w in self.edges:
             if not (0 <= v < self.n_vertices and 0 <= w < self.n_vertices):
                 raise InputError("edge endpoint out of range")

@@ -158,7 +158,7 @@ class TestAccuracyNearTheClamp:
         make, K, L_ref, diag_ref = MPMATH_REFERENCE[name]
         st = evaluate(make(), np.array(K))
         assert np.max(np.abs(st.L / np.array(L_ref) - 1.0)) <= 1e-13
-        assert np.max(np.abs(st.diag / np.array(diag_ref) - 1.0)) <= 1e-13
+        assert np.max(np.abs(st.edge_form[0] / np.array(diag_ref) - 1.0)) <= 1e-13
 
     def test_clamp_is_a_bound_on_K(self, tetra):
         # Past |K| = ln cot RADIUS_CLAMP the state equals the clamped one.
@@ -167,7 +167,7 @@ class TestAccuracyNearTheClamp:
         beyond = evaluate(tetra, edge * np.array([1.5, 40.0, 1.0, 1.0]))
         assert not at_edge.clamped and beyond.clamped
         assert np.array_equal(beyond.L, at_edge.L)
-        assert np.array_equal(beyond.diag, at_edge.diag)
+        assert np.array_equal(beyond.edge_form[0], at_edge.edge_form[0])
         assert np.allclose(beyond.r[:2], (RADIUS_CLAMP, 0.5 * np.pi - RADIUS_CLAMP),
                            rtol=1e-12, atol=0.0)
 
@@ -277,10 +277,11 @@ class TestEdgeFormAssembly:
     def test_edge_form_is_lazy(self, tetra):
         st = evaluate(tetra, np.zeros(4))
         assert np.all(st.L > 0.0) and np.all(st.alpha_v > 0.0)
-        assert "diag" not in st.__dict__ and "d_cross" not in st.__dict__
-        d_cross = st.d_cross
+        assert "edge_form" not in st.__dict__
+        diag, d_cross = st.edge_form
         # One read stores both halves of the edge form.
-        assert st.__dict__["diag"] is st.diag and st.d_cross is d_cross
+        assert st.__dict__["edge_form"] is st.edge_form
+        assert st.edge_form[0] is diag and st.edge_form[1] is d_cross
 
     @pytest.mark.parametrize("make", [fixtures.tetrahedron, fixtures.bigon,
                                       lambda: fixtures.torus_grid(3, 3, 1.3)])
@@ -290,13 +291,16 @@ class TestEdgeFormAssembly:
         rng = rng_for(35 + c.n_vertices)
         orders = (("diag", "d_cross", "J", "L"), ("L", "J", "d_cross", "diag"),
                   ("d_cross", "L", "diag", "J"), ("J", "L", "diag", "d_cross"))
+        read = {"diag": lambda st: st.edge_form[0],
+                "d_cross": lambda st: st.edge_form[1],
+                "J": lambda st: st.J, "L": lambda st: st.L}
         clamped = 0
         for _ in range(50):
             K = rng.uniform(-50.0, 50.0, c.n_vertices)
             reads = []
             for order in orders:
                 st = evaluate(c, K)
-                reads.append({name: getattr(st, name).tobytes()
+                reads.append({name: read[name](st).tobytes()
                               for name in order})
             clamped += st.clamped
             assert all(r == reads[0] for r in reads[1:])
@@ -390,7 +394,7 @@ class TestGershgorinBound:
             state = evaluate(c, rng.uniform(-5.0, 5.0, c.n_vertices))
             ones = np.ones(c.n_vertices)
             assert gershgorin_bound(state) == float(
-                (2.0 * state.diag - state.jvp(ones)).max())
+                (2.0 * state.edge_form[0] - state.jvp(ones)).max())
 
     def test_tight_on_the_symmetric_bigon(self):
         # J = [[d, c], [c, d]] has lambda_max = d - c, the bound itself,

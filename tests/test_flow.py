@@ -62,6 +62,20 @@ def count_edge_forms(monkeypatch) -> list:
     return calls
 
 
+def count_rkc_stages(monkeypatch) -> list:
+    """Collects the stage count s of every RKC step tried while the test
+    runs."""
+    stages = []
+    real = cpflow.flow._rkc_stages
+
+    def counted(f, K, f0, h, s):
+        stages.append(s)
+        return real(f, K, f0, h, s)
+
+    monkeypatch.setattr(cpflow.flow, "_rkc_stages", counted)
+    return stages
+
+
 def count_kernels(monkeypatch) -> list:
     """Counts every evaluation of the edge kernel while the test runs: one
     per state or flow stage evaluated."""
@@ -629,18 +643,44 @@ class TestRKC:
         # Planted before counting: planting evaluates too.
         problem = self.planted_tetrahedron()
         kernels = count_kernels(monkeypatch)
-        stages = []
-        real = cpflow.flow._rkc_stages
-
-        def counted(f, K, f0, h, s):
-            stages.append(s)
-            return real(f, K, f0, h, s)
-
-        monkeypatch.setattr(cpflow.flow, "_rkc_stages", counted)
+        stages = count_rkc_stages(monkeypatch)
         trace = run(*problem, ACCEPTANCE_CONFIG)
         assert trace.verdict == "converged"
         assert max(stages) > 2
         assert len(kernels) == 1 + sum(stages)
+
+    def test_stage_cap(self, monkeypatch):
+        # From K = 0 on the 82-vertex bipyramid, h * stiffness passes the
+        # limit of 60 stages, so those steps are cut to that limit.
+        inst = make_synthetic(fixtures.bipyramid(80), 1)
+        stages = count_rkc_stages(monkeypatch)
+        trace = run(inst.complex, inst.prescription,
+                    np.zeros(inst.complex.n_vertices), FlowConfig(tol_ode=1e-4))
+        assert trace.verdict == "converged"
+        assert max(stages) == cpflow.flow._RKC_MAX_STAGES == 60
+        assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-10
+
+    def planted_bipyramid(self):
+        """A planted, feasible prescription on the 82-vertex bipyramid."""
+        inst = make_synthetic(fixtures.bipyramid(80), 2)
+        return inst, np.zeros(inst.complex.n_vertices)
+
+    @pytest.mark.parametrize("method", ["curvature", "newton"])
+    def test_planted_bipyramid_is_solvable(self, method):
+        inst, k0 = self.planted_bipyramid()
+        trace = run(inst.complex, inst.prescription, k0,
+                    FlowConfig(tol_ode=1e-4, method=method))
+        assert trace.verdict == "converged"
+        assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: RKC's relative error target 0.05 h ||f0||_inf falls "
+        "below the rounding floor of K near the solution, so the step size "
+        "underflows at t=22.9435 with err_inf 1.6e-10"))
+    def test_planted_bipyramid_converges(self):
+        inst, k0 = self.planted_bipyramid()
+        trace = run(inst.complex, inst.prescription, k0, FlowConfig(tol_ode=1e-4))
+        assert trace.verdict == "converged", trace.failure
 
     def test_max_time_clips_the_last_step(self):
         config = dataclasses.replace(ACCEPTANCE_CONFIG, max_time=1.0)
@@ -755,6 +795,22 @@ class TestMatrixFreeNewton:
                            match="linear solve failed: non-positive curvature"):
             cpflow.flow._newton_step(state, np.array([1.0, 0.0]), 0.1)
 
+    def test_iteration_cap_raises(self):
+        # A fixed SPD J with spectrum 1..1e6 and eta = 0: the residual
+        # stalls at rounding level and never reaches zero.
+        Q, _ = np.linalg.qr(rng_for(579).standard_normal((6, 6)))
+        J = (Q * np.logspace(0.0, 6.0, 6)) @ Q.T
+
+        class FixedJacobian:
+            edge_form = (np.diag(J).copy(), None)
+
+            def jvp(self, x):
+                return J @ x
+
+        with pytest.raises(NonConvergenceError, match="linear solve failed: "
+                           "no convergence in 32 CG iterations"):
+            cpflow.flow._newton_step(FixedJacobian(), np.ones(6), 0.0)
+
     def test_converges_on_the_45x45_torus(self):
         c = fixtures.torus_grid(45, 45, phi=1.3)
         inst = make_synthetic(c, seed=77)
@@ -868,7 +924,7 @@ class TestLazyEdgeForm:
         assert trace.verdict == "converged"
         accepted, rejected = self._accepted(trace, states)
         assert len(rejected) == 5
-        assert not any("diag" in st.__dict__ for st in rejected)
+        assert not any("edge_form" in st.__dict__ for st in rejected)
         # Every accepted state but the solution reads it for its CG solve.
         assert len(calls) == len(accepted) - 1
 
@@ -882,7 +938,7 @@ class TestLazyEdgeForm:
         trace = run(c, inst.prescription, k0)
         assert trace.verdict == "converged"
         assert len(calls) == len(kernels) > len(trace.samples)
-        assert all("diag" in st.__dict__ for st in states)
+        assert all("edge_form" in st.__dict__ for st in states)
 
     def test_potential_and_solution_file_never_derive(self, monkeypatch):
         from io import StringIO

@@ -255,4 +255,4 @@ class TestSmallAngles:
                    for x in (g.theta, g.L_side, g.d_cross, g.d_pair))
         state = evaluate(fixtures.bigon(np.array([1e-320, 0.5 * np.pi])),
                          r_to_k(np.array([0.7, 0.8])))
-        assert g.d_cross == state.d_cross[0] == 0.0
+        assert g.d_cross == state.edge_form[1][0] == 0.0

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import math
 import struct
@@ -5,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cpflow import (FlowConfig, ParseError, Prescription, SurfaceComplex,
                     evaluate, fixtures, instance_digest, make_synthetic,
@@ -265,6 +267,69 @@ class TestParse:
         head = TETRA_DOC.split("[prescription]")[0]
         inst = parse_instance(head)
         assert inst.prescription is None
+
+
+# Headers, comment and bracket marks, angle and number tokens, names the
+# serialized fixtures declare and whitespace that split() and splitlines()
+# break on but a plain space test would miss.
+PIECES = ("[vertices]", "[edges]", "[faces]", "[prescription]", "[initial_k]",
+          "[initial_r]", "[", "]", "#", "pi", "pi/0", "3pi/4", "nan", "0", "1",
+          "2.5", "v0", "v1", "e0", "e1", "f0", "ab", " ", "\n", "\t", "\x1c",
+          "\x85", "\u00a0")
+
+
+def _serialized(c):
+    inst = make_synthetic(c, seed=35)
+    return serialize_instance(c, inst.prescription, initial_k=inst.kbar)
+
+
+SERIALIZED = tuple(_serialized(c) for c in (
+    fixtures.tetrahedron(), fixtures.bigon(), fixtures.torus_grid(3, 3)))
+
+
+def _mangle(text, edits):
+    """Apply each (kind, i, j, piece) edit to the text: insert the piece
+    at i, delete [i, j), put the piece in place of [i, j), or repeat the
+    line holding i; positions wrap around the current length."""
+    for kind, i, j, piece in edits:
+        i, j = sorted((i % (len(text) + 1), j % (len(text) + 1)))
+        if kind == "insert":
+            text = text[:i] + piece + text[i:]
+        elif kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "replace":
+            text = text[:i] + piece + text[j:]
+        else:
+            start = text.rfind("\n", 0, i) + 1
+            end = text.find("\n", i) + 1 or len(text)
+            text = text[:end] + text[start:end] + text[end:]
+    return text
+
+
+class TestErrorContract:
+    """Whatever the text, ``parse_instance`` returns an instance or raises
+    ParseError: its per-line checks leave the constructor nothing to
+    reject."""
+
+    # Each section is a header and up to four lines of pieces, so a piece
+    # such as "[" lands inside a section's lines often enough to be seen.
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PIECES[:6]), st.lists(
+        st.lists(st.sampled_from(PIECES), min_size=1, max_size=5).map(" ".join),
+        max_size=4)).map(lambda section: "\n".join((section[0], *section[1]))),
+        max_size=5).map("\n".join))
+    def test_pieces(self, text):
+        with contextlib.suppress(ParseError):
+            parse_instance(text)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from(SERIALIZED), st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "replace", "repeat"]),
+        st.integers(0, 2000), st.integers(0, 2000), st.sampled_from(PIECES)),
+        min_size=1, max_size=4))
+    def test_mangled_serialized_documents(self, text, edits):
+        with contextlib.suppress(ParseError):
+            parse_instance(_mangle(text, edits))
 
 
 class TestRoundTrip:

@@ -284,6 +284,31 @@ class TestConstruction:
         assert zero == negative_zero and hash(zero) == hash(negative_zero)
         assert len({zero, negative_zero}) == 1
 
+    def test_equality_with_another_type_is_not_implemented(self):
+        a, p = fixtures.tetrahedron(), Prescription(np.ones(4))
+        assert a.__eq__(a.edges) is NotImplemented and a != a.edges
+        assert p.__eq__(p.lhat) is NotImplemented and p != "lhat"
+
+    @pytest.mark.parametrize("make", [
+        lambda t: SurfaceComplex(4, ((0, 1.7), *t.edges[1:]), t.faces, t.phi),
+        lambda t: SurfaceComplex(4, (("0", "1"), *t.edges[1:]), t.faces, t.phi),
+        lambda t: SurfaceComplex(4, t.edges, ((0.9, 3, 1), *t.faces[1:]), t.phi),
+        lambda t: SurfaceComplex(2.5, ((0, 1), (0, 1)), ((0, 1), (0, 1)),
+                                 np.ones(2)),
+    ], ids=["float-endpoint", "str-endpoint", "float-walk-entry", "float-count"])
+    def test_index_that_is_not_an_integer(self, tetra, make):
+        # As in edge_neighborhood: 1.7 is not truncated and "1" not parsed.
+        with pytest.raises(TypeError):
+            make(tetra)
+
+    def test_numpy_integer_indices_are_stored_as_int(self, tetra):
+        c = SurfaceComplex(np.int64(4), np.array(tetra.edges, dtype=np.intp),
+                           [np.array(w, dtype=np.int64) for w in tetra.faces],
+                           tetra.phi)
+        assert c == tetra and validate(c) == []
+        assert type(c.n_vertices) is int
+        assert {type(i) for i in (*sum(c.edges, ()), *sum(c.faces, ()))} == {int}
+
     def test_prescription_validation(self):
         with pytest.raises(InputError):
             Prescription(np.array([1.0, 0.0]))
