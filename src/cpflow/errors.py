@@ -14,10 +14,6 @@ class InputError(ValueError):
     """Bad input: malformed, or outside its mathematical domain."""
 
 
-class SizeError(InputError):
-    """An exact method was asked to handle an instance above its size guard."""
-
-
 class ParseError(ValueError):
     """Malformed instance document."""
 

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SizeError
+from .errors import InputError
 from .surface import (Prescription, SurfaceComplex, check_instance,
                       edge_neighborhood)
 
@@ -113,8 +113,8 @@ def check_bruteforce(complex: SurfaceComplex,
     check_instance(complex, prescription)
     n = complex.n_vertices
     if n > BRUTEFORCE_LIMIT:
-        raise SizeError(f"{n} vertices exceeds the enumeration guard of "
-                        f"{BRUTEFORCE_LIMIT}; use check_mincut instead")
+        raise InputError(f"{n} vertices exceeds the enumeration guard of "
+                         f"{BRUTEFORCE_LIMIT}; use check_mincut instead")
 
     ev, ew = complex.endpoint_arrays
     edge_bits = (1 << ev.astype(np.int64)) | (1 << ew.astype(np.int64))

@@ -41,7 +41,6 @@ class SyntheticInstance:
     complex: SurfaceComplex
     kbar: np.ndarray
     prescription: Prescription
-    seed: int
 
 
 def make_synthetic(complex: SurfaceComplex, seed: int,
@@ -59,5 +58,4 @@ def make_synthetic(complex: SurfaceComplex, seed: int,
         complex=complex,
         kbar=kbar,
         prescription=Prescription(state.L),
-        seed=seed,
     )

@@ -9,7 +9,7 @@ import pytest
 import cpflow.feasibility
 from cpflow import (Prescription, check_mincut, evaluate, fixtures,
                     make_synthetic)
-from cpflow.errors import SizeError
+from cpflow.errors import InputError
 from cpflow.feasibility import check_bruteforce
 from cpflow.oracle import rng_for
 from conftest import random_instance, random_prescription, with_phi
@@ -66,7 +66,7 @@ class TestBruteForce:
     def test_size_guard(self):
         c = fixtures.necklace(25)
         p = Prescription(np.full(25, 0.1))
-        with pytest.raises(SizeError, match="check_mincut"):
+        with pytest.raises(InputError, match="check_mincut"):
             check_bruteforce(c, p)
 
 

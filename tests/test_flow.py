@@ -673,14 +673,39 @@ class TestRKC:
         assert trace.verdict == "converged"
         assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "known defect: RKC's relative error target 0.05 h ||f0||_inf falls "
-        "below the rounding floor of K near the solution, so the step size "
-        "underflows at t=22.9435 with err_inf 1.6e-10"))
     def test_planted_bipyramid_converges(self):
         inst, k0 = self.planted_bipyramid()
         trace = run(inst.complex, inst.prescription, k0, FlowConfig(tol_ode=1e-4))
         assert trace.verdict == "converged", trace.failure
+
+    @pytest.mark.parametrize("start", ["zero", "near"])
+    @pytest.mark.parametrize("sides,seed", [(40, 4), (80, 1)])
+    def test_campaign_config_converges_on_larger_spheres(self, sides, seed,
+                                                          start):
+        # Near K* the relative error target 0.05 h ||f0||_inf falls below
+        # the rounding of the error estimate; without the rounding floor
+        # three of these four runs end in a step size underflow.
+        inst = make_synthetic(fixtures.bipyramid(sides), seed)
+        n = inst.complex.n_vertices
+        k0 = (np.zeros(n) if start == "zero" else
+              inst.kbar + rng_for(1000 + seed).uniform(-1.0, 1.0, n))
+        trace = run(inst.complex, inst.prescription, k0, ACCEPTANCE_CONFIG)
+        assert trace.verdict == "converged", trace.failure
+        # criterion 4's tolerances
+        assert trace.final.err_inf <= 1e-10
+        assert np.max(np.abs(trace.final_k() - inst.kbar)) <= 1e-8
+
+    def test_stages_fit_the_gershgorin_bound_itself(self, monkeypatch):
+        # With h g^2 a hair under the limit of 5 stages, the first step
+        # takes 5; a relative slack on g would push it to 6.
+        limit = cpflow.flow._RKC_LIMITS[3]
+        g = math.sqrt(limit / cpflow.flow.FIRST_STEP) * (1.0 - 1e-12)
+        monkeypatch.setattr(cpflow.flow, "gershgorin_bound", lambda state: g)
+        stages = count_rkc_stages(monkeypatch)
+        config = dataclasses.replace(ACCEPTANCE_CONFIG,
+                                     max_time=cpflow.flow.FIRST_STEP)
+        run(*self.planted_tetrahedron(), config)
+        assert stages[0] == 5
 
     def test_max_time_clips_the_last_step(self):
         config = dataclasses.replace(ACCEPTANCE_CONFIG, max_time=1.0)

@@ -1,12 +1,15 @@
 """The public API: ``cpflow.__all__`` names the solver, not its test oracles."""
 
+import dataclasses
+
 import cpflow
 import cpflow.curvature
+import cpflow.errors
 import cpflow.geometry
 import cpflow.surface
 
 # Test oracles, importable from their modules but not part of the API.
-ORACLES = ("check_bruteforce", "SizeError", "curvature_rhs")
+ORACLES = ("check_bruteforce", "curvature_rhs")
 # Test oracles that live under tests/, not in the package at all.
 TEST_ORACLES = ("edge_side_geometry", "EdgeSideGeometry", "k_to_r",
                 "velocity_bound")
@@ -27,6 +30,13 @@ def test_test_oracles_left_the_package():
         for name in TEST_ORACLES + ("_check_phi",):
             assert not hasattr(module, name), (module.__name__, name)
     assert not hasattr(cpflow.SurfaceComplex, "degrees")
+
+
+def test_retired_names_stay_gone():
+    # check_bruteforce raises a plain InputError above its size guard.
+    assert not hasattr(cpflow.errors, "SizeError")
+    assert [f.name for f in dataclasses.fields(cpflow.SyntheticInstance)] == [
+        "complex", "kbar", "prescription"]
 
 
 def test_names_resolve_in_the_parser_only():
