@@ -554,16 +554,16 @@ b 2
         np.linalg.LinAlgError("Singular matrix"),
     ], ids=["integration", "non-convergence", "linalg"])
     def failing_run(self, request, monkeypatch):
-        """Makes the step ceiling of every run on a 4-vertex complex raise
-        the error, after the run's start sample."""
-        real_eigenvalue = cpflow.flow.extreme_eigenvalue
+        """Makes the first step of every run on a 4-vertex complex raise the
+        error, after the run's start sample: RKF45's step ceiling and RKC's
+        stiffness bound both raise it."""
+        for name in ("extreme_eigenvalue", "gershgorin_bound"):
+            def failing(state, *args, real=getattr(cpflow.flow, name)):
+                if state.complex.n_vertices == 4:
+                    raise request.param
+                return real(state, *args)
 
-        def eigenvalue(state, *args):
-            if state.complex.n_vertices == 4:
-                raise request.param
-            return real_eigenvalue(state, *args)
-
-        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", eigenvalue)
+            monkeypatch.setattr(cpflow.flow, name, failing)
         return request.param
 
     def assert_failed_trace(self, path, failure):
@@ -660,6 +660,20 @@ class TestHonestVerdicts:
         path = self.tetra_with(tmp_path, lhat_d, k0)
         assert main(["solve", path, "--method", "newton"]) == 4
         assert len(calls) == 1
+
+    def test_default_solve_from_the_far_start(self, tmp_path, capsys):
+        # The default solve steps the Calabi flow with RKC.  From the far
+        # start it still ends budget-exhausted, as under RKF45, because J's
+        # diagonal at the two far vertices is about 1e-8 and they barely
+        # move by t = 1e4; but it takes 111 samples, not RKF45's 22 608.
+        path = self.tetra_with(tmp_path, 3.9, self.FAR_START)
+        trace = tmp_path / "t.tsv"
+        assert main(["solve", path, "--trace", str(trace)]) == 4
+        assert capsys.readouterr().out.startswith(
+            "tetra.icp: budget-exhausted t=10000 ")
+        lines = trace.read_text().splitlines()
+        assert "# integrator rkc" in lines
+        assert len([l for l in lines if not l.startswith("#")]) <= 300
 
     def test_newton_without_descent(self, tmp_path, capsys):
         path = self.tetra_with(tmp_path, 9.5)

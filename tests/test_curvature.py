@@ -14,10 +14,11 @@ from cpflow import (FlowConfig, InputError, Prescription, evaluate, fixtures,
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
                                extreme_eigenvalue, gershgorin_bound,
                                uniform_gershgorin_bound)
+from cpflow.flow import integrator
 from cpflow.geometry import _edge_derivatives
 from cpflow.instancefile import fmt, write_solution
 from cpflow.oracle import rng_for
-from conftest import random_instance
+from conftest import RKF45_CONFIG, random_instance
 from edge_geometry import edge_side_geometry, k_to_r
 from fd_oracle import fd_jacobian
 from potential_quadrature import QuadratureError, potential_quadrature
@@ -443,10 +444,10 @@ class TestUniformGershgorinBound:
             pytest.approx(expected, rel=1e-15)
 
 
-# Calabi at the default tol_ode (RKF45) and at a loose one (damped RKC),
-# the curvature flow and Newton.
+# Calabi under RKF45 and at a loose tol_ode (damped RKC), the curvature
+# flow and Newton.
 ENERGY_CONFIGS = {
-    "calabi": FlowConfig(),
+    "calabi": RKF45_CONFIG,
     "calabi-rkc": FlowConfig(tol_ode=1e-4),
     "curvature": FlowConfig(method="curvature"),
     "newton": FlowConfig(method="newton"),
@@ -472,6 +473,10 @@ class TestEnergies:
         bumped[2] += 0.125
         trace = run(tetra, Prescription(bumped), np.zeros(4))
         assert trace.samples[0].energy == pytest.approx(0.5 * 0.125 ** 2, rel=1e-14)
+
+    def test_configs_cover_both_calabi_integrators(self):
+        assert {integrator(c) for c in ENERGY_CONFIGS.values()
+                if c.method == "calabi"} == {"rkc", "rkf45"}
 
     @pytest.mark.parametrize("name", ENERGY_CONFIGS)
     def test_every_sample_is_half_the_squared_error(self, name):

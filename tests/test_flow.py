@@ -11,7 +11,7 @@ import cpflow.flow
 import cpflow.geometry
 from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     InputError, Prescription,
-                    calabi_direction, evaluate, fit_decay_rate,
+                    calabi_direction, check_mincut, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, _evaluate,
                                extreme_eigenvalue, gershgorin_bound)
@@ -20,7 +20,8 @@ from cpflow.flow import (RKC_MIN_TOL, _calabi_stage, _curvature_stage,
                          integrator)
 from cpflow.geometry import _TMS_SERIES_BELOW
 from cpflow.oracle import rng_for
-from conftest import ACCEPTANCE_CONFIG, count_computed, single_vertex_violator
+from conftest import (ACCEPTANCE_CONFIG, RKF45_CONFIG, count_computed,
+                      single_vertex_violator)
 from radius_flow import curvature_rhs
 from velocity_bound import velocity_bound
 
@@ -109,6 +110,14 @@ def torus_start(side: int, seed: int):
     inst = make_synthetic(c, seed=seed, k_range=(-1.0, 1.0))
     k0 = inst.kbar + rng_for(seed + 1).uniform(-0.3, 0.3, c.n_vertices)
     return c, inst.prescription, k0
+
+
+# The criterion-4 configuration under each Calabi integrator, for the tests
+# that cover both.
+BOTH_INTEGRATORS = {
+    "rkc": ACCEPTANCE_CONFIG,
+    "rkf45": dataclasses.replace(ACCEPTANCE_CONFIG, tol_ode=1e-6),
+}
 
 
 class TestRightHandSides:
@@ -341,7 +350,7 @@ class TestSpectrumOnDemand:
         ceilings = count_ceilings(monkeypatch)
         inst = make_synthetic(tetra, seed=65)
         k0 = inst.kbar + rng_for(66).uniform(-0.5, 0.5, 4)
-        trace = run(tetra, inst.prescription, k0)
+        trace = run(tetra, inst.prescription, k0, RKF45_CONFIG)
         # one spectrum per step the Gershgorin bound did not screen, for
         # the step cap, and one at the solution
         assert len(spectra) == len(ceilings) + 1
@@ -355,7 +364,8 @@ class TestSpectrumOnDemand:
         dense = count_computed(monkeypatch, "J")
         c, prescription, k0 = torus_start(10, seed=83)
         assert c.n_vertices > LANCZOS_CUT
-        trace = run(c, prescription, k0, FlowConfig(method=method))
+        trace = run(c, prescription, k0,
+                    dataclasses.replace(RKF45_CONFIG, method=method))
         assert trace.verdict == "converged"
         assert spectra == [] and dense == []
         assert trace.min_eig > 0.0
@@ -369,7 +379,7 @@ class TestLanczosCeiling:
     @pytest.mark.parametrize("method", ["calabi", "curvature"])
     def test_tracks_the_exact_ceiling(self, monkeypatch, side, method):
         c, prescription, k0 = torus_start(side, seed=85)
-        config = FlowConfig(method=method)
+        config = dataclasses.replace(RKF45_CONFIG, method=method)
         ceilings = []
 
         def recorded(state, end, tol=None, start=None):
@@ -387,6 +397,7 @@ class TestLanczosCeiling:
         monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", dense)
         exact = run(c, prescription, k0, config)
         assert lanczos.verdict == exact.verdict == "converged"
+        assert ceilings
         for lam, state in ceilings:
             assert abs(lam / state.max_eigenvalue - 1.0) <= 0.05
         steps = len(exact.samples) - 1
@@ -399,13 +410,19 @@ class TestLanczosCeiling:
         assert extreme_eigenvalue(state, "max") == (state.max_eigenvalue, None)
 
 
+# The configurations of the screens' pinned runs: the criterion-4 one, the
+# default and RKF45's.
+SCREEN_CONFIGS = {"acceptance": ACCEPTANCE_CONFIG, "default": FlowConfig(),
+                  "rkf45": RKF45_CONFIG}
+
+
 class TestGershgorinScreen:
     """A step skips its ceiling only where the Gershgorin bound proves the
     ceiling would not cap it, so a screened run is bit for bit the run
     that computes the ceiling on every step."""
 
-    @pytest.mark.parametrize("config", [ACCEPTANCE_CONFIG, FlowConfig()],
-                             ids=["acceptance", "default"])
+    @pytest.mark.parametrize("config", SCREEN_CONFIGS.values(),
+                             ids=SCREEN_CONFIGS)
     @pytest.mark.parametrize("method", ["calabi", "curvature"])
     @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
     def test_trace_is_the_unscreened_trace(self, monkeypatch, name, method,
@@ -441,7 +458,7 @@ class TestGershgorinScreen:
         lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
         ceilings = count_ceilings(monkeypatch)
         trace = run(c, Prescription(lhat), inst.kbar,
-                    FlowConfig(method="curvature"))
+                    dataclasses.replace(RKF45_CONFIG, method="curvature"))
         assert trace.verdict == "diverged"
         assert len(ceilings) < 0.1 * (len(trace.samples) - 1)
 
@@ -491,8 +508,8 @@ class TestUniformScreen:
         assert bounds_a <= bounds_b
         return bounds_a, bounds_b
 
-    @pytest.mark.parametrize("config", [ACCEPTANCE_CONFIG, FlowConfig()],
-                             ids=["acceptance", "default"])
+    @pytest.mark.parametrize("config", SCREEN_CONFIGS.values(),
+                             ids=SCREEN_CONFIGS)
     @pytest.mark.parametrize("method", cpflow.flow.METHODS)
     @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
     def test_pinned_runs(self, monkeypatch, name, method, config):
@@ -512,7 +529,8 @@ class TestUniformScreen:
     def test_above_the_cut(self, monkeypatch, method):
         c, prescription, k0 = torus_start(10, seed=83)
         assert c.n_vertices > LANCZOS_CUT
-        self.runs(monkeypatch, c, prescription, k0, FlowConfig(method=method))
+        self.runs(monkeypatch, c, prescription, k0,
+                  dataclasses.replace(RKF45_CONFIG, method=method))
 
 
 class TestValidatesOnce:
@@ -529,14 +547,14 @@ class TestValidatesOnce:
             monkeypatch.setattr(module, "check_instance", counted)
         return calls
 
-    @pytest.mark.parametrize("tol_ode", [1e-4, 1e-6], ids=["rkc", "rkf45"])
+    @pytest.mark.parametrize("config", BOTH_INTEGRATORS.values(),
+                             ids=BOTH_INTEGRATORS)
     def test_same_checks_for_5_and_100_steps(self, monkeypatch, checks,
-                                             tol_ode):
+                                             config):
         # Both integrators take more than 100 steps on this run.
         c = PINNED_COMPLEXES["tetrahedron"]()
         inst = make_synthetic(c, seed=71)
         k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
-        config = dataclasses.replace(ACCEPTANCE_CONFIG, tol_ode=tol_ode)
         counts = []
         for steps in (5, 100):
             monkeypatch.setattr(cpflow.flow, "MAX_ITERS", steps)
@@ -578,11 +596,21 @@ class TestRKC:
         # under RKC (1.231 times it at 1e-5 on the criterion-4 campaign).
         assert integrator(FlowConfig(tol_ode=1e-4)) == "rkc"
         assert integrator(FlowConfig(tol_ode=1e-5)) == "rkf45"
-        assert integrator(FlowConfig()) == "rkf45"
+        # The default sits at the edge of the rule.
+        assert integrator(FlowConfig()) == "rkc"
+        assert integrator(RKF45_CONFIG) == "rkf45"
         assert integrator(dataclasses.replace(
             ACCEPTANCE_CONFIG, method="curvature")) == "rkf45"
         assert integrator(dataclasses.replace(
             ACCEPTANCE_CONFIG, method="newton")) == "none"
+
+    @pytest.mark.parametrize("configs", [BOTH_INTEGRATORS, SCREEN_CONFIGS],
+                             ids=["both-integrators", "screens"])
+    def test_parametrizations_cover_both_integrators(self, configs):
+        # Whatever FlowConfig's default, each runs the Calabi flow under
+        # both integrators.
+        assert {integrator(dataclasses.replace(c, method="calabi"))
+                for c in configs.values()} == {"rkc", "rkf45"}
 
     def test_stability_polynomial(self):
         # One step of y' = -z y with h = 1 from y = 1 gives R(-z); a step
@@ -608,13 +636,11 @@ class TestRKC:
         # no step ceiling; one spectrum, for min_eig at the solution
         assert ceilings == [] and len(spectra) == 1
 
-    @pytest.mark.parametrize("config,rkc", [
-        (ACCEPTANCE_CONFIG, True),
-        (dataclasses.replace(ACCEPTANCE_CONFIG, tol_ode=1e-6), False),
-    ], ids=["rkc", "rkf45"])
-    def test_rkc_computes_no_rkf45_bound(self, monkeypatch, config, rkc):
+    @pytest.mark.parametrize("name", BOTH_INTEGRATORS)
+    def test_rkc_computes_no_rkf45_bound(self, monkeypatch, name):
         # The loop both integrators share runs the RKF45 ceiling and its
         # uniform screen only for RKF45; the RKF45 run shows the spies see.
+        config, rkc = BOTH_INTEGRATORS[name], name == "rkc"
         calls = []
 
         def spy(name):
@@ -722,6 +748,21 @@ class TestRKC:
                         ACCEPTANCE_CONFIG)
         assert trace.verdict in ("converged", "diverged", "budget-exhausted",
                                  "numerical-failure")
+
+
+class TestDefaultCalabi:
+    """The default configuration steps the Calabi flow with RKC, so a run
+    that cannot converge still costs a bounded number of samples."""
+
+    @pytest.mark.parametrize("j", range(20))
+    def test_violator_ends_with_the_certificate(self, j):
+        # Still budget-exhausted (ROADMAP item 1), in 179-340 samples
+        # measured, where RKF45 took 6449-24 581 on violators 0-3.
+        _, complex, bad, _ = single_vertex_violator(j)
+        trace = run(complex, bad, np.zeros(complex.n_vertices))
+        assert trace.verdict == "budget-exhausted"
+        assert trace.certificate == check_mincut(complex, bad)
+        assert len(trace.samples) <= 500
 
 
 class TestNewton:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import struct
@@ -14,6 +15,7 @@ from cpflow import (FlowConfig, ParseError, Prescription, SurfaceComplex,
 from cpflow.flow import FlowSample, FlowTrace
 from cpflow.instancefile import fmt, parse_angle, write_solution, write_trace
 from cpflow.oracle import rng_for
+from conftest import RKF45_CONFIG
 
 TETRA_DOC = """\
 # four circles, all crossings orthogonal
@@ -470,7 +472,8 @@ class TestReports:
             prescription = planted.prescription
             k0 = planted.kbar + 0.3
             method = "curvature"
-        config = FlowConfig(method=method, tol_curvature=1e-9)
+        config = dataclasses.replace(RKF45_CONFIG, method=method,
+                                     tol_curvature=1e-9)
         trace = run(complex, prescription, k0, config)
         buf = io.StringIO()
         write_trace(buf, trace, complex, prescription, config)
