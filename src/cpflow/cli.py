@@ -94,20 +94,15 @@ def cmd_check(args) -> int:
     return EXIT_OK if verdict.feasible else EXIT_NEGATIVE
 
 
-def _solve_one(path: Path, args, trace_path: Path | None,
-               solution_path: Path | None) -> int:
+def _solve_one(path: Path, config: FlowConfig, seed: int | None,
+               trace_path: Path | None, solution_path: Path | None) -> int:
     inst = _load_problem(path)
     if inst is None:
         return EXIT_NEGATIVE
 
-    config = FlowConfig(
-        method=args.method,
-        tol_curvature=args.tol,
-        max_time=args.max_time,
-    )
     n = inst.complex.n_vertices
-    if args.seed is not None:
-        k0 = rng_for(args.seed).uniform(-1.0, 1.0, size=n)
+    if seed is not None:
+        k0 = rng_for(seed).uniform(-1.0, 1.0, size=n)
     elif inst.initial_k is not None:
         k0 = inst.initial_k
     else:
@@ -156,21 +151,24 @@ def _solve_one(path: Path, args, trace_path: Path | None,
     return EXIT_BUDGET
 
 
-def _worker(path: Path, args, trace_path: Path | None,
-            solution_path: Path | None) -> int:
+def _worker(path: Path, config: FlowConfig, seed: int | None,
+            trace_path: Path | None, solution_path: Path | None) -> int:
     try:
-        return _solve_one(path, args, trace_path, solution_path)
+        return _solve_one(path, config, seed, trace_path, solution_path)
     except (ParseError, InputError) as exc:
         print(f"{path.name}: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
 
 def cmd_solve(args) -> int:
+    # The flags are checked once, before any file is read.
+    config = FlowConfig(method=args.method, tol_curvature=args.tol,
+                        max_time=args.max_time)
     target = Path(args.instance)
     if not target.is_dir():
         trace_path = Path(args.trace) if args.trace else None
         solution_path = Path(args.solution) if args.solution else None
-        return _solve_one(target, args, trace_path, solution_path)
+        return _solve_one(target, config, args.seed, trace_path, solution_path)
 
     # Batch mode: every *.icp file in the directory, one after another in
     # name order; a failing file does not stop the others.
@@ -192,7 +190,8 @@ def cmd_solve(args) -> int:
                       else trace_dir / (path.stem + ".trace.tsv"))
         solution_path = (None if solution_dir is None
                          else solution_dir / (path.stem + ".solution.txt"))
-        codes.append(_worker(path, args, trace_path, solution_path))
+        codes.append(_worker(path, config, args.seed, trace_path,
+                             solution_path))
     return max(codes)
 
 

@@ -17,8 +17,7 @@ state computes theta and L when it is built, and J's edge form on its
 first read, which Newton's backtracking trials, ``potential`` and
 ``instancefile.write_solution`` never make.  The dense Jacobian and its
 spectrum are likewise computed only when a caller reads them.
-``gershgorin_bound`` bounds the top of J's spectrum at one state, and
-``uniform_gershgorin_bound`` bounds that bound at every K.
+``gershgorin_bound`` bounds the top of J's spectrum at one state.
 The exact Cl_2 series behind ``potential`` is computed on its first call,
 not at import: no CLI command needs it.
 """
@@ -208,30 +207,6 @@ def gershgorin_bound(state: CurvatureState) -> float:
     return float((2.0 * diag - (diag + np.bincount(
         c.endpoint_arrays.ravel(), np.concatenate((d_cross, d_cross)),
         c.n_vertices))).max())
-
-
-# The largest value of sin^2 r cos r on (0, pi/2), at tan^2 r = 2, times pi.
-_D_PAIR_MAX = 2.0 * math.pi / (3.0 * math.sqrt(3.0))
-
-
-def uniform_gershgorin_bound(complex: SurfaceComplex) -> float:
-    """A bound G on ``gershgorin_bound`` that holds at every K.
-
-    Row v of the Gershgorin bound is sum_{e at v} (d_pair + 2 |d_cross|).
-    d_pair = sin^2 r cos r (theta - sin theta) is at most 2 pi / (3 sqrt 3),
-    as theta < pi (both terms of the atan2 denominator in the kernel are
-    nonnegative), and |d_cross| is at most 2 / sin phi, so
-
-        G = max_v sum_{e at v} (2 pi / (3 sqrt 3) + 4 / sin phi_e).
-
-    An angle so small that 4 / sin phi overflows makes G inf: valid, if
-    vacuous.
-    """
-    with np.errstate(over="ignore"):
-        per_end = _D_PAIR_MAX + 4.0 / complex.sin_phi
-    return float(np.bincount(complex.endpoint_arrays.ravel(),
-                             np.concatenate((per_end, per_end)),
-                             complex.n_vertices).max())
 
 
 def evaluate(complex: SurfaceComplex, K) -> CurvatureState:

@@ -48,8 +48,7 @@ import numpy as np
 # the benchmark's tracer counts calls through this name.
 from .curvature import (K_CLAMP, CurvatureState, _apply,  # noqa: F401
                         _coordinates, _edge_form, _evaluate, _sides, evaluate,
-                        extreme_eigenvalue, gershgorin_bound,
-                        uniform_gershgorin_bound)
+                        extreme_eigenvalue, gershgorin_bound)
 from .errors import InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -339,14 +338,10 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     FIRST_STEP and clip every step to ``max_time``.  RKC bounds the stiffness by the
     state's ``gershgorin_bound`` and computes no spectrum.  RKF45 bounds
     each step by a loose ``extreme_eigenvalue`` ceiling at the state it
-    steps from, unless a bound on the top of J's spectrum proves the
-    proposed step is already under that ceiling: first the per-complex
-    constant ``uniform_gershgorin_bound``, which costs one compare, then
-    the state's ``gershgorin_bound``.  The constant is at least the
-    Gershgorin bound, so it passes only where that bound would, and the
-    ceilings are computed at the same states either way.  The bounds are
-    tried only after a step the ceiling did not cap, so the first step and
-    every step after a capped one compute the ceiling.  A ceiling of zero
+    steps from, unless the state's ``gershgorin_bound`` proves the
+    proposed step is already under that ceiling.  The bound is tried only
+    after a step the ceiling did not cap, so the first step and every step
+    after a capped one compute the ceiling.  A ceiling of zero
     or below (an eigenvalue that underflowed) caps nothing.  Above
     LANCZOS_CUT the ceiling warm-starts from the last Ritz vector it
     computed.
@@ -363,12 +358,7 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         return state, (calabi_direction(state, prescription) if calabi
                        else lhat - state.L)
 
-    if not rkc:
-        # h * uniform_stiffness <= _RKF_STAB implies the Gershgorin test
-        # below: the same operations on a larger bound.
-        uniform_stiffness = stiffness(
-            (1.0 + _GERSHGORIN_SLACK) * uniform_gershgorin_bound(complex))
-        ritz, screen = None, False
+    ritz, screen = None, False
     t, h, tol = 0.0, FIRST_STEP, config.tol_ode
     state, f = sample(K0)
     while True:
@@ -383,10 +373,9 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         # bound fails that test).
         if rkc:
             stiff = stiffness(gershgorin_bound(state))
-        elif not (screen and (
-                h * uniform_stiffness <= _RKF_STAB
-                or h * stiffness((1.0 + _GERSHGORIN_SLACK)
-                                 * gershgorin_bound(state)) <= _RKF_STAB)):
+        elif not (screen and h * stiffness((1.0 + _GERSHGORIN_SLACK)
+                                           * gershgorin_bound(state))
+                  <= _RKF_STAB):
             lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
             stiff = stiffness(lam)
             cap = _RKF_STAB / stiff if stiff > 0.0 else math.inf

@@ -253,9 +253,16 @@ class TestSolve:
 
     @pytest.mark.parametrize("flag, value", [("--tol", "nan"),
                                              ("--max-time", "nan")])
-    def test_non_finite_flag_rejected(self, tetra_file, capsys, flag, value):
-        assert main(["solve", tetra_file, flag, value]) == 2
-        assert "finite" in capsys.readouterr().err
+    def test_non_finite_flag_rejected(self, tetra_file, tmp_path, capsys,
+                                      flag, value):
+        # A directory of two files still gets one error: the flags are
+        # checked before any file is read.
+        write_instance(tmp_path / "one.icp", fixtures.tetrahedron(),
+                       Prescription(np.full(4, L_REF)))
+        for target in (tetra_file, str(tmp_path)):
+            assert main(["solve", target, flag, value]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "finite" in err[0]
 
     def test_usage_error(self):
         assert main(["solve"]) == 2

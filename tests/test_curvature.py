@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import subprocess
@@ -12,8 +13,7 @@ import cpflow.curvature
 from cpflow import (FlowConfig, InputError, Prescription, evaluate, fixtures,
                     make_synthetic, potential, run)
 from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, RADIUS_CLAMP,
-                               extreme_eigenvalue, gershgorin_bound,
-                               uniform_gershgorin_bound)
+                               extreme_eigenvalue, gershgorin_bound)
 from cpflow.flow import integrator
 from cpflow.geometry import _edge_derivatives
 from cpflow.instancefile import fmt, write_solution
@@ -372,20 +372,24 @@ class TestGershgorinBound:
 
     @pytest.mark.parametrize("make", [
         fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
-        fixtures.torus_grid, lambda: fixtures.necklace(4),
-        lambda: fixtures.prism(5), lambda: fixtures.bipyramid(5),
+        fixtures.torus_grid, functools.partial(fixtures.necklace, 4),
+        functools.partial(fixtures.prism, 5),
+        functools.partial(fixtures.bipyramid, 5),
     ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
             "prism5", "bipyramid5"])
     def test_bounds_the_spectrum(self, make):
-        c = make()
-        rng = rng_for(90)
-        for _ in range(200):
-            # Scales from 1e-2 to 1 of the clamp, so both the bulk and the
-            # near-frozen geometry are sampled.
-            scale = K_CLAMP * 10.0 ** rng.uniform(-2.0, 0.0)
-            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
-            lam = np.linalg.eigvalsh(state.J)[-1]
-            assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
+        # Scales from 1e-2 to 1 of the clamp at the default angle, so both
+        # the bulk and the near-frozen geometry are sampled; then up to one
+        # past the clamp at three angles, so clamped states are drawn too.
+        runs = [(make(), rng_for(90), K_CLAMP, 200)] + [
+            (make(phi=phi), np.random.default_rng(91), K_CLAMP + 1.0, 100)
+            for phi in (0.2, 1.3, 0.5 * math.pi)]
+        for c, rng, top, draws in runs:
+            for _ in range(draws):
+                scale = top * 10.0 ** rng.uniform(-2.0, 0.0)
+                state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
+                lam = np.linalg.eigvalsh(state.J)[-1]
+                assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
 
     def test_is_twice_the_diagonal_less_the_row_sums(self):
         # The row sums J 1, bit for bit as jvp computes them.
@@ -404,44 +408,6 @@ class TestGershgorinBound:
             state = evaluate(fixtures.bigon(1.1), np.array([k, k]))
             lam = np.linalg.eigvalsh(state.J)[-1]
             assert abs(gershgorin_bound(state) / lam - 1.0) <= 1e-14
-
-
-class TestUniformGershgorinBound:
-    """The per-complex constant G bounds the Gershgorin bound at every K,
-    so the flow's constant test passes only where the Gershgorin test
-    would."""
-
-    @pytest.mark.parametrize("phi", [0.2, 1.3, 0.5 * math.pi],
-                             ids=["0.2", "1.3", "pi/2"])
-    @pytest.mark.parametrize("make", [
-        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
-        fixtures.torus_grid, lambda phi: fixtures.necklace(4, phi),
-        lambda phi: fixtures.prism(5, phi),
-        lambda phi: fixtures.bipyramid(5, phi),
-    ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
-            "prism5", "bipyramid5"])
-    def test_bounds_the_gershgorin_bound(self, make, phi):
-        c = make(phi=phi)
-        bound = uniform_gershgorin_bound(c)
-        rng = np.random.default_rng(91)
-        for _ in range(100):
-            # Up to one past the clamp, so clamped states are drawn too.
-            scale = (K_CLAMP + 1.0) * 10.0 ** rng.uniform(-2.0, 0.0)
-            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
-            g = gershgorin_bound(state)
-            assert bound >= g
-            assert (1.0 + 1e-10) * g >= state.max_eigenvalue
-
-    def test_subnormal_angle_gives_an_infinite_bound(self):
-        # 4 / sin phi overflows: the bound is vacuous, and no warning.
-        c = fixtures.bigon(np.array([1e-320, 0.5 * math.pi]))
-        assert uniform_gershgorin_bound(c) == math.inf
-
-    def test_value_on_the_tetrahedron(self):
-        # Three edges at each vertex, each 2 pi / (3 sqrt 3) + 4 / sin phi.
-        expected = 3.0 * (2.0 * math.pi / (3.0 * math.sqrt(3.0)) + 4.0)
-        assert uniform_gershgorin_bound(fixtures.tetrahedron()) == \
-            pytest.approx(expected, rel=1e-15)
 
 
 # Calabi under RKF45 and at a loose tol_ode (damped RKC), the curvature

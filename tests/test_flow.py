@@ -416,6 +416,15 @@ SCREEN_CONFIGS = {"acceptance": ACCEPTANCE_CONFIG, "default": FlowConfig(),
                   "rkf45": RKF45_CONFIG}
 
 
+def diverging_torus4x4():
+    """An infeasible torus4x4 prescription and its planted start."""
+    c = fixtures.torus_grid(4, 4, phi=1.3)
+    inst = make_synthetic(c, seed=73)
+    lhat = inst.prescription.lhat.copy()
+    lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
+    return c, Prescription(lhat), inst.kbar
+
+
 class TestGershgorinScreen:
     """A step skips its ceiling only where the Gershgorin bound proves the
     ceiling would not cap it, so a screened run is bit for bit the run
@@ -452,85 +461,12 @@ class TestGershgorinScreen:
     def test_accuracy_bound_divergence_skips_the_ceiling(self, monkeypatch):
         # The curvature flow on an infeasible prescription runs at the
         # step its error tolerance allows, well under the ceiling.
-        c = fixtures.torus_grid(4, 4, phi=1.3)
-        inst = make_synthetic(c, seed=73)
-        lhat = inst.prescription.lhat.copy()
-        lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
+        c, prescription, k0 = diverging_torus4x4()
         ceilings = count_ceilings(monkeypatch)
-        trace = run(c, Prescription(lhat), inst.kbar,
+        trace = run(c, prescription, k0,
                     dataclasses.replace(RKF45_CONFIG, method="curvature"))
         assert trace.verdict == "diverged"
         assert len(ceilings) < 0.1 * (len(trace.samples) - 1)
-
-
-def diverging_torus4x4():
-    """An infeasible torus4x4 prescription and its planted start."""
-    c = fixtures.torus_grid(4, 4, phi=1.3)
-    inst = make_synthetic(c, seed=73)
-    lhat = inst.prescription.lhat.copy()
-    lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
-    return c, Prescription(lhat), inst.kbar
-
-
-class TestUniformScreen:
-    """The constant tier of the screen passes only where the Gershgorin
-    test would, so the ceilings are computed at the same states and the
-    trace is the one without it."""
-
-    def runs(self, monkeypatch, *args):
-        """(trace, states a ceiling was computed at, gershgorin_bound
-        calls) with the uniform bound, then with it at inf."""
-        out = []
-        for uniform in (cpflow.flow.uniform_gershgorin_bound,
-                        lambda complex: math.inf):
-            monkeypatch.setattr(cpflow.flow, "uniform_gershgorin_bound",
-                                uniform)
-            ceilings = count_ceilings(monkeypatch)
-            bounds = []
-
-            def counted(state):
-                bounds.append(state)
-                return gershgorin_bound(state)
-
-            monkeypatch.setattr(cpflow.flow, "gershgorin_bound", counted)
-            trace = run(*args)
-            out.append((trace, [st.K.tobytes() for st in ceilings],
-                        len(bounds)))
-        (a, ceil_a, bounds_a), (b, ceil_b, bounds_b) = out
-        assert (a.verdict, a.min_eig, a.failure) == (
-            b.verdict, b.min_eig, b.failure)
-        assert len(a.samples) == len(b.samples)
-        for x, y in zip(a.samples, b.samples):
-            assert x.K.tobytes() == y.K.tobytes()
-            assert (x.t, x.err_inf, x.energy, x.speed, x.clamped) == (
-                y.t, y.err_inf, y.energy, y.speed, y.clamped)
-        assert ceil_a == ceil_b
-        assert bounds_a <= bounds_b
-        return bounds_a, bounds_b
-
-    @pytest.mark.parametrize("config", SCREEN_CONFIGS.values(),
-                             ids=SCREEN_CONFIGS)
-    @pytest.mark.parametrize("method", cpflow.flow.METHODS)
-    @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
-    def test_pinned_runs(self, monkeypatch, name, method, config):
-        c = PINNED_COMPLEXES[name]()
-        inst = make_synthetic(c, seed=71)
-        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
-        self.runs(monkeypatch, c, inst.prescription, k0,
-                  dataclasses.replace(config, method=method))
-
-    def test_diverging_run_calls_fewer_gershgorin_bounds(self, monkeypatch):
-        c, prescription, k0 = diverging_torus4x4()
-        with_uniform, without = self.runs(monkeypatch, c, prescription, k0,
-                                          FlowConfig(method="curvature"))
-        assert with_uniform < without
-
-    @pytest.mark.parametrize("method", ["calabi", "curvature"])
-    def test_above_the_cut(self, monkeypatch, method):
-        c, prescription, k0 = torus_start(10, seed=83)
-        assert c.n_vertices > LANCZOS_CUT
-        self.runs(monkeypatch, c, prescription, k0,
-                  dataclasses.replace(RKF45_CONFIG, method=method))
 
 
 class TestValidatesOnce:
@@ -638,8 +574,8 @@ class TestRKC:
 
     @pytest.mark.parametrize("name", BOTH_INTEGRATORS)
     def test_rkc_computes_no_rkf45_bound(self, monkeypatch, name):
-        # The loop both integrators share runs the RKF45 ceiling and its
-        # uniform screen only for RKF45; the RKF45 run shows the spies see.
+        # The loop both integrators share runs the RKF45 ceiling only for
+        # RKF45; the RKF45 run shows the spies see it.
         config, rkc = BOTH_INTEGRATORS[name], name == "rkc"
         calls = []
 
@@ -652,14 +588,11 @@ class TestRKC:
 
             monkeypatch.setattr(cpflow.flow, name, recorded)
 
-        for name in ("uniform_gershgorin_bound", "extreme_eigenvalue",
-                     "gershgorin_bound"):
+        for name in ("extreme_eigenvalue", "gershgorin_bound"):
             spy(name)
         trace = run(*self.planted_tetrahedron(), config)
         assert trace.verdict == "converged"
-        rkf45_only = {("uniform_gershgorin_bound",),
-                      ("extreme_eigenvalue", "max")}
-        assert rkf45_only.isdisjoint(calls) == rkc
+        assert (("extreme_eigenvalue", "max") not in calls) == rkc
         if rkc:
             # one Gershgorin bound per step taken
             assert (calls.count(("gershgorin_bound",))

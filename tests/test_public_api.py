@@ -1,6 +1,10 @@
 """The public API: ``cpflow.__all__`` names the solver, not its test oracles."""
 
 import dataclasses
+import importlib
+import pkgutil
+import re
+from pathlib import Path
 
 import cpflow
 import cpflow.curvature
@@ -21,6 +25,21 @@ def test_every_public_name_resolves_once():
         getattr(cpflow, name)   # raises AttributeError for a stale name
 
 
+def test_readme_module_names_resolve():
+    # Every backticked `module.name` or `cpflow.module.name` in the README,
+    # with or without a call's arguments, names an attribute of that module.
+    modules = [m.name for m in pkgutil.iter_modules(cpflow.__path__)
+               if not m.name.startswith("_")]
+    pattern = re.compile(r"`(?:cpflow\.)?(%s)\.(\w+)(?:\([^`]*\))?`"
+                         % "|".join(modules))
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    names = set(pattern.findall(readme.read_text(encoding="utf-8")))
+    assert ("flow", "run") in names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(f"cpflow.{module}"), name), \
+            f"{module}.{name}"
+
+
 def test_oracles_are_not_public():
     assert not set(ORACLES + TEST_ORACLES) & set(cpflow.__all__)
 
@@ -37,6 +56,9 @@ def test_retired_names_stay_gone():
     assert not hasattr(cpflow.errors, "SizeError")
     assert [f.name for f in dataclasses.fields(cpflow.SyntheticInstance)] == [
         "complex", "kbar", "prescription"]
+    # The state's Gershgorin bound is the one screen on RKF45's ceiling.
+    for module in (cpflow.curvature, cpflow.flow):
+        assert not hasattr(module, "uniform_gershgorin_bound"), module.__name__
 
 
 def test_names_resolve_in_the_parser_only():
