@@ -1,4 +1,3 @@
-import functools
 import io
 import math
 import subprocess
@@ -372,24 +371,20 @@ class TestGershgorinBound:
 
     @pytest.mark.parametrize("make", [
         fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
-        fixtures.torus_grid, functools.partial(fixtures.necklace, 4),
-        functools.partial(fixtures.prism, 5),
-        functools.partial(fixtures.bipyramid, 5),
+        fixtures.torus_grid, lambda: fixtures.necklace(4),
+        lambda: fixtures.prism(5), lambda: fixtures.bipyramid(5),
     ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
             "prism5", "bipyramid5"])
     def test_bounds_the_spectrum(self, make):
-        # Scales from 1e-2 to 1 of the clamp at the default angle, so both
-        # the bulk and the near-frozen geometry are sampled; then up to one
-        # past the clamp at three angles, so clamped states are drawn too.
-        runs = [(make(), rng_for(90), K_CLAMP, 200)] + [
-            (make(phi=phi), np.random.default_rng(91), K_CLAMP + 1.0, 100)
-            for phi in (0.2, 1.3, 0.5 * math.pi)]
-        for c, rng, top, draws in runs:
-            for _ in range(draws):
-                scale = top * 10.0 ** rng.uniform(-2.0, 0.0)
-                state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
-                lam = np.linalg.eigvalsh(state.J)[-1]
-                assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
+        c = make()
+        rng = rng_for(90)
+        for _ in range(200):
+            # Scales from 1e-2 to 1 of the clamp, so both the bulk and the
+            # near-frozen geometry are sampled.
+            scale = K_CLAMP * 10.0 ** rng.uniform(-2.0, 0.0)
+            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
+            lam = np.linalg.eigvalsh(state.J)[-1]
+            assert (1.0 + 1e-10) * gershgorin_bound(state) >= lam
 
     def test_is_twice_the_diagonal_less_the_row_sums(self):
         # The row sums J 1, bit for bit as jvp computes them.
@@ -408,6 +403,40 @@ class TestGershgorinBound:
             state = evaluate(fixtures.bigon(1.1), np.array([k, k]))
             lam = np.linalg.eigvalsh(state.J)[-1]
             assert abs(gershgorin_bound(state) / lam - 1.0) <= 1e-14
+
+
+class TestUniformGershgorinBound:
+    """A constant of the complex bounds the Gershgorin bound at every K.
+
+    Row v of the bound is sum_{e at v} (d_pair + 2 |d_cross|), with d_pair
+    at most 2 pi / (3 sqrt 3) (the largest sin^2 r cos r, times pi) and
+    |d_cross| at most 2 / sin phi, so at no K, clamped or not, does the
+    bound pass max_v sum_{e at v} (2 pi / (3 sqrt 3) + 4 / sin phi_e).
+    """
+
+    @pytest.mark.parametrize("phi", [0.2, 1.3, 0.5 * math.pi],
+                             ids=["0.2", "1.3", "pi/2"])
+    @pytest.mark.parametrize("make", [
+        fixtures.tetrahedron, fixtures.bigon, fixtures.cube_graph,
+        fixtures.torus_grid, lambda phi: fixtures.necklace(4, phi),
+        lambda phi: fixtures.prism(5, phi),
+        lambda phi: fixtures.bipyramid(5, phi),
+    ], ids=["tetrahedron", "bigon", "cube", "torus3x3", "necklace4",
+            "prism5", "bipyramid5"])
+    def test_bounds_the_gershgorin_bound(self, make, phi):
+        c = make(phi=phi)
+        per_end = 2.0 * math.pi / (3.0 * math.sqrt(3.0)) + 4.0 / c.sin_phi
+        bound = np.bincount(c.endpoint_arrays.ravel(),
+                            np.concatenate((per_end, per_end)),
+                            c.n_vertices).max()
+        rng = np.random.default_rng(91)
+        for _ in range(100):
+            # Up to one past the clamp, so clamped states are drawn too.
+            scale = (K_CLAMP + 1.0) * 10.0 ** rng.uniform(-2.0, 0.0)
+            state = evaluate(c, rng.uniform(-scale, scale, c.n_vertices))
+            g = gershgorin_bound(state)
+            assert bound >= g
+            assert (1.0 + 1e-10) * g >= state.max_eigenvalue
 
 
 # Calabi under RKF45 and at a loose tol_ode (damped RKC), the curvature
