@@ -17,7 +17,9 @@ state computes theta and L when it is built, and J's edge form on its
 first read, which Newton's backtracking trials, ``potential`` and
 ``instancefile.write_solution`` never make.  The dense Jacobian and its
 spectrum are likewise computed only when a caller reads them.
-``gershgorin_bound`` bounds the top of J's spectrum at one state.
+``gershgorin_bound`` bounds the top of J's spectrum at one state, which
+is all either flow integrator needs; ``smallest_eigenvalue`` gives its
+bottom, once per converged flow run.
 The exact Cl_2 series behind ``potential`` is computed on its first call,
 not at import: no CLI command needs it.
 """
@@ -40,14 +42,12 @@ from .surface import Prescription, SurfaceComplex, check_instance
 RADIUS_CLAMP = 1e-12
 K_CLAMP = math.log(1.0 / math.tan(RADIUS_CLAMP))
 
-# The ceiling on the spectrum of J that bounds explicit flow steps is
-# exact (dense J and eigvalsh) up to LANCZOS_CUT vertices and a
-# LANCZOS_STEPS-step Lanczos bound on ``jvp`` above it.  On torus grids
-# (one BLAS thread) the dense J plus eigvalsh costs 29 us at V=9, 122 us at
-# V=36, 244 us at V=64 and 1.6 ms at V=144; a warm-started 6-step Lanczos
-# costs 150-170 us from V=36 to V=144.  The crossover lies between V=36
-# and V=64; the cut sits at its top, because below it a step saves at most
-# about 80 us.
+# The smallest eigenvalue of J, which a converged flow run records as
+# ``min_eig``, is exact (dense J and eigvalsh) up to LANCZOS_CUT vertices
+# and a Lanczos iteration on ``jvp``, checked every LANCZOS_STEPS steps,
+# above it.  On planted torus grids (one BLAS thread) the dense path costs
+# 1 ms at V=100 and 2 ms at V=144, Lanczos 2-3 ms at both; moving the cut
+# would move the last bits of ``min_eig``.
 LANCZOS_CUT = 64
 LANCZOS_STEPS = 6
 
@@ -135,68 +135,50 @@ class CurvatureState:
         return float(self.eigenvalues[-1])
 
 
-def extreme_eigenvalue(state: CurvatureState, end: str,
-                       tol: float | None = None,
-                       start: np.ndarray | None = None
-                       ) -> tuple[float, np.ndarray | None]:
-    """The smallest (``end="min"``) or largest (``end="max"``) eigenvalue
-    of J, and a start vector for the next call; any other ``end`` raises
-    InputError.
+def smallest_eigenvalue(state: CurvatureState, tol: float) -> float:
+    """The smallest eigenvalue of J, for ``flow.run``'s ``min_eig``.
 
     Up to LANCZOS_CUT vertices it is exact, from the spectrum cached on
-    the state, and the vector is None.  Above the cut it is Lanczos on
-    ``state.jvp`` with full reorthogonalization, started from ``start`` (a
-    fixed pseudo-random vector when None), and the vector is the Ritz
-    vector.  With ``tol`` None it takes LANCZOS_STEPS steps and returns a
-    loose bound: the extreme Ritz value theta moved outward by the
-    residual norm |beta_k s_k| of its Ritz pair, which bounds the distance
-    from theta to the nearest eigenvalue.  Otherwise it reorthogonalizes
-    twice and returns theta once the error bound |beta_k s_k|^2 / gap
-    (Parlett 1980; gap to the next Ritz value), checked every
-    LANCZOS_STEPS steps, is at most ``tol`` |theta|.
+    the state.  Above the cut it is Lanczos on ``state.jvp`` from a fixed
+    pseudo-random start, reorthogonalized twice against every earlier
+    vector, and returns the smallest Ritz value theta once the error bound
+    |beta_k s_k|^2 / gap (Parlett 1980; gap to the next Ritz value),
+    checked every LANCZOS_STEPS steps, is at most ``tol`` |theta|.
     """
-    if end not in ("min", "max"):
-        raise InputError(f"end must be 'min' or 'max', not {end!r}")
     n = state.complex.n_vertices
     if n <= LANCZOS_CUT:
-        return (state.max_eigenvalue if end == "max"
-                else state.min_eigenvalue), None
-    if start is None:
-        start = np.random.Generator(np.random.Philox(key=0)).random(n) - 0.5
-    sign, pick = (1, -1) if end == "max" else (-1, 0)
-    steps = LANCZOS_STEPS if tol is None else n
+        return state.min_eigenvalue
+    start = np.random.Generator(np.random.Philox(key=0)).random(n) - 0.5
     Q = np.empty((LANCZOS_STEPS, n))
     Q[0] = start / math.sqrt(start @ start)
     alpha, beta = [], []
-    for j in range(steps):
+    for j in range(n):
         w = state.jvp(Q[j])
         h = Q[:j + 1] @ w
         w -= h @ Q[:j + 1]
-        if tol is not None:
-            # Twice is enough; one pass drifts after a few dozen steps.
-            w -= (Q[:j + 1] @ w) @ Q[:j + 1]
+        # Twice is enough; one pass drifts after a few dozen steps.
+        w -= (Q[:j + 1] @ w) @ Q[:j + 1]
         alpha.append(h[j])
         b = math.sqrt(w @ w)
         # An invariant subspace: its Ritz values are eigenvalues.
-        done = j + 1 == steps or b <= 1e-12 * abs(alpha[j])
-        if done or tol is not None and (j + 1) % LANCZOS_STEPS == 0:
+        done = j + 1 == n or b <= 1e-12 * abs(alpha[j])
+        if done or (j + 1) % LANCZOS_STEPS == 0:
             # eigh reads the lower triangle only.
             theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, -1))
-            rho = abs(b * s[-1, pick])
-            if done or rho * rho <= tol * abs(
-                    theta[pick] * (theta[pick] - theta[pick - sign])):
-                break
+            rho = b * s[-1, 0]
+            if done or rho * rho <= tol * abs(theta[0] * (theta[0] - theta[1])):
+                return float(theta[0])
         if j + 1 == len(Q):
             Q = np.concatenate((Q, np.empty_like(Q)))
         beta.append(b)
         Q[j + 1] = w / b
-    value = theta[pick] + (sign * rho if tol is None else 0.0)
-    return float(value), s[:, pick] @ Q[:j + 1]
 
 
 def gershgorin_bound(state: CurvatureState) -> float:
     """Gershgorin's (1931) upper bound on the largest eigenvalue of J: the
     largest right end J_ii + sum_{j != i} |J_ij| of a Gershgorin disc.
+    Both flow integrators take their stiffness from it: RKC fits its
+    stages to it and RKF45 caps its step by it.
 
     Every off-diagonal entry of J is negative, so that end is
     2 J_ii - (J 1)_i, where (J 1)_i is J_ii plus the mixed partials of the

@@ -48,7 +48,7 @@ import numpy as np
 # the benchmark's tracer counts calls through this name.
 from .curvature import (K_CLAMP, CurvatureState, _apply,  # noqa: F401
                         _coordinates, _edge_form, _evaluate, _sides, evaluate,
-                        extreme_eigenvalue, gershgorin_bound)
+                        gershgorin_bound, smallest_eigenvalue)
 from .errors import InputError, NonConvergenceError
 from .feasibility import FeasibilityVerdict, check_mincut
 from .surface import Prescription, SurfaceComplex, check_instance
@@ -249,7 +249,7 @@ def run(complex: SurfaceComplex, prescription: Prescription, K0,
                     break
             if verdict == VERDICT_CONVERGED and config.method != "newton":
                 # Exact up to LANCZOS_CUT vertices, to a relative 1e-14 above.
-                trace.min_eig = extreme_eigenvalue(state, "min", 1e-14)[0]
+                trace.min_eig = smallest_eigenvalue(state, 1e-14)
         except (NonConvergenceError, np.linalg.LinAlgError) as exc:
             verdict, trace.failure = VERDICT_FAILED, str(exc)
         trace.verdict = verdict
@@ -290,11 +290,6 @@ _MIN_STEP = 1e-14
 # real-axis stability extent (about 3.68) of the propagated fifth-order
 # solution.
 _RKF_STAB = 3.2
-# Relative slack on the Gershgorin bound before it may stand in for the
-# ceiling: it covers the rounding of the bound and of eigvalsh (about
-# 1e-14 relative up to LANCZOS_CUT vertices), so a step the bound lets
-# through is below the exact ceiling and keeps its h bit for bit.
-_GERSHGORIN_SLACK = 1e-10
 
 
 # Damping of the RKC stability polynomial (Sommeijer, Shampine & Verwer
@@ -335,16 +330,11 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
     picks: ``_rkc_step`` or ``_rkf45_step``.  Each evaluates its inner
     stages through ``stage``, which builds no state, and the end of each
     step through ``sample``, and returns the accepted state.  Both start at
-    FIRST_STEP and clip every step to ``max_time``.  RKC bounds the stiffness by the
-    state's ``gershgorin_bound`` and computes no spectrum.  RKF45 bounds
-    each step by a loose ``extreme_eigenvalue`` ceiling at the state it
-    steps from, unless the state's ``gershgorin_bound`` proves the
-    proposed step is already under that ceiling.  The bound is tried only
-    after a step the ceiling did not cap, so the first step and every step
-    after a capped one compute the ceiling.  A ceiling of zero
-    or below (an eigenvalue that underflowed) caps nothing.  Above
-    LANCZOS_CUT the ceiling warm-starts from the last Ritz vector it
-    computed.
+    FIRST_STEP and clip every step to ``max_time``.  Both take the
+    stiffness from the ``gershgorin_bound`` of the state each step starts
+    from, and neither computes a spectrum: RKC fits its stages to it, and
+    RKF45 caps h at _RKF_STAB over it.  A bound of zero or below (an entry
+    of J that underflowed) caps nothing.
     """
     lhat = prescription.lhat
     calabi = config.method == "calabi"
@@ -358,29 +348,18 @@ def _ode_states(complex: SurfaceComplex, prescription: Prescription,
         return state, (calabi_direction(state, prescription) if calabi
                        else lhat - state.L)
 
-    ritz, screen = None, False
     t, h, tol = 0.0, FIRST_STEP, config.tol_ode
     state, f = sample(K0)
     while True:
         yield t, state, math.sqrt(f @ f)
 
-        # The flow Jacobian is about -J^2 (calabi) or -J (curvature).  RKC
-        # fits its stages to a Gershgorin bound on it.  RKF45 holds h below
-        # the explicit stability limit, a ceiling from the top of the
-        # spectrum, so the local error shrinks with the residual instead
-        # of riding the boundary; where a Gershgorin bound already holds
-        # the proposed h under the ceiling, the ceiling is skipped (a NaN
-        # bound fails that test).
-        if rkc:
-            stiff = stiffness(gershgorin_bound(state))
-        elif not (screen and h * stiffness((1.0 + _GERSHGORIN_SLACK)
-                                           * gershgorin_bound(state))
-                  <= _RKF_STAB):
-            lam, ritz = extreme_eigenvalue(state, "max", None, ritz)
-            stiff = stiffness(lam)
-            cap = _RKF_STAB / stiff if stiff > 0.0 else math.inf
-            screen = cap >= h
-            h = min(h, cap)
+        # The flow Jacobian is about -J^2 (calabi) or -J (curvature).
+        # RKF45 holds h below its explicit stability limit, so the local
+        # error shrinks with the residual instead of riding the boundary
+        # (a NaN bound caps nothing).
+        stiff = stiffness(gershgorin_bound(state))
+        if not rkc and stiff > 0.0:
+            h = min(h, _RKF_STAB / stiff)
         h = min(h, config.max_time - t)
         if rkc:
             state, f, t, h = _rkc_step(sample, stage, state.K, f, t, h, stiff,

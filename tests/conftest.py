@@ -118,7 +118,7 @@ def count_computed(monkeypatch, prop: str) -> list:
 
 ACCEPTANCE_CONFIG = FlowConfig(tol_ode=1e-4, tol_curvature=3e-11, max_time=4e4)
 # A tolerance below flow.RKC_MIN_TOL, so both flows step with RKF45: for the
-# tests whose subject is RKF45's step ceiling, its screens or its runs.
+# tests whose subject is RKF45's step ceiling or its runs.
 RKF45_CONFIG = FlowConfig(tol_ode=1e-9)
 
 

@@ -529,9 +529,9 @@ b 2
                              ("subnormal-angle-", SUBNORMAL_ANGLE_BIGON))
         for method in ("calabi", "curvature", "newton")])
     def test_tiny_angles_end_without_a_traceback(self, tmp_path, text, method):
-        # Below an angle of about 1e-162, lambda_max^2 of J underflows to
-        # 0; a zero step ceiling caps nothing.  Overflow ends as a verdict,
-        # not as a warning.
+        # Below an angle of about 1e-162, g^2, with g the Gershgorin bound
+        # on J, underflows to 0; a zero stiffness caps no step.  Overflow
+        # ends as a verdict, not as a warning.
         path = tmp_path / "tiny.icp"
         path.write_text(text)
         proc = subprocess.run(
@@ -562,15 +562,14 @@ b 2
     ], ids=["integration", "non-convergence", "linalg"])
     def failing_run(self, request, monkeypatch):
         """Makes the first step of every run on a 4-vertex complex raise the
-        error, after the run's start sample: RKF45's step ceiling and RKC's
-        stiffness bound both raise it."""
-        for name in ("extreme_eigenvalue", "gershgorin_bound"):
-            def failing(state, *args, real=getattr(cpflow.flow, name)):
-                if state.complex.n_vertices == 4:
-                    raise request.param
-                return real(state, *args)
+        error, after the run's start sample: the stiffness bound both
+        integrators take raises it."""
+        def failing(state, real=cpflow.flow.gershgorin_bound):
+            if state.complex.n_vertices == 4:
+                raise request.param
+            return real(state)
 
-            monkeypatch.setattr(cpflow.flow, name, failing)
+        monkeypatch.setattr(cpflow.flow, "gershgorin_bound", failing)
         return request.param
 
     def assert_failed_trace(self, path, failure):
@@ -672,7 +671,8 @@ class TestHonestVerdicts:
         # The default solve steps the Calabi flow with RKC.  From the far
         # start it still ends budget-exhausted, as under RKF45, because J's
         # diagonal at the two far vertices is about 1e-8 and they barely
-        # move by t = 1e4; but it takes 111 samples, not RKF45's 22 608.
+        # move by t = 1e4; but it takes 111 samples, not RKF45's 22 850
+        # (at tol_ode 1e-9).
         path = self.tetra_with(tmp_path, 3.9, self.FAR_START)
         trace = tmp_path / "t.tsv"
         assert main(["solve", path, "--trace", str(trace)]) == 4

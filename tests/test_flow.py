@@ -13,8 +13,7 @@ from cpflow import (FlowConfig, FlowSample, FlowTrace,
                     InputError, Prescription,
                     calabi_direction, check_mincut, evaluate, fit_decay_rate,
                     fixtures, make_synthetic, potential, r_to_k, run)
-from cpflow.curvature import (K_CLAMP, LANCZOS_CUT, _evaluate,
-                               extreme_eigenvalue, gershgorin_bound)
+from cpflow.curvature import K_CLAMP, LANCZOS_CUT, _evaluate
 from cpflow.errors import NonConvergenceError
 from cpflow.flow import (RKC_MIN_TOL, _calabi_stage, _curvature_stage,
                          integrator)
@@ -35,19 +34,6 @@ def tetra():
 def planted(tetra):
     """Target curvatures planted at the coordinate origin."""
     return Prescription(evaluate(tetra, np.zeros(4)).L.copy())
-
-
-def count_ceilings(monkeypatch) -> list:
-    """Collects every state a run computes its RKF45 step ceiling at."""
-    ceilings = []
-
-    def recorded(state, end, tol=None, start=None):
-        if tol is None:
-            ceilings.append(state)
-        return extreme_eigenvalue(state, end, tol, start)
-
-    monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", recorded)
-    return ceilings
 
 
 def count_edge_forms(monkeypatch) -> list:
@@ -304,11 +290,11 @@ class TestRun:
 # stage, but must not move the step sequence by more than 1%.
 PINNED_STEP_COUNTS = {
     ("tetrahedron", "calabi"): 127,
-    ("tetrahedron", "curvature"): 75,
+    ("tetrahedron", "curvature"): 97,
     ("cube", "calabi"): 138,
-    ("cube", "curvature"): 63,
+    ("cube", "curvature"): 72,
     ("torus3x3", "calabi"): 142,
-    ("torus3x3", "curvature"): 49,
+    ("torus3x3", "curvature"): 58,
 }
 PINNED_COMPLEXES = {
     "tetrahedron": lambda: fixtures.tetrahedron(1.3),
@@ -346,14 +332,13 @@ class TestSpectrumOnDemand:
         assert trace.min_eig is None and trace.predicted_rate is None
 
     def test_adaptive_run_records_the_spectrum_it_computed(
-            self, tetra, spectra, monkeypatch):
-        ceilings = count_ceilings(monkeypatch)
+            self, tetra, spectra):
         inst = make_synthetic(tetra, seed=65)
         k0 = inst.kbar + rng_for(66).uniform(-0.5, 0.5, 4)
         trace = run(tetra, inst.prescription, k0, RKF45_CONFIG)
-        # one spectrum per step the Gershgorin bound did not screen, for
-        # the step cap, and one at the solution
-        assert len(spectra) == len(ceilings) + 1
+        # no spectrum per step; one at the solution, for min_eig
+        assert len(trace.samples) > 2
+        assert len(spectra) == 1 and spectra[0].K is trace.final.K
         lam = evaluate(tetra, trace.final.K).min_eigenvalue
         assert trace.min_eig == lam
         assert trace.predicted_rate == -2.0 * lam * lam
@@ -371,102 +356,35 @@ class TestSpectrumOnDemand:
         assert trace.min_eig > 0.0
 
 
-class TestLanczosCeiling:
-    """Above LANCZOS_CUT vertices the RKF45 step ceiling is a Lanczos bound
-    on the largest eigenvalue of J."""
+class TestStabilityCeiling:
+    """RKF45 caps every step at 3.2 over the stiffness of the Gershgorin
+    bound, which lies above lambda_max of J, so no accepted step passes
+    the exact stability ceiling 3.2 / stiffness(lambda_max) of the state
+    it starts from."""
 
-    @pytest.mark.parametrize("side", [10, 12])
-    @pytest.mark.parametrize("method", ["calabi", "curvature"])
-    def test_tracks_the_exact_ceiling(self, monkeypatch, side, method):
-        c, prescription, k0 = torus_start(side, seed=85)
-        config = dataclasses.replace(RKF45_CONFIG, method=method)
-        ceilings = []
+    PROBLEMS = dict(PINNED_COMPLEXES,
+                    torus10x10=lambda: fixtures.torus_grid(10, 10, 1.3))
+    SEEDS = dict.fromkeys(PINNED_COMPLEXES, (71, 72)) | {
+        "torus10x10": (85, 86)}
 
-        def recorded(state, end, tol=None, start=None):
-            lam, ritz = extreme_eigenvalue(state, end, tol, start)
-            if tol is None:
-                ceilings.append((lam, state))
-            return lam, ritz
-
-        def dense(state, end, tol=None, start=None):
-            return (state.max_eigenvalue if end == "max"
-                    else state.min_eigenvalue), None
-
-        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", recorded)
-        lanczos = run(c, prescription, k0, config)
-        monkeypatch.setattr(cpflow.flow, "extreme_eigenvalue", dense)
-        exact = run(c, prescription, k0, config)
-        assert lanczos.verdict == exact.verdict == "converged"
-        assert ceilings
-        for lam, state in ceilings:
-            assert abs(lam / state.max_eigenvalue - 1.0) <= 0.05
-        steps = len(exact.samples) - 1
-        assert abs(len(lanczos.samples) - 1 - steps) <= 0.01 * steps
-
-    def test_exact_up_to_the_cut(self):
-        c, prescription, k0 = torus_start(8, seed=87)
-        state = evaluate(c, k0)
-        assert c.n_vertices == LANCZOS_CUT
-        assert extreme_eigenvalue(state, "max") == (state.max_eigenvalue, None)
-
-
-# The configurations of the screens' pinned runs: the criterion-4 one, the
-# default and RKF45's.
-SCREEN_CONFIGS = {"acceptance": ACCEPTANCE_CONFIG, "default": FlowConfig(),
-                  "rkf45": RKF45_CONFIG}
-
-
-def diverging_torus4x4():
-    """An infeasible torus4x4 prescription and its planted start."""
-    c = fixtures.torus_grid(4, 4, phi=1.3)
-    inst = make_synthetic(c, seed=73)
-    lhat = inst.prescription.lhat.copy()
-    lhat[5] = 8.0 * 1.3 * 1.05 + 0.3
-    return c, Prescription(lhat), inst.kbar
-
-
-class TestGershgorinScreen:
-    """A step skips its ceiling only where the Gershgorin bound proves the
-    ceiling would not cap it, so a screened run is bit for bit the run
-    that computes the ceiling on every step."""
-
-    @pytest.mark.parametrize("config", SCREEN_CONFIGS.values(),
-                             ids=SCREEN_CONFIGS)
-    @pytest.mark.parametrize("method", ["calabi", "curvature"])
-    @pytest.mark.parametrize("name", sorted(PINNED_COMPLEXES))
-    def test_trace_is_the_unscreened_trace(self, monkeypatch, name, method,
-                                           config):
-        c = PINNED_COMPLEXES[name]()
-        inst = make_synthetic(c, seed=71)
-        k0 = inst.kbar + rng_for(72).uniform(-1.0, 1.0, c.n_vertices)
+    @pytest.mark.parametrize("method, config", [
+        ("calabi", RKF45_CONFIG), ("curvature", RKF45_CONFIG),
+        ("curvature", FlowConfig()),
+    ], ids=["calabi-rkf45", "curvature-rkf45", "curvature-default"])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_no_step_passes_the_exact_ceiling(self, name, method, config):
+        c = self.PROBLEMS[name]()
+        seed, start = self.SEEDS[name]
+        inst = make_synthetic(c, seed)
+        k0 = inst.kbar + rng_for(start).uniform(-1.0, 1.0, c.n_vertices)
         config = dataclasses.replace(config, method=method)
-        if integrator(config) != "rkf45":
-            # The screen belongs to RKF45: step at a tolerance just tighter
-            # than the one where the Calabi flow switches to RKC.
-            config = dataclasses.replace(config, tol_ode=0.1 * RKC_MIN_TOL)
-        ceilings = count_ceilings(monkeypatch)
-        screened = run(c, inst.prescription, k0, config)
-        assert len(ceilings) < len(screened.samples) - 1
-        monkeypatch.setattr(cpflow.flow, "gershgorin_bound",
-                            lambda state: math.inf)
-        unscreened = run(c, inst.prescription, k0, config)
-        assert screened.verdict == unscreened.verdict == "converged"
-        assert len(screened.samples) == len(unscreened.samples)
-        for a, b in zip(screened.samples, unscreened.samples):
-            assert a.K.tobytes() == b.K.tobytes()
-            assert (a.t, a.err_inf, a.energy, a.speed) == (
-                b.t, b.err_inf, b.energy, b.speed)
-        assert screened.min_eig == unscreened.min_eig
-
-    def test_accuracy_bound_divergence_skips_the_ceiling(self, monkeypatch):
-        # The curvature flow on an infeasible prescription runs at the
-        # step its error tolerance allows, well under the ceiling.
-        c, prescription, k0 = diverging_torus4x4()
-        ceilings = count_ceilings(monkeypatch)
-        trace = run(c, prescription, k0,
-                    dataclasses.replace(RKF45_CONFIG, method="curvature"))
-        assert trace.verdict == "diverged"
-        assert len(ceilings) < 0.1 * (len(trace.samples) - 1)
+        assert integrator(config) == "rkf45"
+        trace = run(c, inst.prescription, k0, config)
+        assert trace.verdict == "converged"
+        for a, b in zip(trace.samples, trace.samples[1:]):
+            lam = np.linalg.eigvalsh(evaluate(c, a.K).J)[-1]
+            stiffness = lam * lam if method == "calabi" else lam
+            assert (b.t - a.t) * stiffness <= 3.2 * (1.0 + 1e-10)
 
 
 class TestValidatesOnce:
@@ -540,8 +458,8 @@ class TestRKC:
         assert integrator(dataclasses.replace(
             ACCEPTANCE_CONFIG, method="newton")) == "none"
 
-    @pytest.mark.parametrize("configs", [BOTH_INTEGRATORS, SCREEN_CONFIGS],
-                             ids=["both-integrators", "screens"])
+    @pytest.mark.parametrize("configs", [BOTH_INTEGRATORS],
+                             ids=["both-integrators"])
     def test_parametrizations_cover_both_integrators(self, configs):
         # Whatever FlowConfig's default, each runs the Calabi flow under
         # both integrators.
@@ -566,37 +484,31 @@ class TestRKC:
 
     def test_one_spectrum_per_converged_run(self, monkeypatch):
         spectra = count_computed(monkeypatch, "eigenvalues")
-        ceilings = count_ceilings(monkeypatch)
         trace = run(*self.planted_tetrahedron(), ACCEPTANCE_CONFIG)
         assert trace.verdict == "converged"
-        # no step ceiling; one spectrum, for min_eig at the solution
-        assert ceilings == [] and len(spectra) == 1
+        # one spectrum, for min_eig at the solution
+        assert len(spectra) == 1 and spectra[0].K is trace.final.K
 
     @pytest.mark.parametrize("name", BOTH_INTEGRATORS)
-    def test_rkc_computes_no_rkf45_bound(self, monkeypatch, name):
-        # The loop both integrators share runs the RKF45 ceiling only for
-        # RKF45; the RKF45 run shows the spies see it.
-        config, rkc = BOTH_INTEGRATORS[name], name == "rkc"
-        calls = []
+    def test_each_step_computes_one_gershgorin_bound(self, monkeypatch,
+                                                      name):
+        # The loop both integrators share bounds the stiffness of every
+        # step by the state it starts from, and computes no spectrum.
+        bounds = []
+        real = cpflow.flow.gershgorin_bound
 
-        def spy(name):
-            real = getattr(cpflow.flow, name)
+        def recorded(state):
+            bounds.append(state.K)
+            return real(state)
 
-            def recorded(*args):
-                calls.append((name,) + args[1:2])
-                return real(*args)
-
-            monkeypatch.setattr(cpflow.flow, name, recorded)
-
-        for name in ("extreme_eigenvalue", "gershgorin_bound"):
-            spy(name)
-        trace = run(*self.planted_tetrahedron(), config)
+        monkeypatch.setattr(cpflow.flow, "gershgorin_bound", recorded)
+        spectra = count_computed(monkeypatch, "eigenvalues")
+        trace = run(*self.planted_tetrahedron(), BOTH_INTEGRATORS[name])
         assert trace.verdict == "converged"
-        assert (("extreme_eigenvalue", "max") not in calls) == rkc
-        if rkc:
-            # one Gershgorin bound per step taken
-            assert (calls.count(("gershgorin_bound",))
-                    == len(trace.samples) - 1)
+        assert integrator(BOTH_INTEGRATORS[name]) == name
+        assert len(bounds) == len(trace.samples) - 1
+        assert all(K is sample.K for K, sample in zip(bounds, trace.samples))
+        assert len(spectra) == 1 and spectra[0].K is trace.final.K
 
     def test_a_step_of_s_stages_costs_s_evaluations(self, monkeypatch):
         # Planted before counting: planting evaluates too.

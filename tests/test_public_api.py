@@ -56,9 +56,12 @@ def test_retired_names_stay_gone():
     assert not hasattr(cpflow.errors, "SizeError")
     assert [f.name for f in dataclasses.fields(cpflow.SyntheticInstance)] == [
         "complex", "kbar", "prescription"]
-    # The state's Gershgorin bound is the one screen on RKF45's ceiling.
+    # The state's Gershgorin bound is RKF45's step ceiling, as it is RKC's
+    # stiffness: no constant or screen in front of it, no spectrum per step.
     for module in (cpflow.curvature, cpflow.flow):
-        assert not hasattr(module, "uniform_gershgorin_bound"), module.__name__
+        for name in ("uniform_gershgorin_bound", "extreme_eigenvalue",
+                     "_GERSHGORIN_SLACK"):
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 def test_names_resolve_in_the_parser_only():
